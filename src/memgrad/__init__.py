@@ -9,12 +9,12 @@ __version__ = "0.1.0"
 
 from .device import (DeviceState, DeviceTechParams, DriftModelParams,
                      EnduranceExceeded, LARGE_ARRAY, MAC_ARRAY, NeedsReinit,
-                     ResetTrajectory, SyntheticTrajectoryParams,
+                     ResetTrajectory, SyntheticTrajectoryParams, TrajectoryBank,
                      apply_reset_pulse, apply_retention_drift,
                      generate_trajectory_bank, pearson_coefficient,
                      pulse_energy, reinitialize)
-from .crossbar import (CrossbarArray, DifferentialPair, OnExhaustion, Polarity,
-                       PulseReport, ReadModelParams, UpdatePlan, ternarize)
+from .crossbar import (CrossbarArray, OnExhaustion, PulseResult, ReadModelParams,
+                       ternarize)
 from .rules import (CFParams, GradientBatch, LayerSpec, SFFParams, bp_gradients,
                     build_pos_neg, cf_gradient, cf_loss, cluster_mask, goodness,
                     sff_gradient, sff_loss, sign_descent_step_float,

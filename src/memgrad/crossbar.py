@@ -5,39 +5,38 @@ reset-only technology can move weights in both directions: pulsing G- raises
 w, pulsing G+ lowers it.  Matrices here use the (n_out, n_in) orientation of
 the gradient equations: entry (i, j) couples input j to output i, and logits
 are y = W @ x.
+
+Device state is stored as arrays, one entry per device.  A device is a
+(trajectory id, cursor) pair into the rows of a shared
+:class:`~memgrad.device.TrajectoryBank` matrix.  ``traj_ids``, ``cursors``,
+``reinit_counts`` and ``pulse_counts`` are (n_out, n_in, 2) integer arrays
+whose last axis is the side of the pair: 0 for G+, 1 for G-.  An update plan
+is a pair ``(mask, side)`` of (n_out, n_in) arrays: a boolean mask with at
+most one pulse per weight, and the side that pulse goes to.  A plan is
+applied as one vectorized step; the scalar
+:class:`~memgrad.device.DeviceState` model is its reference.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParseError
-from .device import (DeviceState, DeviceTechParams, ResetTrajectory,
-                     apply_reset_pulse, reinitialize)
+from .device import DeviceTechParams, EnduranceExceeded, TrajectoryBank
 
 __all__ = [
-    "Polarity",
     "OnExhaustion",
-    "DifferentialPair",
-    "UpdatePlan",
     "ReadModelParams",
-    "ActionRecord",
-    "PulseReport",
+    "PulseResult",
     "CrossbarArray",
     "ternarize",
     "save_snapshot_csv",
     "load_snapshot_csv",
 ]
-
-
-class Polarity(enum.Enum):
-    """Which device of a pair receives the reset pulse."""
-    PULSE_PLUS = "pulse_plus"     # reset G+  -> weight decreases
-    PULSE_MINUS = "pulse_minus"   # reset G-  -> weight increases
 
 
 class OnExhaustion(enum.Enum):
@@ -52,37 +51,6 @@ class OnExhaustion(enum.Enum):
 
 
 @dataclass
-class DifferentialPair:
-    g_plus: DeviceState
-    g_minus: DeviceState
-
-    def __post_init__(self):
-        if self.g_plus is self.g_minus:
-            raise ValueError("a pair needs two distinct devices")
-
-
-@dataclass
-class UpdatePlan:
-    """Set of single-pulse actions, at most one per (i, j) weight.
-
-    Keys are (i, j) = (output row of the gradient matrix, input column).
-    """
-
-    actions: dict[tuple[int, int], Polarity] = field(default_factory=dict)
-
-    def add(self, i: int, j: int, polarity: Polarity):
-        if (i, j) in self.actions:
-            raise ValueError(f"duplicate action for weight ({i}, {j})")
-        self.actions[(i, j)] = polarity
-
-    def __len__(self):
-        return len(self.actions)
-
-    def sorted_actions(self):
-        return sorted(self.actions.items())
-
-
-@dataclass
 class ReadModelParams:
     """Read imperfections: relative multiplicative and additive current noise."""
     multiplicative_sigma: float = 0.01
@@ -94,31 +62,12 @@ class ReadModelParams:
             raise ValueError("noise sigmas must be >= 0")
 
 
-@dataclass
-class ActionRecord:
-    i: int
-    j: int
-    polarity: Polarity
-    status: str              # "applied" | "skipped" | "reinit_then_applied"
-    g_before: float          # conductance immediately before the pulse (S)
-    g_after: float
-
-
-@dataclass
-class PulseReport:
-    records: list[ActionRecord] = field(default_factory=list)
-
-    @property
-    def applied(self) -> int:
-        return sum(r.status in ("applied", "reinit_then_applied") for r in self.records)
-
-    @property
-    def skipped(self) -> int:
-        return sum(r.status == "skipped" for r in self.records)
-
-    @property
-    def reinits(self) -> int:
-        return sum(r.status == "reinit_then_applied" for r in self.records)
+@dataclass(frozen=True)
+class PulseResult:
+    """Counts of one applied plan: pulses applied, skipped, and reinits."""
+    applied: int
+    skipped: int
+    reinits: int
 
 
 class CrossbarArray:
@@ -130,21 +79,29 @@ class CrossbarArray:
     weight representation to the read gain.
     """
 
-    def __init__(self, n_in: int, n_out: int, pairs, tech: DeviceTechParams,
-                 gain_kappa: float = 5e4, bank=None, ledger=None):
-        if len(pairs) != n_out or any(len(row) != n_in for row in pairs):
-            raise ValueError("pairs grid must be n_out x n_in")
-        self.n_in = n_in
-        self.n_out = n_out
-        self.pairs = pairs
+    def __init__(self, bank: TrajectoryBank, traj_ids, cursors,
+                 tech: DeviceTechParams, gain_kappa: float = 5e4, ledger=None):
+        traj_ids = np.array(traj_ids, dtype=np.int64)
+        cursors = np.array(cursors, dtype=np.int64)
+        if traj_ids.ndim != 3 or traj_ids.shape[2] != 2 or cursors.shape != traj_ids.shape:
+            raise ValueError("trajectory ids and cursors must be (n_out, n_in, 2)")
+        if np.any(traj_ids < 0) or np.any(traj_ids >= len(bank)):
+            raise ValueError("trajectory id outside the bank")
+        if np.any(cursors < 0) or np.any(cursors >= bank.lengths[traj_ids]):
+            raise ValueError("cursor outside its trajectory")
+        self.n_out, self.n_in = traj_ids.shape[:2]
+        self.bank = bank
         self.tech = tech
         self.gain_kappa = float(gain_kappa)
-        self.bank = bank
         self.ledger = ledger
-        self._g_plus = np.array([[p.g_plus.conductance for p in row] for row in pairs])
-        self._g_minus = np.array([[p.g_minus.conductance for p in row] for row in pairs])
-        # (n_out, n_in, 2): applied pulse counters, plus side 0 / minus side 1
-        self.pulse_counts = np.zeros((n_out, n_in, 2), dtype=np.int64)
+        self.traj_ids = traj_ids
+        self.cursors = cursors
+        self.reinit_counts = np.zeros_like(traj_ids)
+        # applied pulses; pre-pulses are not counted, so this is also each
+        # device's lifetime pulse count for the endurance budget
+        self.pulse_counts = np.zeros_like(traj_ids)
+        self._g = bank.conductances[traj_ids, cursors]
+        self._g_plus, self._g_minus = self._g[..., 0], self._g[..., 1]
 
     # physical naming: rows are inputs, cols are outputs
     @property
@@ -164,7 +121,7 @@ class CrossbarArray:
         return 2 * self.n_in * self.n_out
 
     @classmethod
-    def build(cls, n_in: int, n_out: int, bank: list[ResetTrajectory],
+    def build(cls, n_in: int, n_out: int, bank: TrajectoryBank,
               rng: np.random.Generator, tech: DeviceTechParams,
               gain_kappa: float = 5e4, pre_pulse_max: int = 50, ledger=None):
         """Assemble an array from fresh bank draws.
@@ -172,23 +129,17 @@ class CrossbarArray:
         Each device starts on a freshly drawn trajectory and receives a
         uniform random number of symmetry-breaking pre-pulses (0..max); these
         land the pair differences in a usable weight range and do not count
-        as training pulses.
+        as training pulses.  Draws run device by device in (i, j, side)
+        order, alternating trajectory and pre-pulse count.
         """
-        if not bank:
-            raise ValueError("trajectory bank is empty")
-        pairs = []
-        for i in range(n_out):
-            row = []
-            for j in range(n_in):
-                devs = []
-                for _ in range(2):
-                    traj = bank[int(rng.integers(0, len(bank)))]
-                    pix = int(rng.integers(0, pre_pulse_max + 1)) if pre_pulse_max else 0
-                    pix = min(pix, len(traj) - 1)
-                    devs.append(DeviceState(traj, pulse_index=pix))
-                row.append(DifferentialPair(g_plus=devs[0], g_minus=devs[1]))
-            pairs.append(row)
-        return cls(n_in, n_out, pairs, tech, gain_kappa, bank=bank, ledger=ledger)
+        ids, pre = [], []
+        for _ in range(2 * n_in * n_out):
+            ids.append(int(rng.integers(0, len(bank))))
+            pre.append(int(rng.integers(0, pre_pulse_max + 1)) if pre_pulse_max else 0)
+        traj_ids = np.array(ids, dtype=np.int64).reshape(n_out, n_in, 2)
+        cursors = np.minimum(np.array(pre, dtype=np.int64).reshape(n_out, n_in, 2),
+                             bank.lengths[traj_ids] - 1)
+        return cls(bank, traj_ids, cursors, tech, gain_kappa, ledger=ledger)
 
     def conductances(self):
         """Current (G+, G-) matrices, shape (n_out, n_in) each."""
@@ -226,44 +177,63 @@ class CrossbarArray:
             self.ledger.record_macs(self.n_in * self.n_out)
         return self.gain_kappa * currents
 
-    def apply_update_plan(self, plan: UpdatePlan,
-                          policy: OnExhaustion = OnExhaustion.SKIP,
-                          rng: np.random.Generator | None = None) -> PulseReport:
-        """Apply one reset pulse per planned action.
+    def apply_update_plan(self, plan, policy: OnExhaustion = OnExhaustion.SKIP,
+                          rng: np.random.Generator | None = None) -> PulseResult:
+        """Apply one reset pulse per planned weight, as one array step.
 
-        The pre-pulse conductance of every applied pulse is recorded (that is
-        the G entering the pulse-energy formula).  Exhausted devices are
-        skipped or reinitialized per policy; reinit draws need an rng.
+        ``plan`` is ``(mask, side)`` as returned by ``threshold_sign_plan``.
+        Pulses are taken in sorted (i, j) order, which fixes the order of
+        the ledger's pre-pulse conductances (the G entering the pulse-energy
+        formula) and of the REINIT trajectory draws.  Exhausted devices are
+        skipped or reinitialized per policy; reinit draws need an rng.  A
+        pulse beyond the endurance budget raises :class:`EnduranceExceeded`
+        before any state changes.
         """
-        report = PulseReport()
-        for (i, j), polarity in plan.sorted_actions():
-            if not (0 <= i < self.n_out and 0 <= j < self.n_in):
-                raise ValueError(f"action ({i}, {j}) outside {self.n_out}x{self.n_in} grid")
-            pair = self.pairs[i][j]
-            device = pair.g_plus if polarity is Polarity.PULSE_PLUS else pair.g_minus
-            status = "applied"
-            if device.exhausted:
-                if policy is OnExhaustion.SKIP:
-                    report.records.append(ActionRecord(i, j, polarity, "skipped",
-                                                       device.conductance,
-                                                       device.conductance))
-                    continue
-                if rng is None:
-                    raise ValueError("REINIT policy needs an rng")
-                reinitialize(device, self.bank, rng, ledger=self.ledger)
-                status = "reinit_then_applied"
-            g_before = device.conductance
-            g_after = apply_reset_pulse(device, self.tech.endurance_budget)
-            side = 0 if polarity is Polarity.PULSE_PLUS else 1
-            if side == 0:
-                self._g_plus[i, j] = g_after
-            else:
-                self._g_minus[i, j] = g_after
-            self.pulse_counts[i, j, side] += 1
+        mask, side = np.asarray(plan[0]), np.asarray(plan[1])
+        if mask.dtype != bool or mask.shape != (self.n_out, self.n_in) \
+                or side.shape != mask.shape:
+            raise ValueError(f"plan needs a boolean mask and a side array, "
+                             f"each {self.n_out}x{self.n_in}")
+        ii, jj = np.nonzero(mask)
+        ss = side[ii, jj]
+        if np.any((ss != 0) & (ss != 1)):
+            raise ValueError("plan side must be 0 (G+) or 1 (G-)")
+        tid, cur = self.traj_ids[ii, jj, ss], self.cursors[ii, jj, ss]
+        exhausted = cur + 1 >= self.bank.lengths[tid]
+        n_exhausted = int(np.count_nonzero(exhausted))
+        skipped = reinits = 0
+        if n_exhausted and policy is OnExhaustion.SKIP:
+            live = ~exhausted
+            ii, jj, ss, tid, cur = ii[live], jj[live], ss[live], tid[live], cur[live]
+            skipped = n_exhausted
+        elif n_exhausted:
+            if rng is None:
+                raise ValueError("REINIT policy needs an rng")
+            reinits = n_exhausted
+        idx = (ii, jj, ss)
+        lifetime = self.pulse_counts[idx]
+        over = lifetime >= self.tech.endurance_budget
+        if np.any(over):
+            k = int(np.argmax(over))
+            raise EnduranceExceeded(
+                f"device ({ii[k]}, {jj[k]}, side {ss[k]}) at {lifetime[k]} lifetime "
+                f"pulses (budget {self.tech.endurance_budget})")
+        if reinits:
+            tid[exhausted] = rng.integers(0, len(self.bank), size=reinits)
+            cur[exhausted] = 0
+            self.reinit_counts[ii[exhausted], jj[exhausted], ss[exhausted]] += 1
             if self.ledger is not None:
-                self.ledger.record_pulse(g_before, self.tech.name)
-            report.records.append(ActionRecord(i, j, polarity, status, g_before, g_after))
-        return report
+                for _ in range(reinits):
+                    self.ledger.record_reinit()
+        g_pre = self.bank.conductances[tid, cur]
+        cur += 1
+        self.traj_ids[idx] = tid
+        self.cursors[idx] = cur
+        self._g[idx] = self.bank.conductances[tid, cur]
+        self.pulse_counts[idx] = lifetime + 1
+        if self.ledger is not None:
+            self.ledger.record_pulses(g_pre, self.tech.name)
+        return PulseResult(applied=len(ii), skipped=skipped, reinits=reinits)
 
 
 def ternarize(x, dead_zone: float = 0.0) -> np.ndarray:
@@ -280,17 +250,15 @@ def save_snapshot_csv(array: CrossbarArray, path):
     One line per pair: row (input line), col (output column), conductances in
     microsiemens, and the replay cursors.
     """
+    g_plus, g_minus = array.conductances()
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["row", "col", "g_plus_uS", "g_minus_uS",
                     "pulse_index_plus", "pulse_index_minus"])
         for i in range(array.n_out):
             for j in range(array.n_in):
-                pair = array.pairs[i][j]
-                w.writerow([j, i,
-                            f"{pair.g_plus.conductance * 1e6:.9g}",
-                            f"{pair.g_minus.conductance * 1e6:.9g}",
-                            pair.g_plus.pulse_index, pair.g_minus.pulse_index])
+                w.writerow([j, i, f"{g_plus[i, j] * 1e6:.9g}", f"{g_minus[i, j] * 1e6:.9g}",
+                            *array.cursors[i, j].tolist()])
 
 
 def load_snapshot_csv(path):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "NeedsReinit",
     "EnduranceExceeded",
     "ResetTrajectory",
+    "TrajectoryBank",
     "DeviceState",
     "DeviceTechParams",
     "SyntheticTrajectoryParams",
@@ -221,15 +223,66 @@ class DriftModelParams:
         return float(np.interp(days, xs, ws))
 
 
+class TrajectoryBank(Sequence):
+    """A cohort of trajectories stored as the rows of one matrix.
+
+    ``conductances`` has shape (count, width); row k holds trajectory k in
+    its first ``lengths[k]`` samples and zeros after them, since measured
+    trajectories may differ in length.  The matrix is read-only: crossbar
+    arrays gather from it by (trajectory id, cursor).  The bank also reads
+    as a sequence of :class:`ResetTrajectory`, each a view of its row, so
+    scalar code (the reference device model, characterization) sees one
+    object per trajectory without a second copy of the conductances.
+    """
+
+    def __init__(self, conductances, lengths, sources: list[str]):
+        conductances = np.asarray(conductances, dtype=float)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if conductances.ndim != 2 or len(conductances) < 1:
+            raise ValueError("bank needs a (count, width) conductance matrix")
+        if lengths.shape != (len(conductances),) or len(sources) != len(conductances):
+            raise ValueError("need one length and one source per trajectory")
+        if lengths.min() < 2 or lengths.max() > conductances.shape[1]:
+            raise ValueError("trajectory lengths must be in [2, width]")
+        if not (conductances.min() >= 0 and np.isfinite(conductances.max())):
+            raise ValueError("conductances must be finite and non-negative")
+        conductances.flags.writeable = False
+        self.conductances = conductances
+        self.lengths = lengths
+        self.sources = list(sources)
+        self._rows: list[ResetTrajectory | None] = [None] * len(lengths)
+
+    @classmethod
+    def from_rows(cls, rows, sources: list[str]) -> "TrajectoryBank":
+        """Stack 1-D trajectories of possibly different lengths, zero-padded."""
+        lengths = [len(r) for r in rows]
+        matrix = np.zeros((len(rows), max(lengths, default=0)))
+        for k, r in enumerate(rows):
+            matrix[k, :len(r)] = r
+        return cls(matrix, lengths, sources)
+
+    def __len__(self):
+        return len(self.lengths)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        traj = self._rows[k]
+        if traj is None:
+            traj = ResetTrajectory(self.conductances[k, :self.lengths[k]], self.sources[k])
+            self._rows[k] = traj
+        return traj
+
+
 def generate_trajectory_bank(params: SyntheticTrajectoryParams, count: int,
-                             seed: int) -> list[ResetTrajectory]:
+                             seed: int) -> TrajectoryBank:
     """Draw ``count`` synthetic trajectories, deterministically per seed."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
     onset = int(round(params.p_max * params.late_onset_fraction))
-    bank = []
-    for k in range(count):
+    matrix = np.empty((count, params.p_max + 1))
+    for g in matrix:
         sigma = np.full(params.p_max, params.decrement_sigma, dtype=float)
         sigma[onset:] *= params.late_sigma_factor
         if params.decrement_family == "lognormal":
@@ -238,12 +291,11 @@ def generate_trajectory_bank(params: SyntheticTrajectoryParams, count: int,
             dec = np.maximum(rng.normal(params.decrement_mean, sigma), 0.0)
         if rng.random() < params.anomalous_probability:
             dec = dec * rng.choice([-1.0, 1.0], size=params.p_max)
-        g = np.empty(params.p_max + 1)
         g[0] = max(rng.normal(params.g0_mean, params.g0_sigma), 0.0)
         g[1:] = g[0] - np.cumsum(dec)
         np.clip(g, 0.0, None, out=g)
-        bank.append(ResetTrajectory(g, source=f"synthetic(seed={seed},idx={k})"))
-    return bank
+    return TrajectoryBank(matrix, np.full(count, params.p_max + 1),
+                          [f"synthetic(seed={seed},idx={k})" for k in range(count)])
 
 
 def _lognormal_draws(rng, mean, sigma):
@@ -272,7 +324,7 @@ def apply_reset_pulse(device: DeviceState, endurance_budget: int | None = None) 
     return device.conductance
 
 
-def reinitialize(device: DeviceState, bank: list[ResetTrajectory],
+def reinitialize(device: DeviceState, bank: Sequence[ResetTrajectory],
                  rng: np.random.Generator, ledger=None, energy_cost: float = 0.0):
     """Full reset/set cycle: rewind to pulse 0 on a freshly drawn trajectory.
 
@@ -341,7 +393,7 @@ def pulse_energy(conductance: float, tech: DeviceTechParams) -> float:
     return conductance * tech.v_reset ** 2 * tech.t_reset
 
 
-def save_bank_csv(bank: list[ResetTrajectory], path):
+def save_bank_csv(bank: Sequence[ResetTrajectory], path):
     """Write a bank in long format: device_id,pulse_index,conductance_uS."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
@@ -351,7 +403,7 @@ def save_bank_csv(bank: list[ResetTrajectory], path):
                 w.writerow([dev_id, k, f"{g * 1e6:.9g}"])
 
 
-def load_bank_csv(path) -> list[ResetTrajectory]:
+def load_bank_csv(path) -> TrajectoryBank:
     """Load a long-format bank file, validating density and non-negativity."""
     per_device: dict[int, list[tuple[int, float]]] = {}
     with open(path, newline="") as f:
@@ -367,14 +419,13 @@ def load_bank_csv(path) -> list[ResetTrajectory]:
             if g_us < 0:
                 raise ParseError(f"{path}:{lineno}: negative conductance")
             per_device.setdefault(dev, []).append((idx, g_us * 1e-6))
-    bank = []
-    for dev in sorted(per_device):
-        rows = sorted(per_device[dev])
-        indices = [i for i, _ in rows]
-        if indices != list(range(len(rows))):
-            raise ParseError(f"device {dev}: pulse_index not dense from 0")
-        bank.append(ResetTrajectory(np.array([g for _, g in rows]),
-                                    source=f"measured(file={path},device={dev})"))
-    if not bank:
+    if not per_device:
         raise ParseError(f"{path}: no trajectories found")
-    return bank
+    rows, sources = [], []
+    for dev in sorted(per_device):
+        samples = sorted(per_device[dev])
+        if [i for i, _ in samples] != list(range(len(samples))):
+            raise ParseError(f"device {dev}: pulse_index not dense from 0")
+        rows.append([g for _, g in samples])
+        sources.append(f"measured(file={path},device={dev})")
+    return TrajectoryBank.from_rows(rows, sources)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .device import DeviceTechParams
 
 __all__ = [
@@ -43,8 +45,14 @@ class EnergyLedger:
     reinit_count: int = 0
     reinit_energy_j: float = 0.0
 
-    def record_pulse(self, g_pre: float, tech_name: str):
-        self.pulse_g_pre.setdefault(tech_name, []).append(float(g_pre))
+    def record_pulses(self, g_pre, tech_name: str):
+        """Append the pre-pulse conductances of a batch of pulses, in order.
+
+        An empty batch adds nothing, not even an empty entry for the tech.
+        """
+        g_pre = np.asarray(g_pre, dtype=float)
+        if g_pre.size:
+            self.pulse_g_pre.setdefault(tech_name, []).extend(g_pre.tolist())
 
     def record_read(self, g_sum: float, v_read: float, t_read: float):
         self.reads.append((float(g_sum), float(v_read), float(t_read)))

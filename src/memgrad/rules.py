@@ -15,7 +15,7 @@ All gradients here are the exact analytic gradients of the corresponding
 batch-mean losses (verified against finite differences), so a float
 optimizer can follow them directly.  The hardware path only consumes their
 signs: `threshold_sign_plan` turns a gradient into at most one single-pulse
-action per weight.
+action per weight, as a (mask, side) pair of arrays.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-from .crossbar import Polarity, UpdatePlan
 
 __all__ = [
     "LayerSpec",
@@ -335,29 +333,27 @@ def bp_gradients(weights: list[np.ndarray], x, y,
     return grads
 
 
-def threshold_sign_plan(grad, tau: float, mode: str = "descent") -> UpdatePlan:
+def threshold_sign_plan(grad, tau: float,
+                        mode: str = "descent") -> tuple[np.ndarray, np.ndarray]:
     """Turn a gradient matrix into single-pulse actions.
 
-    An entry gets an action only when |grad| strictly exceeds tau.  In
-    descent mode the pulse moves the weight along -sign(grad): grad > tau
-    pulses G+ (weight down), grad < -tau pulses G- (weight up).  The
-    "paper_literal" mode swaps the mapping ("a positive gradient pulses the
-    negative device"), which reads the triggering signal as the update
-    -dL/dw rather than the derivative; see the planner docs.
+    Returns ``(mask, side)``, both shaped like ``grad``: ``mask`` marks the
+    entries that get a pulse, and ``side`` names the device it goes to,
+    0 for G+ (weight down) and 1 for G- (weight up).  An entry gets an
+    action only when |grad| strictly exceeds tau.  In descent mode the pulse
+    moves the weight along -sign(grad): grad > tau pulses G+, grad < -tau
+    pulses G-.  The "paper_literal" mode swaps the mapping ("a positive
+    gradient pulses the negative device"), which reads the triggering signal
+    as the update -dL/dw rather than the derivative; see the planner docs.
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
     if mode not in ("descent", "paper_literal"):
         raise ValueError(f"unknown plan mode {mode!r}")
     grad = np.atleast_2d(np.asarray(grad, dtype=float))
-    up, down = Polarity.PULSE_MINUS, Polarity.PULSE_PLUS
-    if mode == "paper_literal":
-        up, down = down, up
-    plan = UpdatePlan()
-    ii, jj = np.nonzero(np.abs(grad) > tau)
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        plan.add(i, j, down if grad[i, j] > 0 else up)
-    return plan
+    mask = np.abs(grad) > tau
+    side = (grad > 0) if mode == "paper_literal" else (grad < 0)
+    return mask, side.astype(np.int8)
 
 
 def sign_descent_step_float(w, grad, lr: float, tau: float = 0.0) -> np.ndarray:

@@ -388,9 +388,9 @@ def train(run: TrainingRun, train_ds: FeatureDataset,
                 if run.is_device:
                     plan = threshold_sign_plan(grad.grad, run.schedule.tau,
                                                run.schedule.plan_mode)
-                    report = run.layers[t].array.apply_update_plan(
+                    result = run.layers[t].array.apply_update_plan(
                         plan, run.on_exhaustion, rng)
-                    applied, skipped = report.applied, report.skipped
+                    applied, skipped = result.applied, result.skipped
                 else:
                     w = run.layers[t].weights
                     if run.schedule.float_update == "sign":

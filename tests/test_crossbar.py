@@ -1,14 +1,21 @@
 """Crossbar semantics: mapping, MAC, ternarization, update plans."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
-from memgrad.crossbar import (CrossbarArray, DifferentialPair, OnExhaustion,
-                              Polarity, ReadModelParams, UpdatePlan,
-                              load_snapshot_csv, save_snapshot_csv, ternarize)
-from memgrad.device import (DeviceState, LARGE_ARRAY, ResetTrajectory,
-                            SyntheticTrajectoryParams, generate_trajectory_bank)
+from memgrad.crossbar import (CrossbarArray, OnExhaustion, PulseResult,
+                              ReadModelParams, load_snapshot_csv,
+                              save_snapshot_csv, ternarize)
+from memgrad.device import (DeviceState, EnduranceExceeded, LARGE_ARRAY,
+                            SyntheticTrajectoryParams, TrajectoryBank,
+                            apply_reset_pulse, generate_trajectory_bank,
+                            reinitialize)
 from memgrad.energy import EnergyLedger
+
+PLUS, MINUS = 0, 1    # plan sides: the device of the pair that is pulsed
 
 
 def make_bank(p_max=200, count=64, seed=0, **kw):
@@ -24,37 +31,45 @@ def make_array(n_in=4, n_out=3, seed=0, pre_pulse_max=10, **kw):
                                pre_pulse_max=pre_pulse_max, **kw)
 
 
-def pair_from_us(g_plus, g_minus):
-    trj = lambda g: ResetTrajectory(np.array([g, g * 0.9]) * 1e-6)
-    return DifferentialPair(DeviceState(trj(g_plus)), DeviceState(trj(g_minus)))
+def array_from_us(g_plus, g_minus, n_out=1, n_in=1):
+    """Every pair at (g_plus, g_minus) uS, on two-sample trajectories."""
+    bank = TrajectoryBank.from_rows([np.array([g_plus, g_plus * 0.9]) * 1e-6,
+                                     np.array([g_minus, g_minus * 0.9]) * 1e-6],
+                                    ["plus", "minus"])
+    ids = np.broadcast_to([0, 1], (n_out, n_in, 2))
+    return CrossbarArray(bank, ids, np.zeros_like(ids), LARGE_ARRAY, gain_kappa=5e4)
+
+
+def plan_at(arr, actions):
+    """(mask, side) plan from a {(i, j): side} dict."""
+    mask = np.zeros((arr.n_out, arr.n_in), dtype=bool)
+    side = np.zeros((arr.n_out, arr.n_in), dtype=np.int8)
+    for (i, j), s in actions.items():
+        mask[i, j], side[i, j] = True, s
+    return mask, side
 
 
 class TestWeightMapping:
     def test_equal_pairs_give_zero(self):
-        pairs = [[pair_from_us(50, 50) for _ in range(3)] for _ in range(2)]
-        arr = CrossbarArray(3, 2, pairs, LARGE_ARRAY, gain_kappa=5e4)
+        arr = array_from_us(50, 50, n_out=2, n_in=3)
         assert np.array_equal(arr.map_weights(), np.zeros((2, 3)))
 
     def test_hand_mapped_value(self):
         # s = kappa * v_read = 5e4 * 0.2 = 1e4; w = 1e4 * 20 uS = 0.2
-        pairs = [[pair_from_us(60, 40)]]
-        arr = CrossbarArray(1, 1, pairs, LARGE_ARRAY, gain_kappa=5e4)
+        arr = array_from_us(60, 40)
         assert arr.scale_s == pytest.approx(1e4)
         assert arr.map_weights()[0, 0] == pytest.approx(0.2)
 
     def test_pulse_minus_increases_weight(self):
         arr = make_array()
         w0 = arr.map_weights()[1, 2]
-        plan = UpdatePlan()
-        plan.add(1, 2, Polarity.PULSE_MINUS)
-        arr.apply_update_plan(plan)
+        arr.apply_update_plan(plan_at(arr, {(1, 2): MINUS}))
         assert arr.map_weights()[1, 2] >= w0
 
     def test_differential_antisymmetry(self):
         arr = make_array(seed=3)
-        swapped_pairs = [[DifferentialPair(p.g_minus, p.g_plus) for p in row]
-                         for row in arr.pairs]
-        swapped = CrossbarArray(arr.n_in, arr.n_out, swapped_pairs, LARGE_ARRAY,
+        swapped = CrossbarArray(arr.bank, arr.traj_ids[..., ::-1],
+                                arr.cursors[..., ::-1], LARGE_ARRAY,
                                 gain_kappa=arr.gain_kappa)
         assert np.array_equal(swapped.map_weights(), -arr.map_weights())
 
@@ -70,8 +85,7 @@ class TestMac:
 
     def test_hand_evaluated_current(self):
         # G+ - G- = 20 uS, x = +1, V_read = 0.2 -> I = 4 uA, y = kappa*I = 0.2
-        pairs = [[pair_from_us(60, 40)]]
-        arr = CrossbarArray(1, 1, pairs, LARGE_ARRAY, gain_kappa=5e4)
+        arr = array_from_us(60, 40)
         y = arr.mac(np.array([1.0]))
         assert y[0] == pytest.approx(0.2, rel=1e-12)
 
@@ -146,16 +160,18 @@ class TestTernarize:
 
 class TestUpdatePlan:
     def test_duplicate_action_rejected(self):
-        plan = UpdatePlan()
-        plan.add(0, 0, Polarity.PULSE_PLUS)
+        # a plan holds at most one pulse per weight: a count mask is refused
+        arr = make_array()
+        mask, side = plan_at(arr, {(0, 0): PLUS})
         with pytest.raises(ValueError):
-            plan.add(0, 0, Polarity.PULSE_MINUS)
+            arr.apply_update_plan((mask.astype(int) * 2, side))
+        assert int(arr.pulse_counts.sum()) == 0
 
     def test_empty_plan_is_noop(self):
         arr = make_array()
         before = arr.map_weights()
-        report = arr.apply_update_plan(UpdatePlan())
-        assert report.applied == 0 and not report.records
+        result = arr.apply_update_plan(plan_at(arr, {}))
+        assert result == PulseResult(applied=0, skipped=0, reinits=0)
         assert np.array_equal(arr.map_weights(), before)
 
     def test_pulse_follows_trajectory(self):
@@ -163,89 +179,167 @@ class TestUpdatePlan:
         bank = make_bank()
         arr = CrossbarArray.build(2, 2, bank, np.random.default_rng(0),
                                   LARGE_ARRAY, pre_pulse_max=0)
-        pair = arr.pairs[1][0]
-        expected = pair.g_minus.trajectory.conductances[1]
-        plan = UpdatePlan()
-        plan.add(1, 0, Polarity.PULSE_MINUS)
-        report = arr.apply_update_plan(plan)
-        assert report.records[0].g_after == expected
-        assert pair.g_minus.conductance == expected
+        expected = bank[arr.traj_ids[1, 0, MINUS]].conductances[1]
+        result = arr.apply_update_plan(plan_at(arr, {(1, 0): MINUS}))
+        assert result.applied == 1
+        assert arr.conductances()[1][1, 0] == expected
+        assert arr.cursors[1, 0, MINUS] == 1
 
     def test_pre_pulse_conductance_recorded(self):
-        arr = make_array()
-        pair = arr.pairs[0][1]
-        g_before = pair.g_plus.conductance
-        plan = UpdatePlan()
-        plan.add(0, 1, Polarity.PULSE_PLUS)
-        report = arr.apply_update_plan(plan)
-        assert report.records[0].g_before == g_before
+        ledger = EnergyLedger()
+        arr = make_array(ledger=ledger)
+        g_before = arr.conductances()[0][0, 1]
+        arr.apply_update_plan(plan_at(arr, {(0, 1): PLUS}))
+        assert ledger.pulse_g_pre[LARGE_ARRAY.name] == [g_before]
+        assert arr.conductances()[0][0, 1] != g_before
 
     def test_skip_policy_on_exhausted(self):
         bank = make_bank(p_max=2)
         arr = CrossbarArray.build(1, 1, bank, np.random.default_rng(0),
                                   LARGE_ARRAY, pre_pulse_max=0)
-        plan = UpdatePlan()
-        plan.add(0, 0, Polarity.PULSE_PLUS)
+        plan = plan_at(arr, {(0, 0): PLUS})
         arr.apply_update_plan(plan)  # second pulse would run off the end
         arr.apply_update_plan(plan)
-        report = arr.apply_update_plan(plan)
-        assert report.skipped == 1
-        assert arr.pairs[0][0].g_plus.pulse_index == 2
+        result = arr.apply_update_plan(plan)
+        assert result.skipped == 1 and result.applied == 0
+        assert arr.cursors[0, 0, PLUS] == 2
 
     def test_reinit_policy_on_exhausted(self):
         bank = make_bank(p_max=2)
         arr = CrossbarArray.build(1, 1, bank, np.random.default_rng(0),
                                   LARGE_ARRAY, pre_pulse_max=0)
-        plan = UpdatePlan()
-        plan.add(0, 0, Polarity.PULSE_PLUS)
+        plan = plan_at(arr, {(0, 0): PLUS})
         arr.apply_update_plan(plan)
         arr.apply_update_plan(plan)
-        report = arr.apply_update_plan(plan, policy=OnExhaustion.REINIT,
+        result = arr.apply_update_plan(plan, policy=OnExhaustion.REINIT,
                                        rng=np.random.default_rng(1))
-        assert report.reinits == 1
-        assert arr.pairs[0][0].g_plus.reinit_count == 1
-        assert arr.pairs[0][0].g_plus.pulse_index == 1
+        assert result.reinits == 1
+        assert arr.reinit_counts[0, 0, PLUS] == 1
+        assert arr.cursors[0, 0, PLUS] == 1
 
     def test_pulse_conservation(self):
-        # total applied pulses across reports equals the device counters
+        # total applied pulses across results equals the device counters
         arr = make_array(n_in=3, n_out=3, seed=9)
         rng = np.random.default_rng(10)
         applied = 0
         for _ in range(20):
-            plan = UpdatePlan()
+            actions = {}
             for i in range(3):
                 for j in range(3):
                     if rng.random() < 0.4:
-                        plan.add(i, j, Polarity.PULSE_PLUS if rng.random() < 0.5
-                                 else Polarity.PULSE_MINUS)
-            applied += arr.apply_update_plan(plan).applied
+                        actions[(i, j)] = PLUS if rng.random() < 0.5 else MINUS
+            applied += arr.apply_update_plan(plan_at(arr, actions)).applied
         assert applied == int(arr.pulse_counts.sum())
 
     def test_out_of_bounds_action(self):
         arr = make_array()
-        plan = UpdatePlan()
-        plan.add(arr.n_out, 0, Polarity.PULSE_PLUS)
+        mask = np.zeros((arr.n_out + 1, arr.n_in), dtype=bool)
+        mask[arr.n_out, 0] = True
         with pytest.raises(ValueError):
-            arr.apply_update_plan(plan)
+            arr.apply_update_plan((mask, np.zeros(mask.shape, dtype=np.int8)))
+        mask, side = plan_at(arr, {(0, 0): PLUS})
+        side[0, 0] = 2
+        with pytest.raises(ValueError):
+            arr.apply_update_plan((mask, side))
 
     def test_monotone_bank_weight_monotonicity(self):
         arr = make_array(n_in=2, n_out=2, seed=11)
-        for polarity, sense in ((Polarity.PULSE_MINUS, 1), (Polarity.PULSE_PLUS, -1)):
+        for side, sense in ((MINUS, 1), (PLUS, -1)):
             for _ in range(10):
                 w0 = arr.map_weights()[0, 0]
-                plan = UpdatePlan()
-                plan.add(0, 0, polarity)
-                arr.apply_update_plan(plan)
+                arr.apply_update_plan(plan_at(arr, {(0, 0): side}))
                 assert sense * (arr.map_weights()[0, 0] - w0) >= 0
 
     def test_pulse_events_logged_with_pre_conductance(self):
         ledger = EnergyLedger()
         arr = make_array(ledger=ledger)
-        g_before = arr.pairs[0][0].g_plus.conductance
-        plan = UpdatePlan()
-        plan.add(0, 0, Polarity.PULSE_PLUS)
-        arr.apply_update_plan(plan)
+        g_before = arr.conductances()[0][0, 0]
+        arr.apply_update_plan(plan_at(arr, {(0, 0): PLUS}))
         assert ledger.pulse_g_pre[LARGE_ARRAY.name] == [g_before]
+
+    def test_endurance_failure_is_atomic(self):
+        # (1, 1) reaches the budget; a plan that also reinitializes and
+        # pulses (0, 0) must raise before touching any state, ledger or rng
+        tech = dataclasses.replace(LARGE_ARRAY, endurance_budget=3)
+        ledger = EnergyLedger()
+        arr = CrossbarArray.build(2, 2, make_bank(p_max=2), np.random.default_rng(0),
+                                  tech, pre_pulse_max=0, ledger=ledger)
+        rng = np.random.default_rng(5)
+        for _ in range(2):
+            arr.apply_update_plan(plan_at(arr, {(0, 0): PLUS, (1, 1): PLUS}))
+        arr.apply_update_plan(plan_at(arr, {(1, 1): PLUS}), OnExhaustion.REINIT, rng)
+        state = [a.copy() for a in (arr.traj_ids, arr.cursors, arr.reinit_counts,
+                                    arr.pulse_counts, *arr.conductances())]
+        events = copy.deepcopy(ledger.pulse_g_pre)
+        reinits, rng_state = ledger.reinit_count, copy.deepcopy(rng.bit_generator.state)
+        with pytest.raises(EnduranceExceeded):
+            arr.apply_update_plan(plan_at(arr, {(0, 0): PLUS, (1, 1): PLUS}),
+                                  OnExhaustion.REINIT, rng)
+        after = (arr.traj_ids, arr.cursors, arr.reinit_counts, arr.pulse_counts,
+                 *arr.conductances())
+        assert all(np.array_equal(a, b) for a, b in zip(state, after))
+        assert ledger.pulse_g_pre == events and ledger.reinit_count == reinits == 1
+        assert rng.bit_generator.state == rng_state
+
+
+def scalar_build(n_in, n_out, bank, rng, pre_pulse_max):
+    """The reference grid: one DeviceState per device, drawn device by device."""
+    grid = np.empty((n_out, n_in, 2), dtype=object)
+    for idx in np.ndindex(grid.shape):
+        traj = bank[int(rng.integers(0, len(bank)))]
+        pix = int(rng.integers(0, pre_pulse_max + 1)) if pre_pulse_max else 0
+        grid[idx] = DeviceState(traj, pulse_index=min(pix, len(traj) - 1))
+    return grid
+
+
+class TestScalarReferenceModel:
+    """The array step against per-device DeviceState replay."""
+
+    @pytest.mark.parametrize("policy", [OnExhaustion.SKIP, OnExhaustion.REINIT],
+                             ids=["SKIP", "REINIT"])
+    def test_matches_scalar_reference_model(self, policy):
+        bank = generate_trajectory_bank(SyntheticTrajectoryParams(p_max=4), 16, seed=3)
+        ledger = EnergyLedger()
+        arr = CrossbarArray.build(4, 3, bank, np.random.default_rng(0), LARGE_ARRAY,
+                                  pre_pulse_max=2, ledger=ledger)
+        grid = scalar_build(4, 3, bank, np.random.default_rng(0), pre_pulse_max=2)
+        ref_g_pre = []
+        rng_array, rng_ref = np.random.default_rng(7), np.random.default_rng(7)
+        plans = np.random.default_rng(8)
+        exhausted = 0
+        for _ in range(50):
+            mask = plans.random((3, 4)) < 0.5
+            side = plans.integers(0, 2, (3, 4))
+            result = arr.apply_update_plan((mask, side), policy, rng_array)
+            exhausted += result.skipped + result.reinits
+            for i, j in zip(*np.nonzero(mask)):
+                dev = grid[i, j, side[i, j]]
+                if dev.exhausted:
+                    if policy is OnExhaustion.SKIP:
+                        continue
+                    reinitialize(dev, bank, rng_ref)
+                ref_g_pre.append(dev.conductance)
+                apply_reset_pulse(dev, LARGE_ARRAY.endurance_budget)
+        assert exhausted > 0
+        def field(name):
+            return np.vectorize(lambda dev: getattr(dev, name))(grid)
+
+        assert np.array_equal(np.stack(arr.conductances(), axis=-1), field("conductance"))
+        assert np.array_equal(arr.cursors, field("pulse_index"))
+        assert np.array_equal(arr.pulse_counts, field("lifetime_pulses"))
+        assert np.array_equal(arr.reinit_counts, field("reinit_count"))
+        assert all(bank[t] is d.trajectory for t, d in zip(arr.traj_ids.flat, grid.flat))
+        assert ledger.pulse_g_pre[LARGE_ARRAY.name] == ref_g_pre
+        assert ledger.reinit_count == int(arr.reinit_counts.sum())
+
+    def test_batched_reinit_draws_match_scalar_draws(self):
+        # REINIT draws k trajectories at once; the stream must equal k
+        # scalar draws in sorted (i, j) order, as the reference model makes
+        for n, k in ((16, 1), (1268, 7), (5, 40)):
+            batched, scalar = np.random.default_rng(11), np.random.default_rng(11)
+            assert (batched.integers(0, n, size=k).tolist()
+                    == [int(scalar.integers(0, n)) for _ in range(k)])
+            assert batched.random() == scalar.random()
 
 
 class TestSnapshot:

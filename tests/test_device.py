@@ -192,6 +192,18 @@ class TestTrajectoryBank:
         dec = -np.diff(traj.conductances)
         assert np.all(dec >= 0)
 
+    def test_rows_are_views_of_one_matrix(self):
+        # one copy of the conductances: each trajectory is a row view
+        bank = generate_trajectory_bank(SyntheticTrajectoryParams(p_max=50), 4, seed=1)
+        assert bank.conductances.shape == (4, 51)
+        assert not bank.conductances.flags.writeable
+        for k, traj in enumerate(bank):
+            assert np.shares_memory(traj.conductances, bank.conductances)
+            assert np.array_equal(traj.conductances, bank.conductances[k])
+            assert bank[k] is traj
+        assert [t.source for t in bank[1:3]] == ["synthetic(seed=1,idx=1)",
+                                                 "synthetic(seed=1,idx=2)"]
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             SyntheticTrajectoryParams(p_max=1)
@@ -282,6 +294,22 @@ class TestBankCsv:
         assert len(loaded) == 3
         for a, b in zip(bank, loaded):
             assert np.allclose(a.conductances, b.conductances, rtol=1e-8)
+
+    def test_ragged_lengths(self, tmp_path):
+        path = tmp_path / "bank.csv"
+        path.write_text("device_id,pulse_index,conductance_uS\n"
+                        "0,0,100\n0,1,99\n0,2,98\n1,0,50\n1,1,49\n")
+        bank = load_bank_csv(path)
+        assert bank.lengths.tolist() == [3, 2]
+        assert [len(t) for t in bank] == [3, 2]
+        assert np.allclose(bank.conductances, us([[100, 99, 98], [50, 49, 0]]))
+        assert np.allclose(bank[1].conductances, us([50, 49]))
+
+    def test_rejects_single_sample_trajectory(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("device_id,pulse_index,conductance_uS\n0,0,100\n0,1,99\n1,0,5\n")
+        with pytest.raises(ValueError):
+            load_bank_csv(path)
 
     def test_rejects_sparse_indices(self, tmp_path):
         path = tmp_path / "bad.csv"

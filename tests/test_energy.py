@@ -11,19 +11,21 @@ from memgrad.energy import (DEFAULT_TOPS_PER_WATT, EnergyLedger, PV_UPDATE_ENERG
 
 class TestProgrammingEnergy:
     def test_empty_ledger(self):
-        assert programming_energy(EnergyLedger(), LARGE_ARRAY) == 0.0
+        ledger = EnergyLedger()
+        ledger.record_pulses([], LARGE_ARRAY.name)
+        assert ledger.pulse_g_pre == {}
+        assert programming_energy(ledger, LARGE_ARRAY) == 0.0
 
     def test_single_event(self):
         ledger = EnergyLedger()
-        ledger.record_pulse(50e-6, LARGE_ARRAY.name)
+        ledger.record_pulses([50e-6], LARGE_ARRAY.name)
         assert programming_energy(ledger, LARGE_ARRAY) == pytest.approx(24.3e-12)
 
     def test_recosting_ratio_is_parameter_forced(self):
         # same event list under both techs: ratio = (0.9^2*600)/(0.62^2*30)
         rng = np.random.default_rng(0)
         ledger = EnergyLedger()
-        for g in rng.uniform(20e-6, 90e-6, 500):
-            ledger.record_pulse(g, LARGE_ARRAY.name)
+        ledger.record_pulses(rng.uniform(20e-6, 90e-6, 500), LARGE_ARRAY.name)
         ratio = (programming_energy(ledger, LARGE_ARRAY)
                  / programming_energy(ledger, MAC_ARRAY))
         expected = (0.9 ** 2 * 600e-9) / (0.62 ** 2 * 30e-9)
@@ -33,10 +35,8 @@ class TestProgrammingEnergy:
     def test_additive_over_concatenation(self):
         rng = np.random.default_rng(1)
         a, b = EnergyLedger(), EnergyLedger()
-        for g in rng.uniform(1e-6, 100e-6, 100):
-            a.record_pulse(g, "large_array")
-        for g in rng.uniform(1e-6, 100e-6, 70):
-            b.record_pulse(g, "mac_array")
+        a.record_pulses(rng.uniform(1e-6, 100e-6, 100), "large_array")
+        b.record_pulses(rng.uniform(1e-6, 100e-6, 70), "mac_array")
         merged = EnergyLedger()
         merged.extend(a)
         merged.extend(b)
@@ -47,8 +47,7 @@ class TestProgrammingEnergy:
         rng = np.random.default_rng(2)
         ledger = EnergyLedger()
         values = rng.uniform(1e-6, 100e-6, 64)
-        for g in values:
-            ledger.record_pulse(g, "large_array")
+        ledger.record_pulses(values, "large_array")
         expected = float(np.sum(values)) * 0.9 ** 2 * 600e-9
         assert programming_energy(ledger, LARGE_ARRAY) == pytest.approx(expected,
                                                                         rel=1e-12)
@@ -102,8 +101,7 @@ class TestLedgerPersistence:
     def test_json_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         ledger = EnergyLedger()
-        for g in rng.uniform(1e-6, 100e-6, 50):
-            ledger.record_pulse(g, "large_array")
+        ledger.record_pulses(rng.uniform(1e-6, 100e-6, 50), "large_array")
         ledger.record_read(220e-6, 0.2, 15e-6)
         ledger.record_macs(1234)
         ledger.record_reinit(1e-9)

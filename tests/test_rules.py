@@ -4,7 +4,6 @@ differences, plan thresholding, float sign descent."""
 import numpy as np
 import pytest
 
-from memgrad.crossbar import Polarity
 from memgrad.rules import (CFParams, LayerSpec, SFFParams, bp_gradients,
                            build_pos_neg, cf_batch_loss, cf_gradient, cf_loss,
                            cluster_labels, cluster_mask, cross_entropy_loss,
@@ -429,40 +428,43 @@ class TestBpGradients:
 # ---------------------------------------------------------------- planner
 
 class TestThresholdSignPlan:
+    # side 0 pulses G+ (weight down), side 1 pulses G- (weight up)
     def test_rule_definition(self):
         grad = np.array([[0.5, -0.5, 0.01]])
-        plan = threshold_sign_plan(grad, tau=0.1)
-        assert plan.actions == {(0, 0): Polarity.PULSE_PLUS,
-                                (0, 1): Polarity.PULSE_MINUS}
+        mask, side = threshold_sign_plan(grad, tau=0.1)
+        assert mask.tolist() == [[True, True, False]]
+        assert side[mask].tolist() == [0, 1]
 
     def test_all_below_threshold(self):
-        assert len(threshold_sign_plan(np.full((3, 3), 0.05), tau=0.1)) == 0
+        mask, _ = threshold_sign_plan(np.full((3, 3), 0.05), tau=0.1)
+        assert not mask.any()
 
     def test_strict_exceedance(self):
         # |grad| == tau is not an update; exact zeros never fire at tau = 0
-        plan = threshold_sign_plan(np.array([[0.1, 0.0]]), tau=0.1)
-        assert len(plan) == 0
-        plan = threshold_sign_plan(np.array([[0.0, 1e-300]]), tau=0.0)
-        assert (0, 0) not in plan.actions and (0, 1) in plan.actions
+        mask, _ = threshold_sign_plan(np.array([[0.1, 0.0]]), tau=0.1)
+        assert not mask.any()
+        mask, _ = threshold_sign_plan(np.array([[0.0, 1e-300]]), tau=0.0)
+        assert not mask[0, 0] and mask[0, 1]
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(15)
         grad = rng.normal(0, 1, (5, 4))
-        a = threshold_sign_plan(grad, tau=0.3)
-        b = threshold_sign_plan(grad * 7.3, tau=0.3 * 7.3)
-        assert a.actions == b.actions
+        mask_a, side_a = threshold_sign_plan(grad, tau=0.3)
+        mask_b, side_b = threshold_sign_plan(grad * 7.3, tau=0.3 * 7.3)
+        assert np.array_equal(mask_a, mask_b)
+        assert np.array_equal(side_a[mask_a], side_b[mask_b])
 
     def test_paper_literal_mode_swaps(self):
         grad = np.array([[0.5, -0.5]])
-        plan = threshold_sign_plan(grad, tau=0.1, mode="paper_literal")
-        assert plan.actions == {(0, 0): Polarity.PULSE_MINUS,
-                                (0, 1): Polarity.PULSE_PLUS}
+        mask, side = threshold_sign_plan(grad, tau=0.1, mode="paper_literal")
+        assert mask.tolist() == [[True, True]]
+        assert side[mask].tolist() == [1, 0]
 
     def test_pure_function(self):
         grad = np.array([[0.5, -0.5, 0.0]])
-        a = threshold_sign_plan(grad, 0.1)
-        b = threshold_sign_plan(grad, 0.1)
-        assert a.actions == b.actions
+        mask_a, side_a = threshold_sign_plan(grad, 0.1)
+        mask_b, side_b = threshold_sign_plan(grad, 0.1)
+        assert np.array_equal(mask_a, mask_b) and np.array_equal(side_a, side_b)
 
 
 class TestGradientDump:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from memgrad import config
 from memgrad.data import SplitSpec, make_cluster_task, split
 from memgrad.device import (DriftModelParams, SyntheticTrajectoryParams,
                             generate_trajectory_bank)
@@ -321,6 +322,37 @@ class TestPulseStatistics:
         run = tiny_run("sff", tiny_bank, epochs=[1, 1])
         train(run, train_ds)
         assert pulse_statistics(run)["total_pulses"] == run.ledger.pulse_count
+
+
+class TestMeasuredBank:
+    def test_ragged_bank_exhausts_at_own_length(self, tmp_path):
+        # trajectories of 3, 4 and 6 samples: every device must stop at the
+        # end of its own trajectory, never run into the zero padding
+        path = tmp_path / "bank.csv"
+        with open(path, "w") as f:
+            f.write("device_id,pulse_index,conductance_uS\n")
+            for dev, n in enumerate((3, 4, 6)):
+                for k in range(n):
+                    f.write(f"{dev},{k},{100 - 10 * dev - k}\n")
+        cfg = config.effective_config(None, {
+            "algorithm": "cf", "task": {"n_per_class": 40},
+            "schedule": {"epochs": [3, 1]}, "bank": {"path": str(path)},
+            "device": {"pre_pulse_max": 0, "on_exhaustion": "skip"}})
+        dataset = config.build_dataset(cfg)
+        train_ds, _, _ = config.build_splits(cfg, dataset)
+        run = config.build_training_run(cfg, 0, dataset)
+        train(run, train_ds)
+        assert sum(step.skipped for step in run.step_log) > 0
+        arr = run.layers[0].array
+        own = arr.bank.lengths[arr.traj_ids]
+        assert arr.bank.conductances.shape == (3, 6)
+        assert np.array_equal(arr.cursors, arr.pulse_counts)
+        assert np.all(arr.cursors <= own - 1)
+        for n in (3, 4, 6):
+            assert np.any(arr.cursors[own == n] == n - 1)
+        for layer in run.layers:
+            g_plus, g_minus = layer.array.conductances()
+            assert np.all(g_plus > 0) and np.all(g_minus > 0)
 
 
 class TestNetworkLayer:
