@@ -13,8 +13,7 @@ from .device import (DeviceState, DeviceTechParams, DriftModelParams,
                      apply_reset_pulse, apply_retention_drift,
                      generate_trajectory_bank, pearson_coefficient,
                      pulse_energy, reinitialize)
-from .crossbar import (CrossbarArray, OnExhaustion, PulseResult, ReadModelParams,
-                       ternarize)
+from .crossbar import CrossbarArray, OnExhaustion, PulseResult
 from .rules import (CFParams, GradientBatch, LayerSpec, SFFParams, bp_gradients,
                     build_pos_neg, cf_gradient, cf_loss, cluster_mask, goodness,
                     sff_gradient, sff_loss, sign_descent_step_float,

@@ -28,9 +28,9 @@ from .config import (ConfigError, TECH_PROFILES, build_dataset,
                      build_drift_params, build_splits, build_training_run,
                      config_hash, load_config)
 from .data import (FeatureDataset, ParseError, SplitSpec, split_indices)
-from .device import (DeviceState, load_bank_csv, pearson_coefficient,
-                     reinitialize, apply_reset_pulse, SyntheticTrajectoryParams,
-                     generate_trajectory_bank, save_bank_csv)
+from .device import (cycle_endurance, load_bank_csv, pearson_coefficient,
+                     SyntheticTrajectoryParams, generate_trajectory_bank,
+                     save_bank_csv)
 from .energy import (EnergyLedger, mac_energy_projection, programming_energy,
                      pv_baseline_energy, read_energy, PV_UPDATE_ENERGY_J)
 from .crossbar import save_snapshot_csv, load_snapshot_csv
@@ -242,21 +242,21 @@ def cmd_characterize(args) -> int:
     if args.cycles:
         tech = TECH_PROFILES[cfg["device"]["tech"]]
         rng = np.random.default_rng(args.seed or 0)
+        cycling = cycle_endurance(bank, rng, args.devices, args.cycles,
+                                  args.pulses_per_cycle, tech.endurance_budget)
+        n = cycling.completed
+        g_start = (cycling.g_start.ravel()[:n] * 1e6).tolist()
+        g_end = (cycling.g_end.ravel()[:n] * 1e6).tolist()
+        lifetime = cycling.lifetime_pulses.ravel()[:n].tolist()
         with open(out / "endurance.csv", "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["device_id", "cycle", "g_start_uS", "g_end_uS",
                         "pulses", "lifetime_pulses"])
-            for dev_id in range(args.devices):
-                device = DeviceState(bank[int(rng.integers(0, len(bank)))])
-                for cycle in range(args.cycles):
-                    if cycle > 0 or device.pulse_index > 0:
-                        reinitialize(device, bank, rng)
-                    g_start = device.conductance
-                    for _ in range(args.pulses_per_cycle):
-                        apply_reset_pulse(device, tech.endurance_budget)
-                    w.writerow([dev_id, cycle, f"{g_start * 1e6:.6g}",
-                                f"{device.conductance * 1e6:.6g}",
-                                args.pulses_per_cycle, device.lifetime_pulses])
+            for k in range(n):
+                w.writerow([*divmod(k, cycling.g_start.shape[1]), f"{g_start[k]:.6g}",
+                            f"{g_end[k]:.6g}", args.pulses_per_cycle, lifetime[k]])
+        if cycling.error is not None:
+            raise cycling.error
         total = args.cycles * args.pulses_per_cycle
         print(f"endurance: {args.devices} device(s), {args.cycles} cycles x "
               f"{args.pulses_per_cycle} pulses = {total} pulses each, "
@@ -329,9 +329,8 @@ def cmd_energy(args) -> int:
         if p not in TECH_PROFILES:
             raise ConfigError(f"unknown tech profile {p!r}")
 
-    native = sum(
-        programming_energy(_single_tech_ledger(ledger, name), TECH_PROFILES[name])
-        for name in ledger.pulse_g_pre)
+    native = sum(programming_energy(ledger, TECH_PROFILES[name], recorded_as=name)
+                 for name in ledger.pulse_sums)
     recost = {name: programming_energy(ledger, TECH_PROFILES[name])
               for name in profiles}
     ratios = {}
@@ -374,12 +373,6 @@ def cmd_energy(args) -> int:
     for name, value in recost.items():
         print(f"re-costed under {name}: {value:.3e} J")
     return EXIT_OK
-
-
-def _single_tech_ledger(ledger: EnergyLedger, tech_name: str) -> EnergyLedger:
-    sub = EnergyLedger()
-    sub.pulse_g_pre[tech_name] = ledger.pulse_g_pre.get(tech_name, [])
-    return sub
 
 
 # ---------------------------------------------------------------- stats

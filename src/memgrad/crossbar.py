@@ -30,10 +30,8 @@ from .device import DeviceTechParams, EnduranceExceeded, TrajectoryBank
 
 __all__ = [
     "OnExhaustion",
-    "ReadModelParams",
     "PulseResult",
     "CrossbarArray",
-    "ternarize",
     "save_snapshot_csv",
     "load_snapshot_csv",
 ]
@@ -48,18 +46,6 @@ class OnExhaustion(enum.Enum):
     """
     SKIP = "skip"
     REINIT = "reinit"
-
-
-@dataclass
-class ReadModelParams:
-    """Read imperfections: relative multiplicative and additive current noise."""
-    multiplicative_sigma: float = 0.01
-    additive_sigma_a: float = 0.0
-    enabled: bool = False
-
-    def __post_init__(self):
-        if self.multiplicative_sigma < 0 or self.additive_sigma_a < 0:
-            raise ValueError("noise sigmas must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -149,27 +135,17 @@ class CrossbarArray:
         """W = s * (G+ - G-); pure read, (n_out, n_in)."""
         return self.scale_s * (self._g_plus - self._g_minus)
 
-    def mac(self, x, read_model: ReadModelParams | None = None,
-            rng: np.random.Generator | None = None) -> np.ndarray:
+    def mac(self, x) -> np.ndarray:
         """Analog multiply-accumulate for one input vector.
 
         Column currents I_i = sum_j (G+_ij - G-_ij) x_j V_read; logits are
-        y_i = kappa * I_i, i.e. exactly W @ x for noiseless reads.  With a
-        read model enabled, each column current picks up multiplicative and
-        additive noise.  One read event is logged per call.
+        y_i = kappa * I_i, i.e. exactly W @ x.  One read event is logged per
+        call.
         """
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_in,):
             raise ValueError(f"input must have shape ({self.n_in},), got {x.shape}")
         currents = ((self._g_plus - self._g_minus) @ x) * self.tech.v_read
-        if read_model is not None and read_model.enabled:
-            if rng is None:
-                raise ValueError("read noise enabled but no rng given")
-            currents = currents * (1.0 + rng.normal(0.0, read_model.multiplicative_sigma,
-                                                    self.n_out))
-            if read_model.additive_sigma_a > 0:
-                currents = currents + rng.normal(0.0, read_model.additive_sigma_a,
-                                                 self.n_out)
         if self.ledger is not None:
             # driven conductance weighted by x^2 makes E = sum * V^2 * t exact
             g_sum = float(((self._g_plus + self._g_minus) @ (x ** 2)).sum())
@@ -223,8 +199,7 @@ class CrossbarArray:
             cur[exhausted] = 0
             self.reinit_counts[ii[exhausted], jj[exhausted], ss[exhausted]] += 1
             if self.ledger is not None:
-                for _ in range(reinits):
-                    self.ledger.record_reinit()
+                self.ledger.record_reinit(count=reinits)
         g_pre = self.bank.conductances[tid, cur]
         cur += 1
         self.traj_ids[idx] = tid
@@ -234,14 +209,6 @@ class CrossbarArray:
         if self.ledger is not None:
             self.ledger.record_pulses(g_pre, self.tech.name)
         return PulseResult(applied=len(ii), skipped=skipped, reinits=reinits)
-
-
-def ternarize(x, dead_zone: float = 0.0) -> np.ndarray:
-    """Map features to {-1, 0, +1}: sign outside the dead zone, else 0."""
-    if dead_zone < 0:
-        raise ValueError("dead_zone must be >= 0")
-    x = np.asarray(x, dtype=float)
-    return np.where(np.abs(x) > dead_zone, np.sign(x), 0.0)
 
 
 def save_snapshot_csv(array: CrossbarArray, path):

@@ -36,6 +36,8 @@ __all__ = [
     "generate_trajectory_bank",
     "apply_reset_pulse",
     "reinitialize",
+    "EnduranceCycles",
+    "cycle_endurance",
     "pearson_coefficient",
     "apply_retention_drift",
     "pulse_energy",
@@ -276,34 +278,43 @@ class TrajectoryBank(Sequence):
 
 def generate_trajectory_bank(params: SyntheticTrajectoryParams, count: int,
                              seed: int) -> TrajectoryBank:
-    """Draw ``count`` synthetic trajectories, deterministically per seed."""
+    """Draw ``count`` synthetic trajectories, deterministically per seed.
+
+    Each trajectory draws, in this order: its decrements, the anomalous-device
+    coin, the decrement signs (anomalous devices only) and its initial
+    conductance.  The rows are filled in place, one reused decrement buffer.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
     onset = int(round(params.p_max * params.late_onset_fraction))
+    sigma = np.full(params.p_max, params.decrement_sigma, dtype=float)
+    sigma[onset:] *= params.late_sigma_factor
+    if params.decrement_family == "lognormal":
+        # match the requested per-pulse mean/sigma via the usual moment
+        # mapping; sigma varies along the trajectory (late-stage amplification)
+        var_ln = np.log1p((sigma / params.decrement_mean) ** 2)
+        mu_ln = np.log(params.decrement_mean) - var_ln / 2.0
+        sd_ln = np.sqrt(var_ln)
     matrix = np.empty((count, params.p_max + 1))
+    dec = np.empty(params.p_max)
     for g in matrix:
-        sigma = np.full(params.p_max, params.decrement_sigma, dtype=float)
-        sigma[onset:] *= params.late_sigma_factor
         if params.decrement_family == "lognormal":
-            dec = _lognormal_draws(rng, params.decrement_mean, sigma)
+            dec[:] = rng.lognormal(mu_ln, sd_ln)
         else:
-            dec = np.maximum(rng.normal(params.decrement_mean, sigma), 0.0)
+            # mean + sigma * z is exactly what rng.normal(mean, sigma) returns
+            rng.standard_normal(out=dec)
+            dec *= sigma
+            dec += params.decrement_mean
+            np.maximum(dec, 0.0, out=dec)
         if rng.random() < params.anomalous_probability:
-            dec = dec * rng.choice([-1.0, 1.0], size=params.p_max)
+            dec *= rng.choice([-1.0, 1.0], size=params.p_max)
         g[0] = max(rng.normal(params.g0_mean, params.g0_sigma), 0.0)
-        g[1:] = g[0] - np.cumsum(dec)
+        np.cumsum(dec, out=g[1:])
+        np.subtract(g[0], g[1:], out=g[1:])
         np.clip(g, 0.0, None, out=g)
     return TrajectoryBank(matrix, np.full(count, params.p_max + 1),
                           [f"synthetic(seed={seed},idx={k})" for k in range(count)])
-
-
-def _lognormal_draws(rng, mean, sigma):
-    # Match the requested per-pulse mean/sigma via the usual moment mapping;
-    # sigma may vary along the trajectory (late-stage amplification).
-    var_ln = np.log1p((sigma / mean) ** 2)
-    mu_ln = np.log(mean) - var_ln / 2.0
-    return rng.lognormal(mu_ln, np.sqrt(var_ln))
 
 
 def apply_reset_pulse(device: DeviceState, endurance_budget: int | None = None) -> float:
@@ -339,6 +350,63 @@ def reinitialize(device: DeviceState, bank: Sequence[ResetTrajectory],
     device.reinit_count += 1
     if ledger is not None:
         ledger.record_reinit(energy_cost)
+
+
+@dataclass(frozen=True)
+class EnduranceCycles:
+    """Endurance cycling outcome, one (devices, cycles) entry per cycle.
+
+    Only the first ``completed`` cycles in device-major order ran to the
+    end; ``error`` is the exception that stopped the next one, or None.
+    """
+
+    g_start: np.ndarray
+    g_end: np.ndarray
+    lifetime_pulses: np.ndarray
+    completed: int
+    error: Exception | None
+
+
+def cycle_endurance(bank: TrajectoryBank, rng: np.random.Generator, devices: int,
+                    cycles: int, pulses_per_cycle: int,
+                    endurance_budget: int) -> EnduranceCycles:
+    """Cycle each device through ``cycles`` trajectories, in closed form.
+
+    Every cycle starts at pulse 0 of a freshly drawn trajectory (a reinit,
+    except for a device's first draw) and applies ``pulses_per_cycle``
+    pulses, so cycle k of a device on trajectory ``tid`` ends at
+    ``conductances[tid, P]`` with ``(k + 1) * P`` lifetime pulses.  It gives
+    what the scalar replay (:class:`DeviceState`, :func:`apply_reset_pulse`,
+    :func:`reinitialize`) gives: trajectory ids are drawn device by device,
+    cycle by cycle, and cycling stops at the first pulse that replay
+    refuses, with the same exception.  The endurance budget is checked
+    before exhaustion, as in :func:`apply_reset_pulse`.
+    """
+    shape = (max(devices, 0), max(cycles, 0))
+    pulses = max(pulses_per_cycle, 0)
+    tid = rng.integers(0, len(bank), size=shape)
+    last = bank.lengths[tid] - 1             # pulse at which a trajectory is spent
+    g_start = bank.conductances[tid, 0]
+    g_end = bank.conductances[tid, np.minimum(pulses, last)]
+    lifetime = np.broadcast_to(pulses * np.arange(1, shape[1] + 1), shape)
+    # pulse of each cycle at which the budget is hit (pulses: never)
+    spent = max(endurance_budget, 0)
+    budget_stop = np.full(shape, pulses)
+    if spent < shape[1] * pulses:
+        k, p = divmod(spent, pulses)
+        budget_stop[:, k] = p       # device 0 stops there, later cycles never run
+    failed = ((last < pulses) | (budget_stop < pulses)).ravel()
+    if not failed.any():
+        return EnduranceCycles(g_start, g_end, lifetime, failed.size, None)
+    first = int(np.argmax(failed))
+    at = np.unravel_index(first, shape)
+    if budget_stop[at] <= last[at]:
+        error = EnduranceExceeded(
+            f"device at {spent} lifetime pulses (budget {endurance_budget})")
+    else:
+        error = NeedsReinit(
+            f"trajectory exhausted at pulse {int(last[at])}; reinitialize first")
+    return EnduranceCycles(g_start, g_end, lifetime, first, error)
 
 
 def pearson_coefficient(trajectory: ResetTrajectory, p_max: int) -> float:

@@ -1,12 +1,17 @@
 """CLI surface: commands, exit codes, artifact round trips."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from memgrad import cli
+from memgrad import cli, config
+from memgrad.device import (DeviceState, EnduranceExceeded, NeedsReinit,
+                            SyntheticTrajectoryParams, TrajectoryBank,
+                            apply_reset_pulse, generate_trajectory_bank,
+                            load_bank_csv, reinitialize, save_bank_csv)
 
 PAPER_LISTS = {
     "bp": "90.62\n91.18\n89.89\n87.87\n90.44\n",
@@ -124,6 +129,133 @@ class TestCharacterizeCommand:
         rc = cli.main(["characterize", "--bank", str(bad),
                        "--out", str(tmp_path / "o")])
         assert rc == cli.EXIT_DATA
+
+
+def scalar_endurance(bank, seed, devices, cycles, pulses_per_cycle, budget, path):
+    """Reference endurance replay: one DeviceState per device, one call per pulse.
+
+    Writes endurance.csv as the rows complete and returns the exception the
+    replay stopped at, or None.
+    """
+    rng = np.random.default_rng(seed)
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["device_id", "cycle", "g_start_uS", "g_end_uS",
+                    "pulses", "lifetime_pulses"])
+        try:
+            for dev_id in range(devices):
+                device = DeviceState(bank[int(rng.integers(0, len(bank)))])
+                for cycle in range(cycles):
+                    if cycle > 0:
+                        reinitialize(device, bank, rng)
+                    g_start = device.conductance
+                    for _ in range(pulses_per_cycle):
+                        apply_reset_pulse(device, budget)
+                    w.writerow([dev_id, cycle, f"{g_start * 1e6:.6g}",
+                                f"{device.conductance * 1e6:.6g}",
+                                pulses_per_cycle, device.lifetime_pulses])
+        except (NeedsReinit, EnduranceExceeded) as exc:
+            return exc
+    return None
+
+
+class TestEnduranceMatchesScalarReplay:
+    """characterize --cycles against the scalar DeviceState replay, via cli.main."""
+
+    def check(self, tmp_path, capsys, bank_args, bank, seed, devices, cycles,
+              pulses, budget):
+        out, ref = tmp_path / "closed_form", tmp_path / "reference"
+        base = ["characterize", *bank_args, "--seed", str(seed)]
+        rc = cli.main([*base, "--devices", str(devices), "--cycles", str(cycles),
+                       "--pulses-per-cycle", str(pulses), "--out", str(out)])
+        got = (rc, *capsys.readouterr())
+        # the reference: the same command without endurance, then the replay
+        assert cli.main([*base, "--out", str(ref)]) == 0
+        stdout = capsys.readouterr().out
+        error = scalar_endurance(bank, seed, devices, cycles, pulses, budget,
+                                 ref / "endurance.csv")
+        if error is None:
+            expected = (0, stdout + f"endurance: {devices} device(s), {cycles} cycles x "
+                        f"{pulses} pulses = {cycles * pulses} pulses each, "
+                        f"budget {budget}\n", "")
+        else:
+            expected = (cli.EXIT_RUNTIME, stdout, f"runtime error: {error}\n")
+        assert got == expected
+        assert (out / "endurance.csv").read_bytes() == (ref / "endurance.csv").read_bytes()
+        return error, (ref / "endurance.csv").read_text().count("\n") - 1
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_random_shapes(self, tmp_path, capsys, case):
+        rng = np.random.default_rng(100 + case)
+        devices, cycles = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        pulses = 0 if case == 0 else int(rng.integers(1, 5001))
+        seed = int(rng.integers(0, 50))
+        params = SyntheticTrajectoryParams(**config.load_config(None, {})["bank"]["params"])
+        bank = generate_trajectory_bank(params, 30, seed)
+        error, rows = self.check(tmp_path, capsys, ["--count", "30"], bank, seed,
+                                 devices, cycles, pulses, config.LARGE_ARRAY.endurance_budget)
+        assert error is None and rows == devices * cycles
+
+    def test_ragged_bank_needs_reinit_midway(self, tmp_path, capsys):
+        # 25 of 30 measured trajectories outlast a 40-pulse cycle, 5 do not
+        rng = np.random.default_rng(3)
+        lengths = np.where(np.arange(30) % 6 == 5, 25, 60)
+        rows = [np.sort(rng.uniform(20e-6, 100e-6, n))[::-1] for n in lengths]
+        path = tmp_path / "bank.csv"
+        save_bank_csv(TrajectoryBank.from_rows(rows, ["m"] * 30), path)
+        error, completed = self.check(tmp_path, capsys, ["--bank", str(path)],
+                                      load_bank_csv(path), 4, 4, 5, 40,
+                                      config.LARGE_ARRAY.endurance_budget)
+        assert isinstance(error, NeedsReinit) and "at pulse 24" in str(error)
+        assert 0 < completed < 20
+
+    @pytest.mark.parametrize("budget,expected", [
+        (250, EnduranceExceeded),    # inside cycle 2 of device 0
+        (200, EnduranceExceeded),    # at the start of cycle 2
+        (0, EnduranceExceeded),      # before the first pulse
+        (400, type(None)),           # spent by the last pulse, never exceeded
+    ])
+    def test_budget_crossed_midway(self, tmp_path, capsys, monkeypatch, budget,
+                                   expected):
+        monkeypatch.setitem(config.TECH_PROFILES, "large_array", dataclasses.replace(
+            config.LARGE_ARRAY, endurance_budget=budget))
+        bank = generate_trajectory_bank(
+            SyntheticTrajectoryParams(**config.load_config(None, {})["bank"]["params"]),
+            20, 5)
+        error, completed = self.check(tmp_path, capsys, ["--count", "20"], bank, 5,
+                                      3, 4, 100, budget)
+        assert isinstance(error, expected)
+        assert completed == (12 if error is None else budget // 100)
+
+    @pytest.mark.parametrize("budget,expected", [
+        (30, EnduranceExceeded),     # both limits at pulse 30: the budget wins
+        (31, NeedsReinit),
+        (70, NeedsReinit),
+    ])
+    def test_both_limits_in_one_pulse(self, tmp_path, capsys, monkeypatch, budget,
+                                      expected):
+        # every trajectory is spent after 30 pulses of a 40-pulse cycle
+        monkeypatch.setitem(config.TECH_PROFILES, "large_array", dataclasses.replace(
+            config.LARGE_ARRAY, endurance_budget=budget))
+        path = self.bank_of_31_samples(tmp_path)
+        error, completed = self.check(tmp_path, capsys, ["--bank", str(path)],
+                                      load_bank_csv(path), 2, 2, 3, 40, budget)
+        assert isinstance(error, expected) and completed == 0
+
+    def test_trajectory_spent_at_cycle_end(self, tmp_path, capsys):
+        # 30 pulses per cycle use every one of 31 samples, and no more
+        path = self.bank_of_31_samples(tmp_path)
+        error, completed = self.check(tmp_path, capsys, ["--bank", str(path)],
+                                      load_bank_csv(path), 2, 2, 3, 30,
+                                      config.LARGE_ARRAY.endurance_budget)
+        assert error is None and completed == 6
+
+    @staticmethod
+    def bank_of_31_samples(tmp_path):
+        rows = [np.linspace(90e-6, 60e-6 - k * 1e-6, 31) for k in range(8)]
+        path = tmp_path / "bank.csv"
+        save_bank_csv(TrajectoryBank.from_rows(rows, ["m"] * 8), path)
+        return path
 
 
 class TestTrainCommand:

@@ -1,5 +1,7 @@
 """Device model: replay, reinit, linearity metric, drift, pulse energy."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,21 @@ class TestTrajectoryBank:
             assert bank[k] is traj
         assert [t.source for t in bank[1:3]] == ["synthetic(seed=1,idx=1)",
                                                  "synthetic(seed=1,idx=2)"]
+
+    @pytest.mark.parametrize("kwargs,digest", [
+        ({}, "7ac59ae28c2cf0770e10df3fd3eb492f42905b760ae2328bd2254bd31b3ce954"),
+        ({"decrement_family": "lognormal"},
+         "940dad0bc8090a779411980a49dd442fa84106659fdef1a529b795570b65713e"),
+        ({"anomalous_probability": 1.0},
+         "38636c1abe22109801d8b62d3e0ff2570b24c265e199cb86d3d8a98896748dbc"),
+    ], ids=["normal", "lognormal", "anomalous"])
+    def test_bank_digest_is_pinned(self, kwargs, digest):
+        # the generator's rng stream and arithmetic are fixed: every bank,
+        # and so every run built on one, stays bit-identical
+        bank = generate_trajectory_bank(SyntheticTrajectoryParams(p_max=64, **kwargs),
+                                        24, seed=7)
+        assert bank.conductances.shape == (24, 65)
+        assert hashlib.sha256(bank.conductances.tobytes()).hexdigest() == digest
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

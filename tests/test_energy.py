@@ -1,10 +1,15 @@
 """Energy ledger arithmetic and cross-technology re-costing."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
+from memgrad import cli
 from memgrad.device import LARGE_ARRAY, MAC_ARRAY
-from memgrad.energy import (DEFAULT_TOPS_PER_WATT, EnergyLedger, PV_UPDATE_ENERGY_J,
+from memgrad.energy import (DEFAULT_TOPS_PER_WATT, EnergyLedger, HIST_BIN_WIDTH_S,
+                            HIST_BINS, PV_UPDATE_ENERGY_J, RunningSum,
                             mac_energy_projection, programming_energy,
                             pv_baseline_energy, read_energy)
 
@@ -13,7 +18,7 @@ class TestProgrammingEnergy:
     def test_empty_ledger(self):
         ledger = EnergyLedger()
         ledger.record_pulses([], LARGE_ARRAY.name)
-        assert ledger.pulse_g_pre == {}
+        assert ledger.pulse_sums == {} and ledger.pulse_hists == {}
         assert programming_energy(ledger, LARGE_ARRAY) == 0.0
 
     def test_single_event(self):
@@ -113,3 +118,145 @@ class TestLedgerPersistence:
         assert back.reinit_count == 1
         assert programming_energy(back, LARGE_ARRAY) == pytest.approx(
             programming_energy(ledger, LARGE_ARRAY), rel=1e-5)
+
+    def test_aggregate_layout_is_small_and_exact(self, tmp_path):
+        rng = np.random.default_rng(7)
+        ledger = EnergyLedger()
+        for _ in range(200):
+            ledger.record_pulses(rng.uniform(1e-6, 199e-6, 500), "large_array")
+            ledger.record_pulses(rng.uniform(1e-6, 199e-6, 500), "mac_array")
+            ledger.record_read(rng.uniform(1e-4, 1e-3), 0.2, 15e-6)
+        ledger.record_read(5e-4, 0.1, 1e-6)
+        path = tmp_path / "ledger.json"
+        ledger.save(path)
+        assert path.stat().st_size < 4096
+        back = EnergyLedger.load(path)
+        assert back.pulse_count == ledger.pulse_count == 200_000
+        assert back.read_count == ledger.read_count == 201
+        for tech in ("large_array", "mac_array"):
+            assert np.array_equal(back.pulse_hists[tech], ledger.pulse_hists[tech])
+            assert back.pulse_sums[tech].total == ledger.pulse_sums[tech].total
+        assert programming_energy(back, MAC_ARRAY) == programming_energy(ledger, MAC_ARRAY)
+        assert read_energy(back) == read_energy(ledger)
+
+
+class TestAggregates:
+    def test_compensated_total_matches_fsum(self):
+        # 10^6 values over nine decades, in uneven batches
+        rng = np.random.default_rng(4)
+        values = rng.uniform(1e-6, 100e-6, 10 ** 6) * 10.0 ** rng.integers(-4, 5, 10 ** 6)
+        ledger = EnergyLedger()
+        for batch in np.split(values, np.sort(rng.integers(0, len(values), 2000))):
+            ledger.record_pulses(batch, "large_array")
+        assert ledger.pulse_count == len(values)
+        assert ledger.pulse_sums["large_array"].total == pytest.approx(
+            math.fsum(values.tolist()), rel=1e-12)
+
+    def test_single_adds_keep_small_terms(self):
+        # each 1e-16 is below half an ulp of 1.0: a plain running sum drops
+        # all 10^5 of them (1e-11 relative), the compensated one keeps them
+        single = RunningSum()
+        stream = [1.0] + [1e-16] * 10 ** 5
+        for v in stream:
+            single.add(v)
+        assert single.count == len(stream)
+        assert single.total == pytest.approx(math.fsum(stream), rel=1e-15)
+        assert sum(stream) != pytest.approx(math.fsum(stream), rel=1e-12)
+
+    def test_histogram_counts_sum_to_pulse_count(self):
+        rng = np.random.default_rng(5)
+        ledger = EnergyLedger()
+        # out-of-range conductances land in the end bins
+        ledger.record_pulses([0.0, 250e-6, 1.0], "large_array")
+        ledger.record_pulses(rng.uniform(20e-6, 120e-6, 777), "large_array")
+        ledger.record_pulses(rng.uniform(1e-6, 100e-6, 55), "mac_array")
+        hists = ledger.pulse_hists
+        assert sorted(hists) == ["large_array", "mac_array"]
+        assert all(h.shape == (HIST_BINS,) for h in hists.values())
+        assert sum(int(h.sum()) for h in hists.values()) == ledger.pulse_count == 835
+        assert hists["large_array"][0] >= 1 and hists["large_array"][-1] == 2
+        # nothing between 2 and 20 uS; 0 S sits in bin 0
+        assert hists["large_array"][1:int(20e-6 / HIST_BIN_WIDTH_S)].sum() == 0
+
+    def test_extend_merges_totals(self):
+        rng = np.random.default_rng(6)
+        a, b, both = EnergyLedger(), EnergyLedger(), EnergyLedger()
+        for ledger, n in ((a, 40), (b, 60)):
+            g = rng.uniform(1e-6, 100e-6, n)
+            ledger.record_pulses(g, "large_array")
+            both.record_pulses(g, "large_array")
+            ledger.record_read(float(n) * 1e-6, 0.2, 15e-6)
+            both.record_read(float(n) * 1e-6, 0.2, 15e-6)
+        a.extend(b)
+        assert a.pulse_count == both.pulse_count == 100
+        assert a.read_count == 2
+        assert np.array_equal(a.pulse_hists["large_array"], both.pulse_hists["large_array"])
+        assert programming_energy(a, LARGE_ARRAY) == pytest.approx(
+            programming_energy(both, LARGE_ARRAY), rel=1e-15)
+        assert read_energy(a) == pytest.approx(read_energy(both), rel=1e-15)
+
+    def test_reinits_recorded_in_one_call(self):
+        ledger = EnergyLedger()
+        ledger.record_reinit(2e-12, count=3)
+        ledger.record_reinit()
+        assert ledger.reinit_count == 4
+        assert ledger.reinit_energy_j == pytest.approx(6e-12)
+
+    def test_read_totals_per_condition(self):
+        ledger = EnergyLedger()
+        ledger.record_read(100e-6, 0.2, 15e-6)
+        ledger.record_read(50e-6, 0.2, 15e-6)
+        ledger.record_read(10e-6, 0.1, 1e-6)
+        assert ledger.read_count == 3
+        assert read_energy(ledger) == pytest.approx(
+            150e-6 * 0.04 * 15e-6 + 10e-6 * 0.01 * 1e-6)
+        assert read_energy(ledger, v_read=0.3, t_read=2e-6) == pytest.approx(
+            160e-6 * 0.09 * 2e-6)
+
+
+def legacy_payload(values_uS, reads):
+    """A ledger.json in the older layout: one entry per pulse and per read."""
+    return {"pulse_g_pre_uS": values_uS, "reads": reads, "mac_count": 4321,
+            "reinit_count": 2, "reinit_energy_j": 3e-12}
+
+
+class TestLegacyLedger:
+    def test_legacy_layout_is_summed(self):
+        rng = np.random.default_rng(8)
+        values = {"large_array": [float(f"{g:.6g}") for g in rng.uniform(20, 90, 300)],
+                  "mac_array": [float(f"{g:.6g}") for g in rng.uniform(20, 90, 120)]}
+        reads = [[float(f"{g:.6g}"), 0.2, 15e-6] for g in rng.uniform(100, 900, 40)]
+        ledger = EnergyLedger.from_json(legacy_payload(values, reads))
+        assert ledger.pulse_count == 420 and ledger.read_count == 40
+        assert ledger.mac_count == 4321 and ledger.reinit_count == 2
+        # the sums the event-list ledger computed, term by term
+        naive = sum(sum(g * 1e-6 for g in v) for v in values.values())
+        assert programming_energy(ledger, LARGE_ARRAY) == pytest.approx(
+            naive * 0.9 ** 2 * 600e-9, rel=1e-12)
+        naive_read = 0.0
+        for g, v, t in reads:
+            naive_read += g * 1e-6 * v ** 2 * t
+        assert read_energy(ledger) == pytest.approx(naive_read, rel=1e-12)
+
+    def test_legacy_ledger_gives_same_energy_json(self, tmp_path, capsys):
+        rng = np.random.default_rng(9)
+        values = {"large_array": [float(f"{g:.6g}") for g in rng.uniform(20, 90, 500)]}
+        reads = [[float(f"{g:.6g}"), 0.2, 15e-6] for g in rng.uniform(100, 900, 25)]
+        legacy_dir, new_dir = tmp_path / "legacy", tmp_path / "aggregate"
+        legacy_dir.mkdir()
+        new_dir.mkdir()
+        (legacy_dir / "ledger.json").write_text(json.dumps(legacy_payload(values, reads)))
+        ledger = EnergyLedger()
+        ledger.record_pulses(np.asarray(values["large_array"]) * 1e-6, "large_array")
+        for g, v, t in reads:
+            ledger.record_read(g * 1e-6, v, t)
+        ledger.record_macs(4321)
+        ledger.record_reinit(1.5e-12, count=2)
+        ledger.save(new_dir / "ledger.json")
+        outputs = []
+        for run_dir in (legacy_dir, new_dir):
+            assert cli.main(["energy", "--run", str(run_dir)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert ((legacy_dir / "energy.json").read_text()
+                == (new_dir / "energy.json").read_text())
