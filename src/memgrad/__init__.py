@@ -15,9 +15,8 @@ from .device import (DeviceState, DeviceTechParams, DriftModelParams,
                      pulse_energy, reinitialize)
 from .crossbar import CrossbarArray, OnExhaustion, PulseResult
 from .rules import (CFParams, GradientBatch, LayerSpec, SFFParams, bp_gradients,
-                    build_pos_neg, cf_gradient, cf_loss, cluster_mask, goodness,
-                    sff_gradient, sff_loss, sign_descent_step_float,
-                    threshold_sign_plan)
+                    cf_gradient, cf_loss, cluster_mask, goodness, sff_gradient,
+                    sff_loss, sign_descent_step_float, threshold_sign_plan)
 from .data import (FeatureDataset, SplitSpec, load_feature_csv, load_idx,
                    make_cluster_task, save_feature_csv, split)
 from .energy import (EnergyLedger, mac_energy_projection, programming_energy,

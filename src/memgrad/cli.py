@@ -36,8 +36,7 @@ from .energy import (EnergyLedger, mac_energy_projection, programming_energy,
 from .crossbar import save_snapshot_csv, load_snapshot_csv
 from .rules import LayerSpec
 from .stats import StatReport
-from .trainer import evaluate, evaluate_weights, pulse_statistics, train
-from .device import apply_retention_drift
+from .trainer import age_conductances, evaluate, pulse_statistics, train
 from . import gradcheck as gradcheck_mod
 
 EXIT_OK = 0
@@ -276,42 +275,32 @@ def cmd_age(args) -> int:
     cfg = manifest["config"]
     dataset = build_dataset(cfg)
     _, _, test_ds = build_splits(cfg, dataset)
-    specs = [_spec_from_json(p) for p in manifest["layers"]]
     scales = manifest["scale_s"]
     if any(s is None for s in scales):
         raise ParseError("run is float-mode; aging needs device snapshots")
-    snapshots = []
-    for k in range(len(specs)):
+    layers = []
+    for k, (spec, s) in enumerate(zip(manifest["layers"], scales)):
         snap_path = run_dir / f"snapshot_layer{k}.csv"
         if not snap_path.exists():
             raise ParseError(f"missing snapshot: {snap_path}")
-        snapshots.append(load_snapshot_csv(snap_path))
+        snap = load_snapshot_csv(snap_path)
+        layers.append((_spec_from_json(spec), s, (snap["g_plus"], snap["g_minus"])))
 
     days = [float(v) for v in args.days.split(",")]
     if days != sorted(days):
         raise ConfigError("day checkpoints must be ascending")
-    drift = build_drift_params(cfg)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0xA6E]))
-    rule = cfg["algorithm"].removeprefix("float_")
-    rows = []
-    for rep in range(args.repeats):
-        for day in days:
-            weights = []
-            for snap, s in zip(snapshots, scales):
-                gp = apply_retention_drift(snap["g_plus"], day, drift, rng)
-                gm = apply_retention_drift(snap["g_minus"], day, drift, rng)
-                weights.append(s * (gp - gm))
-            acc = evaluate_weights(specs, weights, test_ds, rule,
-                                   cfg["rules"]["token_amplitude"])
-            rows.append((day, rep, acc))
-    out_path = run_dir / "aging.csv"
-    with open(out_path, "w", newline="") as f:
+    accuracies = age_conductances(layers, days, build_drift_params(cfg), rng,
+                                  args.repeats, test_ds,
+                                  cfg["algorithm"].removeprefix("float_"),
+                                  cfg["rules"]["token_amplitude"],
+                                  cfg["rules"]["sff_inference"])
+    with open(run_dir / "aging.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["day", "repeat", "accuracy"])
-        for day, rep, acc in rows:
-            w.writerow([day, rep, f"{acc:.6f}"])
-    for day in days:
-        accs = [acc for d, _, acc in rows if d == day]
+        for rep, row in enumerate(accuracies.tolist()):
+            w.writerows([day, rep, f"{acc:.6f}"] for day, acc in zip(days, row))
+    for day, accs in zip(days, accuracies.T):
         print(f"day {day:g}: accuracy {np.mean(accs):.4f} +/- {np.std(accs):.4f}")
     return EXIT_OK
 

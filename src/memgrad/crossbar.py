@@ -1,4 +1,4 @@
-"""Differential-pair crossbar arrays: weight mapping, analog MAC, updates.
+"""Differential-pair crossbar arrays: weight mapping, analog reads, updates.
 
 Each signed weight lives in a pair of devices, w = s * (G+ - G-), so a
 reset-only technology can move weights in both directions: pulsing G- raises
@@ -15,6 +15,11 @@ is a pair ``(mask, side)`` of (n_out, n_in) arrays: a boolean mask with at
 most one pulse per weight, and the side that pulse goes to.  A plan is
 applied as one vectorized step; the scalar
 :class:`~memgrad.device.DeviceState` model is its reference.
+
+Training reads an array only through :meth:`CrossbarArray.read`, which
+multiplies a batch by W and logs one read event (the driven conductance
+weighted by x^2, which prices read energy) and the batch's MACs.
+``map_weights`` returns W without logging a read.
 """
 
 from __future__ import annotations
@@ -89,15 +94,6 @@ class CrossbarArray:
         self._g = bank.conductances[traj_ids, cursors]
         self._g_plus, self._g_minus = self._g[..., 0], self._g[..., 1]
 
-    # physical naming: rows are inputs, cols are outputs
-    @property
-    def rows(self) -> int:
-        return self.n_in
-
-    @property
-    def cols(self) -> int:
-        return self.n_out
-
     @property
     def scale_s(self) -> float:
         return self.gain_kappa * self.tech.v_read
@@ -135,23 +131,22 @@ class CrossbarArray:
         """W = s * (G+ - G-); pure read, (n_out, n_in)."""
         return self.scale_s * (self._g_plus - self._g_minus)
 
-    def mac(self, x) -> np.ndarray:
-        """Analog multiply-accumulate for one input vector.
+    def read(self, x) -> np.ndarray:
+        """Analog MAC of a batch (N, n_in): y = kappa * I = x @ W.T.
 
-        Column currents I_i = sum_j (G+_ij - G-_ij) x_j V_read; logits are
-        y_i = kappa * I_i, i.e. exactly W @ x.  One read event is logged per
-        call.
+        Column currents are I_i = sum_j (G+_ij - G-_ij) x_j V_read.  Logs one
+        read event and N * n_in * n_out MACs.
         """
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_in,):
-            raise ValueError(f"input must have shape ({self.n_in},), got {x.shape}")
-        currents = ((self._g_plus - self._g_minus) @ x) * self.tech.v_read
+        if x.ndim != 2 or x.shape[1] != self.n_in:
+            raise ValueError(f"input must have shape (N, {self.n_in}), got {x.shape}")
         if self.ledger is not None:
-            # driven conductance weighted by x^2 makes E = sum * V^2 * t exact
-            g_sum = float(((self._g_plus + self._g_minus) @ (x ** 2)).sum())
-            self.ledger.record_read(g_sum, self.tech.v_read, self.tech.t_read)
-            self.ledger.record_macs(self.n_in * self.n_out)
-        return self.gain_kappa * currents
+            # every driven device contributes G * (x_j V_read)^2 * t_read
+            g_cols = (self._g_plus + self._g_minus).sum(axis=0)
+            self.ledger.record_read(float(g_cols @ (x ** 2).sum(axis=0)),
+                                    self.tech.v_read, self.tech.t_read)
+            self.ledger.record_macs(x.shape[0] * self.n_in * self.n_out)
+        return x @ self.map_weights().T
 
     def apply_update_plan(self, plan, policy: OnExhaustion = OnExhaustion.SKIP,
                           rng: np.random.Generator | None = None) -> PulseResult:

@@ -119,7 +119,6 @@ class DeviceTechParams:
     t_reset: float            # s, reset pulse width
     v_read: float = 0.2       # V, effective read amplitude at the device
     t_read: float = 15e-6     # s, read integration time (lab-bench default)
-    max_pulses_between_reinit: int = 5000
     endurance_budget: int = 1_500_000   # lifetime pulses per device
     v_input_low: float = 0.5   # bit-line level for x = -1
     v_input_mid: float = 0.7   # source-line bias / x = 0 level

@@ -20,7 +20,6 @@ action per weight, as a (mask, side) pair of arrays.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,6 @@ __all__ = [
     "CFParams",
     "GradientBatch",
     "goodness",
-    "build_pos_neg",
     "sff_loss",
     "sff_batch_loss",
     "sff_gradient",
@@ -45,7 +43,6 @@ __all__ = [
     "bp_gradients",
     "threshold_sign_plan",
     "sign_descent_step_float",
-    "dump_gradient_csv",
 ]
 
 _EXP_CLIP = 700.0   # exp() overflow guard; saturated terms are exactly 0/inf anyway
@@ -119,29 +116,6 @@ def goodness(h, eta: float) -> float:
     """Layer goodness: eta * sum of squared activations."""
     h = np.asarray(h, dtype=float)
     return float(eta * np.sum(h * h))
-
-
-def build_pos_neg(x, y: int, n_classes: int, token_amplitude: float = 1.0,
-                  rng: np.random.Generator | None = None):
-    """Append label tokens: the true one-hot for x_pos, a random wrong one for x_neg.
-
-    Returns (x_pos, x_neg, wrong_label).
-    """
-    if n_classes < 2:
-        raise ValueError("need at least 2 classes")
-    if not 0 <= y < n_classes:
-        raise ValueError(f"label {y} outside [0, {n_classes})")
-    if rng is None:
-        rng = np.random.default_rng()
-    if token_amplitude == 0.0:
-        warnings.warn("token_amplitude is 0: positive and negative examples coincide")
-    x = np.asarray(x, dtype=float)
-    wrong = int((y + rng.integers(1, n_classes)) % n_classes)
-    x_pos = np.concatenate([x, np.zeros(n_classes)])
-    x_neg = np.concatenate([x, np.zeros(n_classes)])
-    x_pos[len(x) + y] = token_amplitude
-    x_neg[len(x) + wrong] = token_amplitude
-    return x_pos, x_neg, wrong
 
 
 def _softplus(z):
@@ -365,17 +339,3 @@ def sign_descent_step_float(w, grad, lr: float, tau: float = 0.0) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     grad = np.asarray(grad, dtype=float)
     return w - lr * np.sign(grad) * (np.abs(grad) > tau)
-
-
-def dump_gradient_csv(grad, layer: int, path, append: bool = False):
-    """Debug dump of a gradient matrix as `layer,i,j,grad` rows."""
-    import csv
-
-    grad = np.atleast_2d(np.asarray(grad, dtype=float))
-    with open(path, "a" if append else "w", newline="") as f:
-        w = csv.writer(f)
-        if not append:
-            w.writerow(["layer", "i", "j", "grad"])
-        for i in range(grad.shape[0]):
-            for j in range(grad.shape[1]):
-                w.writerow([layer, i, j, f"{grad[i, j]:.9g}"])

@@ -2,11 +2,17 @@
 
 A run owns a stack of layers (each backed by a crossbar array in device mode
 or a plain float matrix in the software baselines), a layer-wise schedule,
-and an event log.  Every batch step follows the loop: read arrays, forward
-in software on the mapped weights, compute the rule gradient for the one
+and an event log.  Every batch step follows the loop: forward the batch
+through the layers the rule needs, compute the rule gradient for the one
 trainable layer, sparsify it into a sign-only single-pulse plan, program the
-array, re-read.  Backprop schedules train output->input; forward-only rules
-train input->output (information only travels forward).
+array.  Backprop schedules train output->input; forward-only rules train
+input->output (information only travels forward).
+
+Training reads a device layer only through ``NetworkLayer.forward``, which
+calls ``CrossbarArray.read`` (one logged read and its MACs per batch and
+layer).  Scoring is side-effect free: ``predict``, ``evaluate`` and
+``evaluate_weights`` share one classifier on weight matrices, and
+``age_conductances`` is the one aging loop (``simulate_aging``, ``memgrad age``).
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ __all__ = [
     "predict",
     "sff_predict",
     "simulate_aging",
+    "age_conductances",
     "evaluate_weights",
     "pulse_statistics",
 ]
@@ -109,6 +116,15 @@ class NetworkLayer:
         if self.array is not None:
             return self.array.map_weights()
         return self.weights
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Activations for a batch; a device layer logs the array read."""
+        pre = self.array.read(x) if self.array is not None else x @ self.weights.T
+        return _activate(self.spec, pre)
+
+
+def _activate(spec: LayerSpec, pre: np.ndarray) -> np.ndarray:
+    return np.maximum(pre, 0.0) if spec.activation == "relu" else pre
 
 
 @dataclass
@@ -274,26 +290,12 @@ def make_run(algorithm: str, n_features: int, n_classes: int, seed: int,
                        ledger=ledger)
 
 
-def _forward(layers: list[NetworkLayer], weights: list[np.ndarray],
-             x: np.ndarray) -> list[np.ndarray]:
-    """Activations after every layer (software MAC on mapped weights)."""
+def _forward(layers: list[NetworkLayer], x: np.ndarray) -> list[np.ndarray]:
+    """Activations after every layer, reading each array once."""
     acts = [x]
-    for layer, w in zip(layers, weights):
-        pre = acts[-1] @ w.T
-        acts.append(np.maximum(pre, 0.0) if layer.spec.activation == "relu" else pre)
+    for layer in layers:
+        acts.append(layer.forward(acts[-1]))
     return acts
-
-
-def _log_forward_reads(run: TrainingRun, layer: NetworkLayer, x: np.ndarray):
-    # read-energy bookkeeping for one batched forward through one array:
-    # every driven device contributes G * (x_j V_read)^2 * t_read
-    array = layer.array
-    if array is None or run.ledger is None:
-        return
-    g_cols = (array._g_plus + array._g_minus).sum(axis=0)     # per input line
-    g_sum = float(g_cols @ (x ** 2).sum(axis=0))
-    run.ledger.record_read(g_sum, array.tech.v_read, array.tech.t_read)
-    run.ledger.record_macs(x.shape[0] * array.n_in * array.n_out)
 
 
 def _pos_neg_batch(x: np.ndarray, y: np.ndarray, n_classes: int,
@@ -307,47 +309,39 @@ def _pos_neg_batch(x: np.ndarray, y: np.ndarray, n_classes: int,
     return np.hstack([x, tokens_pos]), np.hstack([x, tokens_neg])
 
 
-def _batch_gradient(run: TrainingRun, weights: list[np.ndarray], t: int,
-                    x: np.ndarray, y: np.ndarray,
+def _batch_gradient(run: TrainingRun, t: int, x: np.ndarray, y: np.ndarray,
                     rng: np.random.Generator) -> tuple[GradientBatch, float]:
     """Rule gradient for trainable layer t, plus the batch loss."""
     rule = run.schedule.rule
     if rule == "bp":
-        acts = _forward(run.layers, weights, x)
-        for layer, act_in in zip(run.layers, acts[:-1]):
-            _log_forward_reads(run, layer, act_in)
-        mask = [k == t for k in range(len(weights))]
-        grads = bp_gradients(weights, x, y, trainable=mask)
+        acts = _forward(run.layers, x)
+        weights = [layer.read_weights() for layer in run.layers]
+        grads = bp_gradients(weights, x, y, [k == t for k in range(len(weights))])
         return grads[t], cross_entropy_loss(acts[-1], y)
 
     if rule == "sff":
         x_pos, x_neg = _pos_neg_batch(x, y, run.n_classes, run.token_amplitude, rng)
-        h_pos = np.maximum(x_pos @ weights[0].T, 0.0)
-        _log_forward_reads(run, run.layers[0], x_pos)
+        h_pos = run.layers[0].forward(x_pos)
         if t == 0:
-            h_neg = np.maximum(x_neg @ weights[0].T, 0.0)
-            _log_forward_reads(run, run.layers[0], x_neg)
+            h_neg = run.layers[0].forward(x_neg)
             grad = sff_gradient(x_pos, h_pos, x_neg, h_neg, run.rule_params[0])
             return grad, sff_batch_loss(h_pos, h_neg, run.rule_params[0])
         # the cluster head trains on positive examples only
-        h_head = np.maximum(h_pos @ weights[1].T, 0.0)
-        _log_forward_reads(run, run.layers[1], h_pos)
-        grad = cf_gradient(h_pos, h_head, y, run.rule_params[1], run.layers[1].spec)
-        cls = cluster_labels(run.layers[1].spec)
-        z = (cls[None, :] == y[:, None]).astype(float)
-        return grad, cf_batch_loss(h_head, z, run.rule_params[1])
+        return _cluster_step(run, 1, h_pos, run.layers[1].forward(h_pos), y)
 
     if rule == "cf":
-        acts = _forward(run.layers[:t + 1], weights[:t + 1], x)
-        for layer, act_in in zip(run.layers[:t + 1], acts[:-1]):
-            _log_forward_reads(run, layer, act_in)
-        grad = cf_gradient(acts[t], acts[t + 1], y, run.rule_params[t],
-                           run.layers[t].spec)
-        cls = cluster_labels(run.layers[t].spec)
-        z = (cls[None, :] == y[:, None]).astype(float)
-        return grad, cf_batch_loss(acts[t + 1], z, run.rule_params[t])
+        acts = _forward(run.layers[:t + 1], x)
+        return _cluster_step(run, t, acts[t], acts[t + 1], y)
 
     raise ValueError(f"unknown rule {rule!r}")
+
+
+def _cluster_step(run: TrainingRun, t: int, x: np.ndarray, h: np.ndarray,
+                  y: np.ndarray) -> tuple[GradientBatch, float]:
+    """CF gradient and loss of cluster layer t, given its input and output."""
+    params, spec = run.rule_params[t], run.layers[t].spec
+    z = (cluster_labels(spec)[None, :] == y[:, None]).astype(float)
+    return cf_gradient(x, h, y, params, spec), cf_batch_loss(h, z, params)
 
 
 def train(run: TrainingRun, train_ds: FeatureDataset,
@@ -381,8 +375,7 @@ def train(run: TrainingRun, train_ds: FeatureDataset,
             for b_idx, start in enumerate(range(0, n, batch)):
                 sel = order[start:start + batch]
                 x, y = train_ds.features[sel], train_ds.labels[sel]
-                weights = [layer.read_weights() for layer in run.layers]
-                grad, loss = _batch_gradient(run, weights, t, x, y, rng)
+                grad, loss = _batch_gradient(run, t, x, y, rng)
                 run.max_buffered_scalars[t] = max(
                     run.max_buffered_scalars.get(t, 0), grad.buffered_scalars)
                 if run.is_device:
@@ -413,68 +406,57 @@ def train(run: TrainingRun, train_ds: FeatureDataset,
     return run
 
 
-def _cluster_goodness(h: np.ndarray, spec: LayerSpec) -> np.ndarray:
-    n_classes, size = spec.clusters
-    return (h ** 2).reshape(len(h), n_classes, size).sum(axis=2)
+def _predict_labels(specs: list[LayerSpec], weights: list[np.ndarray],
+                    x: np.ndarray, rule: str, token_amplitude: float,
+                    sff_inference: str) -> np.ndarray:
+    """Class predictions of a weight stack; ties resolve to the lowest class.
+
+    A cluster head scores a class by its cluster's goodness.  SFF appends a
+    neutral token (amplitude / C on every class), or with ``per_label`` runs
+    the first layer once per class token and scores its goodness.
+    """
+    last = specs[-1]
+    n_classes = last.clusters[0] if last.clusters is not None else last.n_out
+    if rule == "sff" and sff_inference == "per_label":
+        scores = np.empty((len(x), n_classes))
+        for c in range(n_classes):
+            tokens = np.zeros((len(x), n_classes))
+            tokens[:, c] = token_amplitude
+            h = _activate(specs[0], np.hstack([x, tokens]) @ weights[0].T)
+            scores[:, c] = (h ** 2).sum(axis=1)
+        return scores.argmax(axis=1)
+    acts = x
+    if rule == "sff":
+        acts = np.hstack([x, np.full((len(x), n_classes), token_amplitude / n_classes)])
+    for spec, w in zip(specs, weights):
+        acts = _activate(spec, acts @ w.T)
+    if last.clusters is not None:
+        acts = (acts ** 2).reshape(len(x), n_classes, last.clusters[1]).sum(axis=2)
+    return acts.argmax(axis=1)
 
 
 def evaluate_weights(specs: list[LayerSpec], weights: list[np.ndarray],
                      dataset: FeatureDataset, rule: str,
-                     token_amplitude: float = 1.0) -> float:
+                     token_amplitude: float = 1.0,
+                     sff_inference: str = "neutral") -> float:
     """Accuracy of a weight stack on a dataset (no side effects)."""
-    x = dataset.features
-    if rule == "sff":
-        n_classes = specs[-1].clusters[0]
-        tokens = np.full((len(x), n_classes), token_amplitude / n_classes)
-        x = np.hstack([x, tokens])
-    acts = x
-    for spec, w in zip(specs, weights):
-        pre = acts @ w.T
-        acts = np.maximum(pre, 0.0) if spec.activation == "relu" else pre
-    if specs[-1].clusters is not None:
-        scores = _cluster_goodness(acts, specs[-1])
-    else:
-        scores = acts
-    return float(np.mean(scores.argmax(axis=1) == dataset.labels))
+    labels = _predict_labels(specs, weights, dataset.features, rule,
+                             token_amplitude, sff_inference)
+    return float(np.mean(labels == dataset.labels))
 
 
 def predict(run: TrainingRun, x: np.ndarray) -> np.ndarray:
     """Class predictions; ties resolve to the lowest class index."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    weights = [layer.read_weights() for layer in run.layers]
-    if run.schedule.rule == "sff":
-        if run.sff_inference == "per_label":
-            return _sff_predict_per_label(run, x, weights)
-        tokens = np.full((len(x), run.n_classes),
-                         run.token_amplitude / run.n_classes)
-        x = np.hstack([x, tokens])
-    acts = _forward(run.layers, weights, x)[-1]
-    if run.layers[-1].spec.clusters is not None:
-        scores = _cluster_goodness(acts, run.layers[-1].spec)
-    else:
-        scores = acts
-    return scores.argmax(axis=1)
-
-
-def _sff_predict_per_label(run: TrainingRun, x: np.ndarray,
-                           weights: list[np.ndarray]) -> np.ndarray:
-    """C forward passes; pick the label token with maximal layer goodness."""
-    n_classes = run.n_classes
-    scores = np.empty((len(x), n_classes))
-    for c in range(n_classes):
-        tokens = np.zeros((len(x), n_classes))
-        tokens[:, c] = run.token_amplitude
-        h = np.maximum(np.hstack([x, tokens]) @ weights[0].T, 0.0)
-        scores[:, c] = (h ** 2).sum(axis=1)
-    return scores.argmax(axis=1)
+    return _predict_labels([layer.spec for layer in run.layers],
+                           [layer.read_weights() for layer in run.layers],
+                           np.atleast_2d(np.asarray(x, dtype=float)),
+                           run.schedule.rule, run.token_amplitude, run.sff_inference)
 
 
 def sff_predict(run: TrainingRun, x) -> int | np.ndarray:
-    """Single-pass neutral-token prediction through the cluster head."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    labels = predict(run, np.atleast_2d(x))
-    return int(labels[0]) if single else labels
+    """``predict`` for one vector (an int) or a batch (an array)."""
+    labels = predict(run, x)
+    return int(labels[0]) if np.ndim(x) == 1 else labels
 
 
 def evaluate(run: TrainingRun, dataset: FeatureDataset) -> float:
@@ -496,36 +478,51 @@ class AgingPoint:
         return float(np.std(self.accuracies, ddof=1)) if len(self.accuracies) > 1 else 0.0
 
 
+def age_conductances(layers: list, day_checkpoints: list[float],
+                     drift_params: DriftModelParams, rng: np.random.Generator,
+                     n_repeats: int, test_ds: FeatureDataset, rule: str,
+                     token_amplitude: float = 1.0,
+                     sff_inference: str = "neutral") -> np.ndarray:
+    """Test accuracy of drifted conductances, shape (repeats, checkpoints).
+
+    ``layers`` holds ``(spec, scale_s, (G+, G-))`` per layer.  Every repeat
+    and checkpoint draws independent drift for each device (G+ then G- of
+    each layer in turn) and scores the weights s * (G+ - G-).
+    """
+    if list(day_checkpoints) != sorted(day_checkpoints):
+        raise ValueError("day checkpoints must be sorted ascending")
+    specs = [spec for spec, _, _ in layers]
+    accuracies = np.empty((n_repeats, len(day_checkpoints)))
+    for rep in range(n_repeats):
+        for k, day in enumerate(day_checkpoints):
+            weights = []
+            for _, s, pair in layers:
+                gp, gm = (apply_retention_drift(g, day, drift_params, rng) for g in pair)
+                weights.append(s * (gp - gm))
+            accuracies[rep, k] = evaluate_weights(specs, weights, test_ds, rule,
+                                                  token_amplitude, sff_inference)
+    return accuracies
+
+
 def simulate_aging(run: TrainingRun, day_checkpoints: list[float],
                    drift_params: DriftModelParams, rng: np.random.Generator,
                    n_repeats: int, test_ds: FeatureDataset) -> list[AgingPoint]:
-    """Post-training retention study.
+    """Retention study of a completed device run.
 
-    For every repeat and checkpoint, each device conductance receives an
-    independent drift draw (pulse indices stay frozen: drift perturbs what a
-    read returns, not the replay state), and test accuracy is re-evaluated.
+    Drift perturbs reads, not the replay state; accuracy is scored with the
+    run's own inference protocol.
     """
     if not run.completed:
         raise RuntimeError("run must be completed before aging analysis")
-    if list(day_checkpoints) != sorted(day_checkpoints):
-        raise ValueError("day checkpoints must be sorted ascending")
     if not run.is_device:
         raise ValueError("aging applies to device-mode runs")
-    conds = [layer.array.conductances() for layer in run.layers]
-    scales = [layer.array.scale_s for layer in run.layers]
-    specs = [layer.spec for layer in run.layers]
-    points = [AgingPoint(day, []) for day in day_checkpoints]
-    for _ in range(n_repeats):
-        for point in points:
-            weights = []
-            for (g_plus, g_minus), s in zip(conds, scales):
-                gp = apply_retention_drift(g_plus, point.day, drift_params, rng)
-                gm = apply_retention_drift(g_minus, point.day, drift_params, rng)
-                weights.append(s * (gp - gm))
-            point.accuracies.append(
-                evaluate_weights(specs, weights, test_ds, run.schedule.rule,
-                                 run.token_amplitude))
-    return points
+    layers = [(layer.spec, layer.array.scale_s, layer.array.conductances())
+              for layer in run.layers]
+    accuracies = age_conductances(layers, day_checkpoints, drift_params, rng,
+                                  n_repeats, test_ds, run.schedule.rule,
+                                  run.token_amplitude, run.sff_inference)
+    return [AgingPoint(day, accuracies[:, k].tolist())
+            for k, day in enumerate(day_checkpoints)]
 
 
 def pulse_statistics(run: TrainingRun) -> dict:

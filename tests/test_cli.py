@@ -348,6 +348,27 @@ class TestRunPipeline:
         day0 = [float(r["accuracy"]) for r in rows if float(r["day"]) == 0]
         assert day0 == pytest.approx([metrics["final_test_accuracy"]] * 3)
 
+    def test_age_day_zero_uses_run_inference_protocol(self, tmp_path, capsys):
+        # SFF with per-label inference (default task, seed 0): day-0 aging
+        # must score like the run's own test accuracy, not with the neutral
+        # token
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"rules": {"sff_inference": "per_label"}}))
+        out = tmp_path / "sff"
+        assert cli.main(["train", "--config", str(path), "--algo", "sff",
+                         "--epochs", "1,1", "--out", str(out)]) == 0
+        run_dir = out / "run_0"
+        assert cli.main(["age", "--run", str(run_dir), "--days", "0",
+                         "--repeats", "2"]) == 0
+        metrics = json.loads((run_dir / "metrics.json").read_text())
+        with open(run_dir / "aging.csv") as f:
+            day0 = [float(r["accuracy"]) for r in csv.DictReader(f)]
+        assert day0 == pytest.approx([metrics["final_test_accuracy"]] * 2)
+
+    def test_unsorted_days_are_a_config_error(self, device_run_dir, capsys):
+        rc = cli.main(["age", "--run", str(device_run_dir), "--days", "8,0"])
+        assert rc == cli.EXIT_CONFIG
+
     def test_energy_report(self, device_run_dir, capsys):
         rc = cli.main(["energy", "--run", str(device_run_dir)])
         assert rc == 0

@@ -95,15 +95,20 @@ class TestWeightMapping:
         assert arr.scale_s == arr.gain_kappa * arr.tech.v_read
 
 
+def read_one(arr, x):
+    """Read a single input vector as a batch of one."""
+    return arr.read(np.asarray(x, dtype=float)[None])[0]
+
+
 class TestMac:
     def test_zero_input(self):
         arr = make_array()
-        assert np.array_equal(arr.mac(np.zeros(arr.n_in)), np.zeros(arr.n_out))
+        assert np.array_equal(read_one(arr, np.zeros(arr.n_in)), np.zeros(arr.n_out))
 
     def test_hand_evaluated_current(self):
         # G+ - G- = 20 uS, x = +1, V_read = 0.2 -> I = 4 uA, y = kappa*I = 0.2
         arr = array_from_us(60, 40)
-        y = arr.mac(np.array([1.0]))
+        y = read_one(arr, [1.0])
         assert y[0] == pytest.approx(0.2, rel=1e-12)
 
     @pytest.mark.parametrize("n_in,n_out", [(4, 3), (32, 32), (128, 32)])
@@ -114,29 +119,44 @@ class TestMac:
         for _ in range(5):
             x = rng.normal(0, 1, n_in)
             expected = arr.map_weights() @ x
-            got = arr.mac(x)
+            got = read_one(arr, x)
             assert np.allclose(got, expected, rtol=1e-12, atol=1e-15)
 
     def test_linearity(self):
         arr = make_array(n_in=8, n_out=5, seed=4)
         rng = np.random.default_rng(5)
         x1, x2 = rng.normal(0, 1, 8), rng.normal(0, 1, 8)
-        lhs = arr.mac(x1 + x2)
-        rhs = arr.mac(x1) + arr.mac(x2)
+        lhs = read_one(arr, x1 + x2)
+        rhs = read_one(arr, x1) + read_one(arr, x2)
         assert np.allclose(lhs, rhs, rtol=1e-10)
-        assert np.allclose(arr.mac(2.5 * x1), 2.5 * arr.mac(x1), rtol=1e-10)
+        assert np.allclose(read_one(arr, 2.5 * x1), 2.5 * read_one(arr, x1), rtol=1e-10)
 
     def test_shape_error(self):
         arr = make_array()
         with pytest.raises(ValueError):
-            arr.mac(np.zeros(arr.n_in + 1))
+            arr.read(np.zeros((1, arr.n_in + 1)))
 
     def test_read_event_logged(self):
         ledger = EnergyLedger()
         arr = make_array(ledger=ledger)
-        arr.mac(np.ones(arr.n_in))
+        read_one(arr, np.ones(arr.n_in))
         assert ledger.read_count == 1
         assert ledger.mac_count == arr.n_in * arr.n_out
+
+    def test_batch_read(self):
+        # a batch is one read event: the rows match single reads, MACs add
+        # up, and the logged sum is sum_n sum_ij (G+_ij + G-_ij) x_nj^2
+        ledger = EnergyLedger()
+        arr = make_array(n_in=6, n_out=4, seed=7, ledger=ledger)
+        x = np.random.default_rng(8).normal(0, 1, (5, 6))
+        y = arr.read(x)
+        assert ledger.read_count == 1 and ledger.mac_count == 5 * 6 * 4
+        for n in range(5):
+            assert np.allclose(y[n], arr.map_weights() @ x[n], rtol=1e-12, atol=1e-15)
+        g_plus, g_minus = arr.conductances()
+        expected = sum(float(((g_plus + g_minus) @ x[n] ** 2).sum()) for n in range(5))
+        (got,) = [s.total for s in ledger.read_sums.values()]
+        assert got == pytest.approx(expected, rel=1e-12)
 
 
 class TestUpdatePlan:

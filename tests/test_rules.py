@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from memgrad.rules import (CFParams, LayerSpec, SFFParams, bp_gradients,
-                           build_pos_neg, cf_batch_loss, cf_gradient, cf_loss,
+                           cf_batch_loss, cf_gradient, cf_loss,
                            cluster_labels, cluster_mask, cross_entropy_loss,
                            goodness, sff_batch_loss, sff_gradient, sff_loss,
                            sign_descent_step_float, softmax,
                            threshold_sign_plan)
+from memgrad.trainer import _pos_neg_batch
 
 
 # ---------------------------------------------------------------- oracles
@@ -91,36 +92,30 @@ class TestGoodness:
 # ---------------------------------------------------------------- pos/neg
 
 class TestBuildPosNeg:
+    # the batched label tokens that SFF training appends
     def test_construction(self):
-        x = np.arange(32, dtype=float)
-        x_pos, x_neg, wrong = build_pos_neg(x, 2, 4, token_amplitude=0.7,
-                                            rng=np.random.default_rng(0))
+        x = np.arange(32, dtype=float)[None]
+        x_pos, x_neg = _pos_neg_batch(x, np.array([2]), 4, 0.7,
+                                      np.random.default_rng(0))
+        x_pos, x_neg = x_pos[0], x_neg[0]
         assert len(x_pos) == len(x_neg) == 36
         assert x_pos[34] == 0.7
         assert np.all(x_pos[[32, 33, 35]] == 0)
+        wrong = int(np.argmax(x_neg[32:]))
         assert wrong != 2
         assert x_neg[32 + wrong] == 0.7
+        assert np.array_equal(x_pos[:32], x[0]) and np.array_equal(x_neg[:32], x[0])
 
     def test_wrong_labels_uniform(self):
         rng = np.random.default_rng(1)
-        counts = np.zeros(4)
-        for _ in range(10_000):
-            _, _, wrong = build_pos_neg(np.zeros(4), 2, 4, rng=rng)
-            counts[wrong] += 1
+        _, x_neg = _pos_neg_batch(np.zeros((10_000, 4)), np.full(10_000, 2), 4,
+                                  1.0, rng)
+        counts = (x_neg[:, 4:] == 1.0).sum(axis=0)
+        assert counts.sum() == 10_000
         assert counts[2] == 0
         freq = counts / 10_000
         for c in (0, 1, 3):
             assert freq[c] == pytest.approx(1 / 3, abs=0.02)
-
-    def test_zero_amplitude_warns(self):
-        with pytest.warns(UserWarning):
-            x_pos, x_neg, _ = build_pos_neg(np.ones(3), 0, 3, token_amplitude=0.0,
-                                            rng=np.random.default_rng(0))
-        assert np.array_equal(x_pos, x_neg)
-
-    def test_too_few_classes(self):
-        with pytest.raises(ValueError):
-            build_pos_neg(np.zeros(3), 0, 1, rng=np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------- sff loss
@@ -465,20 +460,6 @@ class TestThresholdSignPlan:
         mask_a, side_a = threshold_sign_plan(grad, 0.1)
         mask_b, side_b = threshold_sign_plan(grad, 0.1)
         assert np.array_equal(mask_a, mask_b) and np.array_equal(side_a, side_b)
-
-
-class TestGradientDump:
-    def test_csv_rows(self, tmp_path):
-        from memgrad.rules import dump_gradient_csv
-        import csv as csv_mod
-        path = tmp_path / "grads.csv"
-        dump_gradient_csv(np.array([[1.5, -2.0]]), layer=0, path=path)
-        dump_gradient_csv(np.array([[0.25]]), layer=1, path=path, append=True)
-        with open(path) as f:
-            rows = list(csv_mod.DictReader(f))
-        assert len(rows) == 3
-        assert rows[0] == {"layer": "0", "i": "0", "j": "0", "grad": "1.5"}
-        assert rows[2]["layer"] == "1"
 
 
 class TestSignDescentFloat:

@@ -273,6 +273,25 @@ class TestAging:
                                 np.random.default_rng(0), 3, test_ds)
         assert points[0].accuracies == [base] * 3
 
+    def test_day_zero_uses_run_inference_protocol(self):
+        # default task, SFF seed 0, one epoch per layer: the neutral and the
+        # per-label protocol score this run differently, so day 0 must use
+        # the run's own protocol to reproduce its test accuracy
+        cfg = config.effective_config(None, {
+            "algorithm": "sff", "schedule": {"epochs": [1, 1]},
+            "rules": {"sff_inference": "per_label"}})
+        dataset = config.build_dataset(cfg)
+        train_ds, _, test_ds = config.build_splits(cfg, dataset)
+        run = config.build_training_run(cfg, 0, dataset)
+        train(run, train_ds)
+        acc = evaluate(run, test_ds)
+        run.sff_inference = "neutral"
+        assert evaluate(run, test_ds) != acc
+        run.sff_inference = "per_label"
+        points = simulate_aging(run, [0.0], DriftModelParams(),
+                                np.random.default_rng(0), 2, test_ds)
+        assert points[0].accuracies == [acc] * 2
+
     def test_zero_variance_flat(self, tiny_task, tiny_bank):
         train_ds, _, test_ds = tiny_task
         run = tiny_run("cf", tiny_bank, epochs=[1, 1])
