@@ -5,13 +5,15 @@ A digest that changes is a behaviour change, and the change has to justify
 it.  A training digest covers the per-device pulse counts, the final
 (G+, G-) matrices (float runs: the final weights), the ledger's pulse sum and
 count per tech, its read sum and count per (v_read, t_read) condition, its
-MAC and reinit counts, and the test accuracy.  The runs use the default
-config with short schedules, so the file stays well under 10 s.
+MAC and reinit counts, and the test accuracy.  A loss digest covers every
+step's loss and the train-split loss of every epoch.  The runs use the
+default config with short schedules, so the file stays well under 10 s.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from memgrad import cli, config
@@ -34,6 +36,26 @@ GOLDEN_TRAINING = {
         "96f36c2d5e7ea0111ea4526bf533ae219e0f0cab488b6591fd430a804fce7c46",
     ("float_bp", 1):
         "40160d2c3239d601d66c456474c812937368f02190dd53a46c486bcda6f67ab8",
+}
+
+# the same runs: step_log losses, then the train-split epoch_log losses
+GOLDEN_LOSSES = {
+    ("bp", 0):
+        "83820c3ecd540a367891584ddfa3f7fe14deb7ccb4e40a72d2cd1cf68d70d924",
+    ("bp", 1):
+        "12dbfb0b78d21d331c16c31123e8a4afaeda9ce2fecc9798e76cdd89c96c8a81",
+    ("sff", 0):
+        "57ac4ae844c5d12f681aaa5c621e0ee74df1b6898b65caf90ca46d395d4b365e",
+    ("sff", 1):
+        "163188f757c4ffca20625d78036a9a6e61b64207d821560fe6079d3b60da05a8",
+    ("cf", 0):
+        "d12388b805813b1d18a31537095829eb089776538ab810e24ea20ec5eea700d9",
+    ("cf", 1):
+        "35396b80e91881634f81dbcd602ed55d8e7fda58c30282ee3f2e53d115eae6ac",
+    ("float_bp", 0):
+        "9936387e6d6ca528894ff873fcb8ca882d4d850920e8239d6e20b8df45616fc6",
+    ("float_bp", 1):
+        "94dad9213b72b93266a1beeb9f2116bd3e3c9942342127be4f9e65ff7ea75869",
 }
 
 # p_max 300 and three first-layer epochs: trajectories run out, so the SKIP
@@ -70,6 +92,19 @@ def _train(task, overrides, seed):
     return run, evaluate(run, test_ds)
 
 
+@pytest.fixture(scope="module")
+def short_runs(task):
+    """Trained (run, test accuracy) per (algorithm, seed), shared by the tests."""
+    cache = {}
+
+    def get(algorithm, seed):
+        if (algorithm, seed) not in cache:
+            cache[algorithm, seed] = _train(
+                task, {"algorithm": algorithm, "schedule": {"epochs": [1, 1]}}, seed)
+        return cache[algorithm, seed]
+    return get
+
+
 def run_digest(run, test_accuracy: float) -> str:
     h = hashlib.sha256()
     for layer in run.layers:
@@ -93,11 +128,24 @@ def run_digest(run, test_accuracy: float) -> str:
     return h.hexdigest()
 
 
+def loss_digest(run) -> str:
+    h = hashlib.sha256()
+    h.update(np.array([r.loss for r in run.step_log]).tobytes())
+    h.update(np.array([e.loss for e in run.epoch_log if e.split == "train"]).tobytes())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("algorithm, seed", sorted(GOLDEN_TRAINING))
-def test_training_digest(task, algorithm, seed):
-    run, acc = _train(task, {"algorithm": algorithm,
-                             "schedule": {"epochs": [1, 1]}}, seed)
+def test_training_digest(short_runs, algorithm, seed):
+    run, acc = short_runs(algorithm, seed)
     assert run_digest(run, acc) == GOLDEN_TRAINING[(algorithm, seed)]
+
+
+@pytest.mark.parametrize("algorithm, seed", sorted(GOLDEN_LOSSES))
+def test_loss_digest(short_runs, algorithm, seed):
+    run, _ = short_runs(algorithm, seed)
+    assert len(run.step_log) == 300
+    assert loss_digest(run) == GOLDEN_LOSSES[(algorithm, seed)]
 
 
 @pytest.mark.parametrize("policy", sorted(GOLDEN_NARROW))
