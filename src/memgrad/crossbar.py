@@ -72,8 +72,9 @@ class CrossbarArray:
 
     def __init__(self, bank: TrajectoryBank, traj_ids, cursors,
                  tech: DeviceTechParams, gain_kappa: float = 5e4, ledger=None):
-        traj_ids = np.array(traj_ids, dtype=np.int64)
-        cursors = np.array(cursors, dtype=np.int64)
+        # C order: the pulse step indexes flat views of the state arrays
+        traj_ids = np.array(traj_ids, dtype=np.int64, order="C")
+        cursors = np.array(cursors, dtype=np.int64, order="C")
         if traj_ids.ndim != 3 or traj_ids.shape[2] != 2 or cursors.shape != traj_ids.shape:
             raise ValueError("trajectory ids and cursors must be (n_out, n_in, 2)")
         if np.any(traj_ids < 0) or np.any(traj_ids >= len(bank)):
@@ -112,15 +113,20 @@ class CrossbarArray:
         uniform random number of symmetry-breaking pre-pulses (0..max); these
         land the pair differences in a usable weight range and do not count
         as training pulses.  Draws run device by device in (i, j, side)
-        order, alternating trajectory and pre-pulse count.
+        order, alternating trajectory and pre-pulse count.  They are made as
+        one bounded draw per element over alternating bounds, which gives the
+        same stream as two scalar draws per device.
         """
-        ids, pre = [], []
-        for _ in range(2 * n_in * n_out):
-            ids.append(int(rng.integers(0, len(bank))))
-            pre.append(int(rng.integers(0, pre_pulse_max + 1)) if pre_pulse_max else 0)
-        traj_ids = np.array(ids, dtype=np.int64).reshape(n_out, n_in, 2)
-        cursors = np.minimum(np.array(pre, dtype=np.int64).reshape(n_out, n_in, 2),
-                             bank.lengths[traj_ids] - 1)
+        shape = (n_out, n_in, 2)
+        if pre_pulse_max:
+            bounds = np.empty(4 * n_in * n_out, dtype=np.int64)
+            bounds[0::2], bounds[1::2] = len(bank), pre_pulse_max + 1
+            draws = rng.integers(0, bounds)
+            traj_ids, pre = draws[0::2].reshape(shape), draws[1::2].reshape(shape)
+        else:
+            traj_ids = rng.integers(0, len(bank), size=shape)
+            pre = np.zeros(shape, dtype=np.int64)
+        cursors = np.minimum(pre, bank.lengths[traj_ids] - 1)
         return cls(bank, traj_ids, cursors, tech, gain_kappa, ledger=ledger)
 
     def conductances(self):
@@ -165,45 +171,52 @@ class CrossbarArray:
                 or side.shape != mask.shape:
             raise ValueError(f"plan needs a boolean mask and a side array, "
                              f"each {self.n_out}x{self.n_in}")
-        ii, jj = np.nonzero(mask)
-        ss = side[ii, jj]
+        # gathers and scatters go through 1-D views of the (contiguous) state:
+        # device (i, j, side) sits at (i * n_in + j) * 2 + side, and bank
+        # sample (tid, cursor) at tid * width + cursor
+        flat_tid, flat_cur, flat_pulses = (
+            a.reshape(-1) for a in (self.traj_ids, self.cursors, self.pulse_counts))
+        weight = np.flatnonzero(mask)
+        ss = side.reshape(-1)[weight]
         if np.any((ss != 0) & (ss != 1)):
             raise ValueError("plan side must be 0 (G+) or 1 (G-)")
-        tid, cur = self.traj_ids[ii, jj, ss], self.cursors[ii, jj, ss]
+        pos = weight * 2 + ss
+        tid, cur = flat_tid[pos], flat_cur[pos]
         exhausted = cur + 1 >= self.bank.lengths[tid]
         n_exhausted = int(np.count_nonzero(exhausted))
         skipped = reinits = 0
         if n_exhausted and policy is OnExhaustion.SKIP:
             live = ~exhausted
-            ii, jj, ss, tid, cur = ii[live], jj[live], ss[live], tid[live], cur[live]
+            pos, tid, cur = pos[live], tid[live], cur[live]
             skipped = n_exhausted
         elif n_exhausted:
             if rng is None:
                 raise ValueError("REINIT policy needs an rng")
             reinits = n_exhausted
-        idx = (ii, jj, ss)
-        lifetime = self.pulse_counts[idx]
+        lifetime = flat_pulses[pos]
         over = lifetime >= self.tech.endurance_budget
         if np.any(over):
             k = int(np.argmax(over))
+            i, j, s = np.unravel_index(pos[k], self.traj_ids.shape)
             raise EnduranceExceeded(
-                f"device ({ii[k]}, {jj[k]}, side {ss[k]}) at {lifetime[k]} lifetime "
+                f"device ({i}, {j}, side {s}) at {lifetime[k]} lifetime "
                 f"pulses (budget {self.tech.endurance_budget})")
         if reinits:
             tid[exhausted] = rng.integers(0, len(self.bank), size=reinits)
             cur[exhausted] = 0
-            self.reinit_counts[ii[exhausted], jj[exhausted], ss[exhausted]] += 1
+            self.reinit_counts.reshape(-1)[pos[exhausted]] += 1
             if self.ledger is not None:
                 self.ledger.record_reinit(count=reinits)
-        g_pre = self.bank.conductances[tid, cur]
-        cur += 1
-        self.traj_ids[idx] = tid
-        self.cursors[idx] = cur
-        self._g[idx] = self.bank.conductances[tid, cur]
-        self.pulse_counts[idx] = lifetime + 1
+        samples = self.bank.conductances.reshape(-1)
+        at = tid * self.bank.conductances.shape[1] + cur
+        g_pre = samples[at]
+        flat_tid[pos] = tid
+        flat_cur[pos] = cur + 1
+        self._g.reshape(-1)[pos] = samples[at + 1]
+        flat_pulses[pos] = lifetime + 1
         if self.ledger is not None:
             self.ledger.record_pulses(g_pre, self.tech.name)
-        return PulseResult(applied=len(ii), skipped=skipped, reinits=reinits)
+        return PulseResult(applied=len(pos), skipped=skipped, reinits=reinits)
 
 
 def save_snapshot_csv(array: CrossbarArray, path):

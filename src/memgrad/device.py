@@ -237,7 +237,8 @@ class TrajectoryBank(Sequence):
     """
 
     def __init__(self, conductances, lengths, sources: list[str]):
-        conductances = np.asarray(conductances, dtype=float)
+        # C order: crossbar arrays gather samples at tid * width + cursor
+        conductances = np.ascontiguousarray(conductances, dtype=float)
         lengths = np.asarray(lengths, dtype=np.int64)
         if conductances.ndim != 2 or len(conductances) < 1:
             raise ValueError("bank needs a (count, width) conductance matrix")

@@ -32,11 +32,13 @@ __all__ = [
     "goodness",
     "sff_loss",
     "sff_batch_loss",
+    "sff_goodness_loss",
     "sff_gradient",
     "cluster_mask",
     "cluster_labels",
     "cf_loss",
     "cf_batch_loss",
+    "cf_goodness_loss",
     "cf_gradient",
     "softmax",
     "cross_entropy_loss",
@@ -123,10 +125,20 @@ def _softplus(z):
     return np.logaddexp(0.0, z)
 
 
+def _margin_loss(a_pos, a_neg) -> float:
+    """Mean of 1/2 [softplus(-a+) + softplus(a-)]: the loss tail of both rules."""
+    return float(np.mean(0.5 * (_softplus(-a_pos) + _softplus(a_neg))))
+
+
 def _sff_margins(g_pos, g_neg, params: SFFParams, n_h: int):
     a_pos = g_pos - params.eta * params.theta_plus * n_h
     a_neg = g_neg - params.eta * params.theta_minus * n_h
     return a_pos, a_neg
+
+
+def sff_goodness_loss(g_pos, g_neg, params: SFFParams, n_h: int) -> float:
+    """Mean SFF loss from per-sample goodness, e.g. a gradient's goodness_pos/neg."""
+    return _margin_loss(*_sff_margins(g_pos, g_neg, params, n_h))
 
 
 def sff_loss(h_pos, h_neg, params: SFFParams, n_h: int) -> float:
@@ -139,20 +151,17 @@ def sff_loss(h_pos, h_neg, params: SFFParams, n_h: int) -> float:
     h_neg = np.asarray(h_neg, dtype=float)
     if h_pos.shape != (n_h,) or h_neg.shape != (n_h,):
         raise ValueError("activation length mismatch")
-    a_pos, a_neg = _sff_margins(goodness(h_pos, params.eta),
-                                goodness(h_neg, params.eta), params, n_h)
-    return float(0.5 * (_softplus(-a_pos) + _softplus(a_neg)))
+    return sff_goodness_loss(goodness(h_pos, params.eta),
+                             goodness(h_neg, params.eta), params, n_h)
 
 
 def sff_batch_loss(h_pos, h_neg, params: SFFParams) -> float:
     """Mean SFF loss over a batch of activations, shapes (N, n_h)."""
     h_pos = np.atleast_2d(np.asarray(h_pos, dtype=float))
     h_neg = np.atleast_2d(np.asarray(h_neg, dtype=float))
-    n_h = h_pos.shape[1]
-    g_pos = params.eta * np.sum(h_pos ** 2, axis=1)
-    g_neg = params.eta * np.sum(h_neg ** 2, axis=1)
-    a_pos, a_neg = _sff_margins(g_pos, g_neg, params, n_h)
-    return float(np.mean(0.5 * (_softplus(-a_pos) + _softplus(a_neg))))
+    return sff_goodness_loss(params.eta * np.sum(h_pos ** 2, axis=1),
+                             params.eta * np.sum(h_neg ** 2, axis=1),
+                             params, h_pos.shape[1])
 
 
 def sff_gradient(x_pos, h_pos, x_neg, h_neg, params: SFFParams) -> GradientBatch:
@@ -207,26 +216,27 @@ def _cf_margins(g_target, g_rest, params: CFParams):
     return g_target - params.eta * params.theta_plus, g_rest - params.eta * params.theta_minus
 
 
+def cf_goodness_loss(g_target, g_rest, params: CFParams) -> float:
+    """Mean CF loss from per-sample goodness, e.g. a gradient's goodness_pos/neg."""
+    return _margin_loss(*_cf_margins(g_target, g_rest, params))
+
+
 def cf_loss(h, z, params: CFParams) -> float:
     """Per-example competitive-forward loss for a masked cluster layer."""
     h = np.asarray(h, dtype=float)
     z = np.asarray(z, dtype=float)
     if h.shape != z.shape:
         raise ValueError("mask length mismatch")
-    g_target = goodness(h * z, params.eta)
-    g_rest = goodness(h * (1.0 - z), params.eta)
-    a_pos, a_neg = _cf_margins(g_target, g_rest, params)
-    return float(0.5 * (_softplus(-a_pos) + _softplus(a_neg)))
+    return cf_goodness_loss(goodness(h * z, params.eta),
+                            goodness(h * (1.0 - z), params.eta), params)
 
 
 def cf_batch_loss(h, z, params: CFParams) -> float:
     """Mean CF loss over a batch; h and z shaped (N, n_h)."""
     h = np.atleast_2d(np.asarray(h, dtype=float))
     z = np.atleast_2d(np.asarray(z, dtype=float))
-    g_target = params.eta * np.sum((h * z) ** 2, axis=1)
-    g_rest = params.eta * np.sum((h * (1.0 - z)) ** 2, axis=1)
-    a_pos, a_neg = _cf_margins(g_target, g_rest, params)
-    return float(np.mean(0.5 * (_softplus(-a_pos) + _softplus(a_neg))))
+    return cf_goodness_loss(params.eta * np.sum((h * z) ** 2, axis=1),
+                            params.eta * np.sum((h * (1.0 - z)) ** 2, axis=1), params)
 
 
 def cf_gradient(x, h, y, params: CFParams, spec: LayerSpec) -> GradientBatch:
@@ -277,32 +287,37 @@ def cross_entropy_loss(logits, y) -> float:
 
 
 def bp_gradients(weights: list[np.ndarray], x, y,
-                 trainable: list[bool] | None = None) -> list[GradientBatch]:
+                 trainable: list[bool] | None = None,
+                 acts: list[np.ndarray] | None = None) -> list[GradientBatch]:
     """Analytic softmax cross-entropy gradients for a 1- or 2-layer bias-free net.
 
     Hidden layers are ReLU, the output layer is linear.  Frozen layers (per
-    the trainable mask) get a zero gradient.
+    the trainable mask) get a zero gradient, and the backward pass stops at
+    the lowest trainable layer.  ``acts`` takes the activations of a forward
+    pass already made (``[x, h, ..., logits]``); without it the forward runs
+    here.
     """
     if len(weights) not in (1, 2):
         raise ValueError("bp_gradients supports 1- or 2-layer networks")
     if trainable is None:
         trainable = [True] * len(weights)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=int))
-    n_b = len(x)
-    acts = [x]
-    for k, w in enumerate(weights):
-        pre = acts[-1] @ w.T
-        acts.append(np.maximum(pre, 0.0) if k < len(weights) - 1 else pre)
+    if acts is None:
+        acts = [np.atleast_2d(np.asarray(x, dtype=float))]
+        for k, w in enumerate(weights):
+            pre = acts[-1] @ w.T
+            acts.append(np.maximum(pre, 0.0) if k < len(weights) - 1 else pre)
+    elif len(acts) != len(weights) + 1:
+        raise ValueError("need one activation per layer plus the input")
+    n_b = len(acts[0])
     delta = softmax(acts[-1])
     delta[np.arange(n_b), y] -= 1.0
     delta /= n_b
     grads: list[GradientBatch] = [None] * len(weights)  # type: ignore[list-item]
     for k in range(len(weights) - 1, -1, -1):
-        g = delta.T @ acts[k]
-        grads[k] = GradientBatch(grad=g if trainable[k] else np.zeros_like(g),
-                                 batch_size=n_b)
-        if k > 0:
+        g = delta.T @ acts[k] if trainable[k] else np.zeros(weights[k].shape)
+        grads[k] = GradientBatch(grad=g, batch_size=n_b)
+        if k > 0 and any(trainable[:k]):
             delta = (delta @ weights[k]) * (acts[k] > 0)
     return grads
 

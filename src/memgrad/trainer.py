@@ -26,8 +26,8 @@ from .data import FeatureDataset
 from .device import DeviceTechParams, DriftModelParams, LARGE_ARRAY, apply_retention_drift
 from .energy import EnergyLedger
 from .rules import (CFParams, GradientBatch, LayerSpec, SFFParams, bp_gradients,
-                    cf_batch_loss, cf_gradient, cluster_labels, cross_entropy_loss,
-                    sff_batch_loss, sff_gradient, sign_descent_step_float,
+                    cf_goodness_loss, cf_gradient, cross_entropy_loss,
+                    sff_goodness_loss, sff_gradient, sign_descent_step_float,
                     threshold_sign_plan)
 
 __all__ = [
@@ -311,21 +311,27 @@ def _pos_neg_batch(x: np.ndarray, y: np.ndarray, n_classes: int,
 
 def _batch_gradient(run: TrainingRun, t: int, x: np.ndarray, y: np.ndarray,
                     rng: np.random.Generator) -> tuple[GradientBatch, float]:
-    """Rule gradient for trainable layer t, plus the batch loss."""
+    """Rule gradient for trainable layer t, plus the batch loss.
+
+    Each step runs its forward once: the backward pass and the losses reuse
+    its activations and the gradient's goodness.
+    """
     rule = run.schedule.rule
     if rule == "bp":
         acts = _forward(run.layers, x)
         weights = [layer.read_weights() for layer in run.layers]
-        grads = bp_gradients(weights, x, y, [k == t for k in range(len(weights))])
+        grads = bp_gradients(weights, x, y, [k == t for k in range(len(weights))],
+                             acts=acts)
         return grads[t], cross_entropy_loss(acts[-1], y)
 
     if rule == "sff":
         x_pos, x_neg = _pos_neg_batch(x, y, run.n_classes, run.token_amplitude, rng)
         h_pos = run.layers[0].forward(x_pos)
         if t == 0:
-            h_neg = run.layers[0].forward(x_neg)
-            grad = sff_gradient(x_pos, h_pos, x_neg, h_neg, run.rule_params[0])
-            return grad, sff_batch_loss(h_pos, h_neg, run.rule_params[0])
+            params = run.rule_params[0]
+            grad = sff_gradient(x_pos, h_pos, x_neg, run.layers[0].forward(x_neg), params)
+            return grad, sff_goodness_loss(grad.goodness_pos, grad.goodness_neg,
+                                           params, h_pos.shape[1])
         # the cluster head trains on positive examples only
         return _cluster_step(run, 1, h_pos, run.layers[1].forward(h_pos), y)
 
@@ -339,9 +345,9 @@ def _batch_gradient(run: TrainingRun, t: int, x: np.ndarray, y: np.ndarray,
 def _cluster_step(run: TrainingRun, t: int, x: np.ndarray, h: np.ndarray,
                   y: np.ndarray) -> tuple[GradientBatch, float]:
     """CF gradient and loss of cluster layer t, given its input and output."""
-    params, spec = run.rule_params[t], run.layers[t].spec
-    z = (cluster_labels(spec)[None, :] == y[:, None]).astype(float)
-    return cf_gradient(x, h, y, params, spec), cf_batch_loss(h, z, params)
+    params = run.rule_params[t]
+    grad = cf_gradient(x, h, y, params, run.layers[t].spec)
+    return grad, cf_goodness_loss(grad.goodness_pos, grad.goodness_neg, params)
 
 
 def train(run: TrainingRun, train_ds: FeatureDataset,

@@ -273,7 +273,8 @@ class TestUpdatePlan:
                                     arr.pulse_counts, *arr.conductances())]
         events, pulses = copy.deepcopy(ledger.g_pre), ledger.pulse_count
         reinits, rng_state = ledger.reinit_count, copy.deepcopy(rng.bit_generator.state)
-        with pytest.raises(EnduranceExceeded):
+        with pytest.raises(EnduranceExceeded,
+                           match=r"device \(1, 1, side 0\) at 3 lifetime pulses \(budget 3\)"):
             arr.apply_update_plan(plan_at(arr, {(0, 0): PLUS, (1, 1): PLUS}),
                                   OnExhaustion.REINIT, rng)
         after = (arr.traj_ids, arr.cursors, arr.reinit_counts, arr.pulse_counts,
@@ -282,6 +283,16 @@ class TestUpdatePlan:
         assert ledger.g_pre == events and ledger.pulse_count == pulses
         assert ledger.reinit_count == reinits == 1
         assert rng.bit_generator.state == rng_state
+
+
+    def test_endurance_error_names_device(self):
+        # a non-square array and side 1: the flat position decodes to (i, j, side)
+        tech = dataclasses.replace(LARGE_ARRAY, endurance_budget=1)
+        arr = CrossbarArray.build(5, 3, make_bank(), np.random.default_rng(0), tech)
+        arr.apply_update_plan(plan_at(arr, {(2, 4): MINUS}))
+        with pytest.raises(EnduranceExceeded,
+                           match=r"device \(2, 4, side 1\) at 1 lifetime pulses \(budget 1\)"):
+            arr.apply_update_plan(plan_at(arr, {(0, 1): PLUS, (2, 4): MINUS}))
 
 
 def scalar_build(n_in, n_out, bank, rng, pre_pulse_max):
@@ -344,6 +355,45 @@ class TestScalarReferenceModel:
             assert (batched.integers(0, n, size=k).tolist()
                     == [int(scalar.integers(0, n)) for _ in range(k)])
             assert batched.random() == scalar.random()
+
+
+class TestBuildStream:
+    """``build`` draws in one call; ids, cursors and the rng state after it
+    equal the scalar device-by-device loop."""
+
+    @staticmethod
+    def assert_matches_scalar(n_in, n_out, bank, pre_pulse_max, seeds=range(5)):
+        row_id = {id(bank[k]): k for k in range(len(bank))}
+        for seed in seeds:
+            rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            arr = CrossbarArray.build(n_in, n_out, bank, rng, LARGE_ARRAY,
+                                      pre_pulse_max=pre_pulse_max)
+            grid = scalar_build(n_in, n_out, bank, rng_ref, pre_pulse_max)
+            ref_ids = np.vectorize(lambda dev: row_id[id(dev.trajectory)])(grid)
+            ref_cursors = np.vectorize(lambda dev: dev.pulse_index)(grid)
+            assert np.array_equal(arr.traj_ids, ref_ids)
+            assert np.array_equal(arr.cursors, ref_cursors)
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+        return arr
+
+    @pytest.mark.parametrize("pre_pulse_max", [0, 50])
+    @pytest.mark.parametrize("n_in, n_out", [(4, 3), (1, 1), (7, 2), (2, 9), (48, 40)])
+    def test_matches_scalar_build(self, n_in, n_out, pre_pulse_max):
+        self.assert_matches_scalar(n_in, n_out, make_bank(count=1268), pre_pulse_max)
+
+    @pytest.mark.parametrize("pre_pulse_max", [0, 50])
+    def test_single_trajectory_bank(self, pre_pulse_max):
+        arr = self.assert_matches_scalar(5, 3, make_bank(count=1), pre_pulse_max)
+        assert not arr.traj_ids.any()
+
+    def test_ragged_bank_clamps_pre_pulses(self):
+        gen = np.random.default_rng(4)
+        rows = [np.linspace(100e-6, 60e-6, gen.choice([2, 3, 80])) for _ in range(12)]
+        bank = TrajectoryBank.from_rows(rows, ["measured"] * len(rows))
+        arr = self.assert_matches_scalar(6, 4, bank, pre_pulse_max=50)
+        short = bank.lengths[arr.traj_ids] == 2
+        assert short.any() and np.all(arr.cursors[short] <= 1)
+        assert np.any(arr.cursors[short] == 1)
 
 
 class TestSnapshot:

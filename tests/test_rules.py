@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from memgrad.rules import (CFParams, LayerSpec, SFFParams, bp_gradients,
-                           cf_batch_loss, cf_gradient, cf_loss,
+                           cf_batch_loss, cf_goodness_loss, cf_gradient, cf_loss,
                            cluster_labels, cluster_mask, cross_entropy_loss,
-                           goodness, sff_batch_loss, sff_gradient, sff_loss,
-                           sign_descent_step_float, softmax,
-                           threshold_sign_plan)
+                           goodness, sff_batch_loss, sff_goodness_loss,
+                           sff_gradient, sff_loss, sign_descent_step_float,
+                           softmax, threshold_sign_plan)
 from memgrad.trainer import _pos_neg_batch
 
 
@@ -368,6 +368,31 @@ class TestCfGradient:
 
 # ---------------------------------------------------------------- backprop
 
+class TestLossFromGradientGoodness:
+    """A step's loss comes from its gradient's goodness, bit for bit."""
+
+    def test_sff(self):
+        rng = np.random.default_rng(16)
+        params = SFFParams(theta_plus=0.3, theta_minus=0.2, eta=-1.0)
+        x_pos, x_neg = rng.normal(0, 1, (2, 16, 5))
+        h_pos, h_neg = np.abs(rng.normal(0, 1, (2, 16, 7)))
+        grad = sff_gradient(x_pos, h_pos, x_neg, h_neg, params)
+        assert (sff_goodness_loss(grad.goodness_pos, grad.goodness_neg, params, 7)
+                == sff_batch_loss(h_pos, h_neg, params))
+
+    @pytest.mark.parametrize("variant", ["temperature", "offset"])
+    def test_cf(self, variant):
+        rng = np.random.default_rng(17)
+        spec = LayerSpec(5, 12, clusters=(4, 3))
+        params = CFParams(variant=variant, eta=-1.0)
+        x, h = rng.normal(0, 1, (16, 5)), np.abs(rng.normal(0, 1, (16, 12)))
+        y = rng.integers(0, 4, 16)
+        z = (cluster_labels(spec)[None, :] == y[:, None]).astype(float)
+        grad = cf_gradient(x, h, y, params, spec)
+        assert (cf_goodness_loss(grad.goodness_pos, grad.goodness_neg, params)
+                == cf_batch_loss(h, z, params))
+
+
 class TestBpGradients:
     def test_uniform_softmax_identity(self):
         # all-equal logits: output gradient rows are (1/C - onehot) x / N
@@ -401,6 +426,23 @@ class TestBpGradients:
         grads = bp_gradients([w1, w2], x, y, trainable=[False, True])
         assert np.array_equal(grads[0].grad, np.zeros_like(w1))
         assert not np.array_equal(grads[1].grad, np.zeros_like(w2))
+
+    @pytest.mark.parametrize("trainable", [[True, True], [False, True], [True, False]])
+    def test_given_activations_match_own_forward(self, trainable):
+        # the trainer hands over the forward it already ran; every gradient
+        # must equal the one bp_gradients computes from its own forward
+        rng = np.random.default_rng(15)
+        w1, w2 = rng.normal(0, 0.5, (6, 4)), rng.normal(0, 0.5, (3, 6))
+        x = rng.normal(0, 1, (16, 4))
+        y = rng.integers(0, 3, 16)
+        h = np.maximum(x @ w1.T, 0.0)
+        given = bp_gradients([w1, w2], x, y, trainable, acts=[x, h, h @ w2.T])
+        own = bp_gradients([w1, w2], x, y, trainable)
+        for k in range(2):
+            assert np.array_equal(given[k].grad, own[k].grad)
+            assert given[k].grad.any() == trainable[k]
+        with pytest.raises(ValueError, match="activation"):
+            bp_gradients([w1, w2], x, y, trainable, acts=[x, h])
 
     def test_perceptron_separable_toy(self):
         # two linearly separable points: plain gradient descent must drive
