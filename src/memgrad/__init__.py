@@ -15,8 +15,8 @@ from .device import (DeviceState, DeviceTechParams, DriftModelParams,
                      pulse_energy, reinitialize)
 from .crossbar import CrossbarArray, OnExhaustion, PulseResult
 from .rules import (CFParams, GradientBatch, LayerSpec, SFFParams, bp_gradients,
-                    cf_gradient, cf_loss, cluster_mask, goodness, sff_gradient,
-                    sff_loss, sign_descent_step_float, threshold_sign_plan)
+                    cf_gradient, sff_gradient, sign_descent_step_float,
+                    threshold_sign_plan)
 from .data import (FeatureDataset, SplitSpec, load_feature_csv, load_idx,
                    make_cluster_task, save_feature_csv, split)
 from .energy import (EnergyLedger, mac_energy_projection, programming_energy,
@@ -24,5 +24,4 @@ from .energy import (EnergyLedger, mac_energy_projection, programming_energy,
 from .stats import (StatReport, holm_bonferroni, regularized_incomplete_beta,
                     welch_t_test)
 from .trainer import (Phase, Schedule, TrainingRun, default_schedule, evaluate,
-                      make_network, make_run, pulse_statistics, sff_predict,
-                      simulate_aging, train)
+                      make_run, pulse_statistics, simulate_aging, train)

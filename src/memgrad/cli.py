@@ -266,6 +266,11 @@ def cmd_characterize(args) -> int:
 # ---------------------------------------------------------------- age
 
 def cmd_age(args) -> int:
+    days = [float(v) for v in args.days.split(",")]
+    if days != sorted(days):
+        raise ConfigError("day checkpoints must be ascending")
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
     run_dir = Path(args.run)
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
@@ -284,11 +289,13 @@ def cmd_age(args) -> int:
         if not snap_path.exists():
             raise ParseError(f"missing snapshot: {snap_path}")
         snap = load_snapshot_csv(snap_path)
-        layers.append((_spec_from_json(spec), s, (snap["g_plus"], snap["g_minus"])))
+        spec = _spec_from_json(spec)
+        n_out, n_in = snap["g_plus"].shape
+        if (n_out, n_in) != (spec.n_out, spec.n_in):
+            raise ParseError(f"{snap_path}: {n_in} rows x {n_out} cols, layer {k} "
+                             f"needs {spec.n_in} x {spec.n_out}")
+        layers.append((spec, s, (snap["g_plus"], snap["g_minus"])))
 
-    days = [float(v) for v in args.days.split(",")]
-    if days != sorted(days):
-        raise ConfigError("day checkpoints must be ascending")
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0xA6E]))
     accuracies = age_conductances(layers, days, build_drift_params(cfg), rng,
                                   args.repeats, test_ds,

@@ -92,8 +92,8 @@ class CrossbarArray:
         # applied pulses; pre-pulses are not counted, so this is also each
         # device's lifetime pulse count for the endurance budget
         self.pulse_counts = np.zeros_like(traj_ids)
+        # G+ and G- are sliced from _g on use, so a copy or pickle stays whole
         self._g = bank.conductances[traj_ids, cursors]
-        self._g_plus, self._g_minus = self._g[..., 0], self._g[..., 1]
 
     @property
     def scale_s(self) -> float:
@@ -131,11 +131,11 @@ class CrossbarArray:
 
     def conductances(self):
         """Current (G+, G-) matrices, shape (n_out, n_in) each."""
-        return self._g_plus.copy(), self._g_minus.copy()
+        return self._g[..., 0].copy(), self._g[..., 1].copy()
 
     def map_weights(self) -> np.ndarray:
         """W = s * (G+ - G-); pure read, (n_out, n_in)."""
-        return self.scale_s * (self._g_plus - self._g_minus)
+        return self.scale_s * (self._g[..., 0] - self._g[..., 1])
 
     def read(self, x) -> np.ndarray:
         """Analog MAC of a batch (N, n_in): y = kappa * I = x @ W.T.
@@ -148,7 +148,7 @@ class CrossbarArray:
             raise ValueError(f"input must have shape (N, {self.n_in}), got {x.shape}")
         if self.ledger is not None:
             # every driven device contributes G * (x_j V_read)^2 * t_read
-            g_cols = (self._g_plus + self._g_minus).sum(axis=0)
+            g_cols = (self._g[..., 0] + self._g[..., 1]).sum(axis=0)
             self.ledger.record_read(float(g_cols @ (x ** 2).sum(axis=0)),
                                     self.tech.v_read, self.tech.t_read)
             self.ledger.record_macs(x.shape[0] * self.n_in * self.n_out)
@@ -242,9 +242,10 @@ def load_snapshot_csv(path):
     Returns a dict with g_plus, g_minus (S) and the two pulse-index arrays,
     all shaped (n_out, n_in).  Trajectories are not part of a snapshot, so
     this is a read-state restore (enough for aging and energy re-analysis),
-    not a resumable training state.
+    not a resumable training state.  Every (row, col) cell of the grid must
+    appear exactly once, with non-negative conductances.
     """
-    rows = []
+    cells = {}   # (row, col) -> (line, g_plus_uS, g_minus_uS, index+, index-)
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -254,21 +255,26 @@ def load_snapshot_csv(path):
             raise ParseError(f"{path}: unexpected header {header}")
         for lineno, r in enumerate(reader, start=2):
             try:
-                rows.append((int(r[0]), int(r[1]), float(r[2]), float(r[3]),
-                             int(r[4]), int(r[5])))
+                j, i, gp, gm, pp, pm = (int(r[0]), int(r[1]), float(r[2]),
+                                        float(r[3]), int(r[4]), int(r[5]))
             except (ValueError, IndexError) as exc:
                 raise ParseError(f"{path}:{lineno}: malformed row {r}") from exc
-    if not rows:
+            if j < 0 or i < 0:
+                raise ParseError(f"{path}:{lineno}: negative row or col in {r}")
+            if not (gp >= 0 and gm >= 0):
+                raise ParseError(f"{path}:{lineno}: negative or NaN conductance in {r}")
+            if (j, i) in cells:
+                raise ParseError(f"{path}:{lineno}: duplicate cell (row {j}, col {i}), "
+                                 f"first on line {cells[j, i][0]}")
+            cells[j, i] = (lineno, gp, gm, pp, pm)
+    if not cells:
         raise ParseError(f"{path}: empty snapshot")
-    n_in = max(r[0] for r in rows) + 1
-    n_out = max(r[1] for r in rows) + 1
-    shape = (n_out, n_in)
-    out = {"g_plus": np.zeros(shape), "g_minus": np.zeros(shape),
-           "pulse_index_plus": np.zeros(shape, dtype=int),
-           "pulse_index_minus": np.zeros(shape, dtype=int)}
-    for j, i, gp, gm, pp, pm in rows:
-        out["g_plus"][i, j] = gp * 1e-6
-        out["g_minus"][i, j] = gm * 1e-6
-        out["pulse_index_plus"][i, j] = pp
-        out["pulse_index_minus"][i, j] = pm
-    return out
+    n_in, n_out = (max(cell[k] for cell in cells) + 1 for k in (0, 1))
+    grid = [(j, i) for i in range(n_out) for j in range(n_in)]
+    missing = [cell for cell in grid if cell not in cells]
+    if missing:
+        raise ParseError(f"{path}: no line for cell (row {missing[0][0]}, col "
+                         f"{missing[0][1]}) of the {n_in} x {n_out} grid")
+    _, gp, gm, pp, pm = np.array([cells[cell] for cell in grid]).T.reshape(5, n_out, n_in)
+    return {"g_plus": gp * 1e-6, "g_minus": gm * 1e-6,
+            "pulse_index_plus": pp.astype(int), "pulse_index_minus": pm.astype(int)}

@@ -3,9 +3,9 @@
 Pulse energy G_pre * V_reset^2 * t_reset and read energy
 G_driven * V_read^2 * t_read are linear in their events, so the ledger keeps
 aggregates instead of event lists: per recording tech, a compensated sum of
-the conductances measured immediately before each pulse, a pulse count and a
-fixed-bin G_pre histogram; per read condition (v_read, t_read), a compensated
-sum of driven conductance and a read count; and MAC and reinit counters.
+the conductances measured immediately before each pulse and a pulse count;
+per read condition (v_read, t_read), a compensated sum of driven conductance
+and a read count; and MAC and reinit counters.
 That is enough to re-cost a recorded run under a different device technology
 (same pulses, substituted pulse parameters) or different read conditions.
 MACs are projected through a TOPS/W efficiency figure (one MAC = two ops).
@@ -30,8 +30,6 @@ __all__ = [
     "mac_energy_projection",
     "PV_UPDATE_ENERGY_J",
     "DEFAULT_TOPS_PER_WATT",
-    "HIST_BIN_WIDTH_S",
-    "HIST_BINS",
 ]
 
 # Program-and-verify baseline cost per update (includes attempts and verify
@@ -41,11 +39,6 @@ PV_UPDATE_ENERGY_J = 387e-12
 # Measured end-to-end in-memory-computing efficiency used for MAC projection
 # (ops per watt-second; one MAC counts as two ops).
 DEFAULT_TOPS_PER_WATT = 57.5e12
-
-# G_pre histogram: bin k counts pulses with k*w <= G_pre < (k+1)*w, w = 2 uS;
-# the last bin also takes everything above 200 uS.
-HIST_BIN_WIDTH_S = 2e-6
-HIST_BINS = 100
 
 
 class RunningSum:
@@ -71,18 +64,9 @@ class RunningSum:
         """Add a batch through its correctly rounded sum."""
         self.add(math.fsum(values.tolist()), len(values))
 
-    def merge(self, other: "RunningSum"):
-        self.add(other._hi, other.count)
-        self.add(other._lo, 0)
-
     @property
     def total(self) -> float:
         return self._hi + self._lo
-
-
-def _g_pre_histogram(g_pre: np.ndarray) -> np.ndarray:
-    bins = np.clip((g_pre / HIST_BIN_WIDTH_S).astype(np.int64), 0, HIST_BINS - 1)
-    return np.bincount(bins, minlength=HIST_BINS)
 
 
 @dataclass(eq=False)
@@ -90,7 +74,6 @@ class EnergyLedger:
     """Aggregate totals of a run's pulses, reads, MACs and reinits."""
 
     pulse_sums: dict[str, RunningSum] = field(default_factory=dict)
-    pulse_hists: dict[str, np.ndarray] = field(default_factory=dict)
     read_sums: dict[tuple[float, float], RunningSum] = field(default_factory=dict)
     mac_count: int = 0                 # MACs; one MAC = two ops
     reinit_count: int = 0
@@ -103,21 +86,11 @@ class EnergyLedger:
         """
         g_pre = np.asarray(g_pre, dtype=float).ravel()
         if g_pre.size:
-            sums, hist = self._pulse_totals(tech_name)
-            sums.add_batch(g_pre)
-            hist += _g_pre_histogram(g_pre)
-
-    def _pulse_totals(self, tech_name: str) -> tuple[RunningSum, np.ndarray]:
-        if tech_name not in self.pulse_sums:
-            self.pulse_sums[tech_name] = RunningSum()
-            self.pulse_hists[tech_name] = np.zeros(HIST_BINS, dtype=np.int64)
-        return self.pulse_sums[tech_name], self.pulse_hists[tech_name]
+            self.pulse_sums.setdefault(tech_name, RunningSum()).add_batch(g_pre)
 
     def record_read(self, g_sum: float, v_read: float, t_read: float):
         key = (float(v_read), float(t_read))
-        if key not in self.read_sums:
-            self.read_sums[key] = RunningSum()
-        self.read_sums[key].add(float(g_sum))
+        self.read_sums.setdefault(key, RunningSum()).add(float(g_sum))
 
     def record_macs(self, n_macs: int):
         self.mac_count += int(n_macs)
@@ -135,23 +108,9 @@ class EnergyLedger:
     def read_count(self) -> int:
         return sum(s.count for s in self.read_sums.values())
 
-    def extend(self, other: "EnergyLedger"):
-        """Add another ledger's totals to this one."""
-        for tech, other_sums in other.pulse_sums.items():
-            sums, hist = self._pulse_totals(tech)
-            sums.merge(other_sums)
-            hist += other.pulse_hists[tech]
-        for key, sums in other.read_sums.items():
-            self.read_sums.setdefault(key, RunningSum()).merge(sums)
-        self.mac_count += other.mac_count
-        self.reinit_count += other.reinit_count
-        self.reinit_energy_j += other.reinit_energy_j
-
     def to_json(self) -> dict:
         return {
-            "g_pre_hist_bin_uS": HIST_BIN_WIDTH_S * 1e6,
-            "pulse_totals": {tech: {"g_pre_sum_S": sums.total, "count": sums.count,
-                                    "g_pre_hist": self.pulse_hists[tech].tolist()}
+            "pulse_totals": {tech: {"g_pre_sum_S": sums.total, "count": sums.count}
                              for tech, sums in self.pulse_sums.items()},
             "read_totals": [{"v_read": v, "t_read": t, "g_sum_S": sums.total,
                              "count": sums.count}
@@ -167,16 +126,13 @@ class EnergyLedger:
 
         The event-list layout stored every pre-pulse conductance under
         ``pulse_g_pre_uS`` and every read as ``[g_sum_uS, v_read, t_read]``
-        under ``reads``, all conductances in microsiemens.
+        under ``reads``, all conductances in microsiemens.  The G_pre
+        histogram that aggregate files once carried (``g_pre_hist``,
+        ``g_pre_hist_bin_uS``) is ignored.
         """
         ledger = cls()
-        bin_uS = payload.get("g_pre_hist_bin_uS", HIST_BIN_WIDTH_S * 1e6)
-        if bin_uS != HIST_BIN_WIDTH_S * 1e6:
-            raise ValueError(f"ledger histogram bin {bin_uS} uS, expected "
-                             f"{HIST_BIN_WIDTH_S * 1e6} uS")
         for tech, entry in payload.get("pulse_totals", {}).items():
             ledger.pulse_sums[tech] = RunningSum(entry["g_pre_sum_S"], entry["count"])
-            ledger.pulse_hists[tech] = np.array(entry["g_pre_hist"], dtype=np.int64)
         for entry in payload.get("read_totals", []):
             ledger.read_sums[(entry["v_read"], entry["t_read"])] = RunningSum(
                 entry["g_sum_S"], entry["count"])

@@ -29,14 +29,10 @@ __all__ = [
     "SFFParams",
     "CFParams",
     "GradientBatch",
-    "goodness",
-    "sff_loss",
     "sff_batch_loss",
     "sff_goodness_loss",
     "sff_gradient",
-    "cluster_mask",
     "cluster_labels",
-    "cf_loss",
     "cf_batch_loss",
     "cf_goodness_loss",
     "cf_gradient",
@@ -106,18 +102,9 @@ class GradientBatch:
     """Gradient of a batch-mean loss plus per-sample diagnostics."""
 
     grad: np.ndarray                  # (n_out, n_in)
-    batch_size: int
-    d_pos: np.ndarray | None = None   # per-sample positive-term weights D+
-    d_neg: np.ndarray | None = None
     goodness_pos: np.ndarray | None = None
     goodness_neg: np.ndarray | None = None
     buffered_scalars: int = 0         # working-memory cost of the rule
-
-
-def goodness(h, eta: float) -> float:
-    """Layer goodness: eta * sum of squared activations."""
-    h = np.asarray(h, dtype=float)
-    return float(eta * np.sum(h * h))
 
 
 def _softplus(z):
@@ -141,22 +128,12 @@ def sff_goodness_loss(g_pos, g_neg, params: SFFParams, n_h: int) -> float:
     return _margin_loss(*_sff_margins(g_pos, g_neg, params, n_h))
 
 
-def sff_loss(h_pos, h_neg, params: SFFParams, n_h: int) -> float:
-    """Per-example SFF loss.
-
-    -1/2 [log sigma(g(h+) - eta theta+ N_h) + log(1 - sigma(g(h-) - eta theta- N_h))],
-    evaluated through softplus for numerical stability.
-    """
-    h_pos = np.asarray(h_pos, dtype=float)
-    h_neg = np.asarray(h_neg, dtype=float)
-    if h_pos.shape != (n_h,) or h_neg.shape != (n_h,):
-        raise ValueError("activation length mismatch")
-    return sff_goodness_loss(goodness(h_pos, params.eta),
-                             goodness(h_neg, params.eta), params, n_h)
-
-
 def sff_batch_loss(h_pos, h_neg, params: SFFParams) -> float:
-    """Mean SFF loss over a batch of activations, shapes (N, n_h)."""
+    """Mean SFF loss over a batch of activations, shapes (N, n_h).
+
+    Per example -1/2 [log sigma(g(h+) - eta theta+ N_h) + log(1 - sigma(g(h-)
+    - eta theta- N_h))], evaluated through softplus for numerical stability.
+    """
     h_pos = np.atleast_2d(np.asarray(h_pos, dtype=float))
     h_neg = np.atleast_2d(np.asarray(h_neg, dtype=float))
     return sff_goodness_loss(params.eta * np.sum(h_pos ** 2, axis=1),
@@ -185,8 +162,7 @@ def sff_gradient(x_pos, h_pos, x_neg, h_neg, params: SFFParams) -> GradientBatch
     d_pos = n_b * (1.0 + np.exp(np.clip(a_pos, -_EXP_CLIP, _EXP_CLIP))) / params.eta
     d_neg = n_b * (1.0 + np.exp(np.clip(-a_neg, -_EXP_CLIP, _EXP_CLIP))) / params.eta
     grad = -((h_pos / d_pos[:, None]).T @ x_pos - (h_neg / d_neg[:, None]).T @ x_neg)
-    return GradientBatch(grad=grad, batch_size=n_b, d_pos=d_pos, d_neg=d_neg,
-                         goodness_pos=g_pos, goodness_neg=g_neg,
+    return GradientBatch(grad=grad, goodness_pos=g_pos, goodness_neg=g_neg,
                          buffered_scalars=n_b * (2 + 2 * n_x + 2 * n_h))
 
 
@@ -196,18 +172,6 @@ def cluster_labels(spec: LayerSpec) -> np.ndarray:
         raise ValueError("layer has no cluster structure")
     n_classes, size = spec.clusters
     return np.repeat(np.arange(n_classes), size)
-
-
-def cluster_mask(spec: LayerSpec, y: int) -> np.ndarray:
-    """Binary mask over outputs selecting the cluster of class y."""
-    if spec.clusters is None:
-        raise ValueError("layer has no cluster structure")
-    n_classes, size = spec.clusters
-    if not 0 <= y < n_classes:
-        raise ValueError(f"label {y} outside [0, {n_classes})")
-    z = np.zeros(spec.n_out)
-    z[y * size:(y + 1) * size] = 1.0
-    return z
 
 
 def _cf_margins(g_target, g_rest, params: CFParams):
@@ -221,16 +185,6 @@ def cf_goodness_loss(g_target, g_rest, params: CFParams) -> float:
     return _margin_loss(*_cf_margins(g_target, g_rest, params))
 
 
-def cf_loss(h, z, params: CFParams) -> float:
-    """Per-example competitive-forward loss for a masked cluster layer."""
-    h = np.asarray(h, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if h.shape != z.shape:
-        raise ValueError("mask length mismatch")
-    return cf_goodness_loss(goodness(h * z, params.eta),
-                            goodness(h * (1.0 - z), params.eta), params)
-
-
 def cf_batch_loss(h, z, params: CFParams) -> float:
     """Mean CF loss over a batch; h and z shaped (N, n_h)."""
     h = np.atleast_2d(np.asarray(h, dtype=float))
@@ -242,10 +196,11 @@ def cf_batch_loss(h, z, params: CFParams) -> float:
 def cf_gradient(x, h, y, params: CFParams, spec: LayerSpec) -> GradientBatch:
     """Exact gradient of the batch-mean CF loss for a ReLU cluster layer.
 
-    grad_ij = -sum_n h_{n,i} x_{n,j} [ delta(C(i)=Y_n)/D+_n - delta(C(i)!=Y_n)/D-_n ];
-    each output row uses exactly one branch per sample.  Works for both the
-    temperature and the offset variant (they differ in the margin definition
-    and in whether theta multiplies the branch weight).
+    grad_ij = -sum_n h_{n,i} x_{n,j} [ delta(C(i)=Y_n)/D+_n - delta(C(i)!=Y_n)/D-_n ]
+    with D+_n = N_B (1 + exp(a+_n)) / k+ and D-_n = N_B (1 + exp(-a-_n)) / k-.
+    Temperature variant: a+- = theta+- g+-, k+- = eta theta+-; offset variant:
+    a+- = g+- - eta theta+-, k+- = eta; g+ is the target cluster's goodness
+    and g- the rest's.  Each output row uses exactly one branch per sample.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     h = np.atleast_2d(np.asarray(h, dtype=float))
@@ -265,8 +220,7 @@ def cf_gradient(x, h, y, params: CFParams, spec: LayerSpec) -> GradientBatch:
     d_neg = n_b * (1.0 + np.exp(np.clip(-a_neg, -_EXP_CLIP, _EXP_CLIP))) / gain_neg
     coef = z / d_pos[:, None] - (1.0 - z) / d_neg[:, None]
     grad = -(h * coef).T @ x
-    return GradientBatch(grad=grad, batch_size=n_b, d_pos=d_pos, d_neg=d_neg,
-                         goodness_pos=g_target, goodness_neg=g_rest,
+    return GradientBatch(grad=grad, goodness_pos=g_target, goodness_neg=g_rest,
                          buffered_scalars=n_b * (3 + n_x + n_h))
 
 
@@ -316,7 +270,7 @@ def bp_gradients(weights: list[np.ndarray], x, y,
     grads: list[GradientBatch] = [None] * len(weights)  # type: ignore[list-item]
     for k in range(len(weights) - 1, -1, -1):
         g = delta.T @ acts[k] if trainable[k] else np.zeros(weights[k].shape)
-        grads[k] = GradientBatch(grad=g, batch_size=n_b)
+        grads[k] = GradientBatch(grad=g)
         if k > 0 and any(trainable[:k]):
             delta = (delta @ weights[k]) * (acts[k] > 0)
     return grads

@@ -38,12 +38,10 @@ __all__ = [
     "EpochRecord",
     "TrainingRun",
     "default_schedule",
-    "make_network",
     "make_run",
     "train",
     "evaluate",
     "predict",
-    "sff_predict",
     "simulate_aging",
     "age_conductances",
     "evaluate_weights",
@@ -56,6 +54,11 @@ ALGORITHMS = ("bp", "sff", "cf", "float_bp", "float_sff", "float_cf")
 # scripts/tune_defaults.py.
 DEFAULT_TAU = {"bp": 0.045, "sff": 1e-3, "cf": 1e-3}
 DEFAULT_EPOCHS = {"perceptron": [20], "bp": [10, 20], "forward": [15, 15]}
+
+# Float layers start from N(0, FLOAT_INIT_SIGMA^2), matching the weight
+# spread of a freshly initialized differential-pair array so both modes
+# start from comparable operating points.
+FLOAT_INIT_SIGMA = 0.14
 
 
 @dataclass
@@ -229,36 +232,6 @@ def _layer_specs(algorithm: str, n_features: int, n_classes: int,
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-def make_network(algorithm: str, n_features: int, n_classes: int,
-                 rng: np.random.Generator, hidden_units: int = 48,
-                 cluster_size: int = 12, single_layer: bool = False,
-                 bank=None, tech: DeviceTechParams = LARGE_ARRAY,
-                 gain_kappa: float = 5e4, pre_pulse_max: int = 50,
-                 ledger: EnergyLedger | None = None,
-                 float_init_sigma: float = 0.14):
-    """Build the layer stack for an algorithm, device- or float-backed.
-
-    Float layers start from N(0, float_init_sigma^2), matching the weight
-    spread of a freshly initialized differential-pair array so both modes
-    start from comparable operating points.
-    """
-    specs, params = _layer_specs(algorithm, n_features, n_classes,
-                                 hidden_units, cluster_size, single_layer)
-    layers = []
-    for spec in specs:
-        if algorithm.startswith("float_"):
-            w = rng.normal(0.0, float_init_sigma, (spec.n_out, spec.n_in))
-            layers.append(NetworkLayer(spec=spec, weights=w))
-        else:
-            if bank is None:
-                raise ValueError("device mode needs a trajectory bank")
-            array = CrossbarArray.build(spec.n_in, spec.n_out, bank, rng, tech,
-                                        gain_kappa=gain_kappa,
-                                        pre_pulse_max=pre_pulse_max, ledger=ledger)
-            layers.append(NetworkLayer(spec=spec, array=array))
-    return layers, params
-
-
 def make_run(algorithm: str, n_features: int, n_classes: int, seed: int,
              bank=None, tech: DeviceTechParams = LARGE_ARRAY,
              hidden_units: int = 48, cluster_size: int = 12,
@@ -271,12 +244,20 @@ def make_run(algorithm: str, n_features: int, n_classes: int, seed: int,
     """Assemble a reproducible TrainingRun (network + schedule + ledger)."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA11]))
     ledger = EnergyLedger()
-    layers, params = make_network(algorithm, n_features, n_classes, rng,
-                                  hidden_units=hidden_units,
-                                  cluster_size=cluster_size,
-                                  single_layer=single_layer, bank=bank,
-                                  tech=tech, gain_kappa=gain_kappa,
-                                  pre_pulse_max=pre_pulse_max, ledger=ledger)
+    specs, params = _layer_specs(algorithm, n_features, n_classes,
+                                 hidden_units, cluster_size, single_layer)
+    layers = []
+    for spec in specs:
+        if algorithm.startswith("float_"):
+            w = rng.normal(0.0, FLOAT_INIT_SIGMA, (spec.n_out, spec.n_in))
+            layers.append(NetworkLayer(spec=spec, weights=w))
+        else:
+            if bank is None:
+                raise ValueError("device mode needs a trajectory bank")
+            array = CrossbarArray.build(spec.n_in, spec.n_out, bank, rng, tech,
+                                        gain_kappa=gain_kappa,
+                                        pre_pulse_max=pre_pulse_max, ledger=ledger)
+            layers.append(NetworkLayer(spec=spec, array=array))
     if rule_params is not None:
         if len(rule_params) != len(layers):
             raise ValueError("need one rule-params entry per layer")
@@ -457,12 +438,6 @@ def predict(run: TrainingRun, x: np.ndarray) -> np.ndarray:
                            [layer.read_weights() for layer in run.layers],
                            np.atleast_2d(np.asarray(x, dtype=float)),
                            run.schedule.rule, run.token_amplitude, run.sff_inference)
-
-
-def sff_predict(run: TrainingRun, x) -> int | np.ndarray:
-    """``predict`` for one vector (an int) or a batch (an array)."""
-    labels = predict(run, x)
-    return int(labels[0]) if np.ndim(x) == 1 else labels
 
 
 def evaluate(run: TrainingRun, dataset: FeatureDataset) -> float:

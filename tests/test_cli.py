@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -368,6 +369,45 @@ class TestRunPipeline:
     def test_unsorted_days_are_a_config_error(self, device_run_dir, capsys):
         rc = cli.main(["age", "--run", str(device_run_dir), "--days", "8,0"])
         assert rc == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_repeats_below_one_are_a_config_error(self, device_run_dir, capsys,
+                                                  repeats):
+        rc = cli.main(["age", "--run", str(device_run_dir), "--days", "0,8",
+                       "--repeats", repeats])
+        assert rc == cli.EXIT_CONFIG
+        assert "--repeats must be >= 1" in capsys.readouterr().err
+        assert not (device_run_dir / "aging.csv").exists()
+
+    @pytest.mark.parametrize("case, message", [
+        ("missing", r"no line for cell \(row 0, col 1\)"),
+        ("duplicate", r":3: duplicate cell \(row 0, col 0\), first on line 2"),
+        ("negative", r":4: negative or NaN conductance"),
+        ("shape", r"11 rows x 12 cols, layer 0 needs 12 x 12"),
+    ])
+    def test_malformed_snapshot_is_data_error(self, device_run_dir, capsys,
+                                              case, message):
+        # layer 0 of the tiny CF run is 12 inputs (rows) x 12 outputs (cols)
+        path = device_run_dir / "snapshot_layer0.csv"
+        lines = path.read_text().splitlines()
+        header, body = lines[0], lines[1:]
+        if case == "missing":
+            body = body[:12] + body[13:]
+        elif case == "duplicate":
+            body[1] = body[0]
+        elif case == "negative":
+            cells = body[2].split(",")
+            cells[3] = "-0.5"
+            body[2] = ",".join(cells)
+        else:
+            body = [line for line in body if not line.startswith("11,")]
+        path.write_text("\n".join([header] + body) + "\n")
+        rc = cli.main(["age", "--run", str(device_run_dir), "--days", "0"])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "snapshot_layer0.csv" in err
+        assert re.search(message, err)
+        assert not (device_run_dir / "aging.csv").exists()
 
     def test_energy_report(self, device_run_dir, capsys):
         rc = cli.main(["energy", "--run", str(device_run_dir)])

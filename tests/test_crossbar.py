@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from memgrad.device import (DeviceState, EnduranceExceeded, LARGE_ARRAY,
                             apply_reset_pulse, generate_trajectory_bank,
                             reinitialize)
 from memgrad.energy import EnergyLedger
+from memgrad.errors import ParseError
 
 PLUS, MINUS = 0, 1    # plan sides: the device of the pair that is pulsed
 
@@ -396,6 +398,36 @@ class TestBuildStream:
         assert np.any(arr.cursors[short] == 1)
 
 
+def pickle_round_trip(arr):
+    return pickle.loads(pickle.dumps(arr))
+
+
+class TestCopies:
+    @pytest.mark.parametrize("clone", [copy.deepcopy, pickle_round_trip],
+                             ids=["deepcopy", "pickle"])
+    def test_copy_reads_its_own_pulses(self, clone):
+        arr = make_array(n_in=4, n_out=3, seed=5, ledger=EnergyLedger())
+        g_plus0, g_minus0 = arr.conductances()
+        twin = clone(arr)
+        mask = np.ones((3, 4), dtype=bool)
+        assert twin.apply_update_plan((mask, np.zeros((3, 4), np.int8))).applied == 12
+        assert np.array_equal(twin.cursors[..., 0], arr.cursors[..., 0] + 1)
+        g_plus, g_minus = twin.conductances()
+        expected = twin.bank.conductances[twin.traj_ids[..., 0], twin.cursors[..., 0]]
+        assert np.array_equal(g_plus, expected)
+        assert not np.array_equal(g_plus, g_plus0)
+        assert np.array_equal(g_minus, g_minus0)
+        weights = twin.scale_s * (g_plus - g_minus)
+        assert np.array_equal(twin.map_weights(), weights)
+        x = np.random.default_rng(1).normal(0, 1, (2, 4))
+        assert np.array_equal(twin.read(x), x @ weights.T)
+        g_sum = (g_plus + g_minus).sum(axis=0) @ (x ** 2).sum(axis=0)
+        read_sums = twin.ledger.read_sums[(twin.tech.v_read, twin.tech.t_read)]
+        assert read_sums.total == pytest.approx(g_sum, rel=1e-15)
+        # the original keeps its own state
+        assert np.array_equal(arr.conductances()[0], g_plus0)
+
+
 class TestSnapshot:
     def test_round_trip(self, tmp_path):
         arr = make_array(n_in=5, n_out=4, seed=12)
@@ -411,4 +443,28 @@ class TestSnapshot:
         path = tmp_path / "snap.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError, match="header"):
+            load_snapshot_csv(path)
+
+    @pytest.fixture()
+    def snapshot_lines(self, tmp_path):
+        path = tmp_path / "snap.csv"
+        save_snapshot_csv(make_array(n_in=3, n_out=2, seed=4), path)
+        return path, path.read_text().splitlines()
+
+    @pytest.mark.parametrize("field", [2, 3])
+    @pytest.mark.parametrize("value", ["-1.5", "nan"])
+    def test_negative_conductance(self, snapshot_lines, field, value):
+        path, lines = snapshot_lines
+        cells = lines[5].split(",")
+        cells[field] = value
+        lines[5] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="snap.csv:6: negative or NaN conductance"):
+            load_snapshot_csv(path)
+
+    def test_negative_index(self, snapshot_lines):
+        path, lines = snapshot_lines
+        lines[2] = "-1" + lines[2][1:]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="snap.csv:3: negative row or col"):
             load_snapshot_csv(path)

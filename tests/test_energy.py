@@ -8,8 +8,8 @@ import pytest
 
 from memgrad import cli
 from memgrad.device import LARGE_ARRAY, MAC_ARRAY
-from memgrad.energy import (DEFAULT_TOPS_PER_WATT, EnergyLedger, HIST_BIN_WIDTH_S,
-                            HIST_BINS, PV_UPDATE_ENERGY_J, RunningSum,
+from memgrad.energy import (DEFAULT_TOPS_PER_WATT, EnergyLedger,
+                            PV_UPDATE_ENERGY_J, RunningSum,
                             mac_energy_projection, programming_energy,
                             pv_baseline_energy, read_energy)
 
@@ -18,7 +18,7 @@ class TestProgrammingEnergy:
     def test_empty_ledger(self):
         ledger = EnergyLedger()
         ledger.record_pulses([], LARGE_ARRAY.name)
-        assert ledger.pulse_sums == {} and ledger.pulse_hists == {}
+        assert ledger.pulse_sums == {}
         assert programming_energy(ledger, LARGE_ARRAY) == 0.0
 
     def test_single_event(self):
@@ -39,12 +39,11 @@ class TestProgrammingEnergy:
 
     def test_additive_over_concatenation(self):
         rng = np.random.default_rng(1)
-        a, b = EnergyLedger(), EnergyLedger()
-        a.record_pulses(rng.uniform(1e-6, 100e-6, 100), "large_array")
-        b.record_pulses(rng.uniform(1e-6, 100e-6, 70), "mac_array")
-        merged = EnergyLedger()
-        merged.extend(a)
-        merged.extend(b)
+        a, b, merged = EnergyLedger(), EnergyLedger(), EnergyLedger()
+        for ledger, n, tech in ((a, 100, "large_array"), (b, 70, "mac_array")):
+            g = rng.uniform(1e-6, 100e-6, n)
+            ledger.record_pulses(g, tech)
+            merged.record_pulses(g, tech)
         assert programming_energy(merged, LARGE_ARRAY) == pytest.approx(
             programming_energy(a, LARGE_ARRAY) + programming_energy(b, LARGE_ARRAY))
 
@@ -134,7 +133,6 @@ class TestLedgerPersistence:
         assert back.pulse_count == ledger.pulse_count == 200_000
         assert back.read_count == ledger.read_count == 201
         for tech in ("large_array", "mac_array"):
-            assert np.array_equal(back.pulse_hists[tech], ledger.pulse_hists[tech])
             assert back.pulse_sums[tech].total == ledger.pulse_sums[tech].total
         assert programming_energy(back, MAC_ARRAY) == programming_energy(ledger, MAC_ARRAY)
         assert read_energy(back) == read_energy(ledger)
@@ -162,38 +160,6 @@ class TestAggregates:
         assert single.count == len(stream)
         assert single.total == pytest.approx(math.fsum(stream), rel=1e-15)
         assert sum(stream) != pytest.approx(math.fsum(stream), rel=1e-12)
-
-    def test_histogram_counts_sum_to_pulse_count(self):
-        rng = np.random.default_rng(5)
-        ledger = EnergyLedger()
-        # out-of-range conductances land in the end bins
-        ledger.record_pulses([0.0, 250e-6, 1.0], "large_array")
-        ledger.record_pulses(rng.uniform(20e-6, 120e-6, 777), "large_array")
-        ledger.record_pulses(rng.uniform(1e-6, 100e-6, 55), "mac_array")
-        hists = ledger.pulse_hists
-        assert sorted(hists) == ["large_array", "mac_array"]
-        assert all(h.shape == (HIST_BINS,) for h in hists.values())
-        assert sum(int(h.sum()) for h in hists.values()) == ledger.pulse_count == 835
-        assert hists["large_array"][0] >= 1 and hists["large_array"][-1] == 2
-        # nothing between 2 and 20 uS; 0 S sits in bin 0
-        assert hists["large_array"][1:int(20e-6 / HIST_BIN_WIDTH_S)].sum() == 0
-
-    def test_extend_merges_totals(self):
-        rng = np.random.default_rng(6)
-        a, b, both = EnergyLedger(), EnergyLedger(), EnergyLedger()
-        for ledger, n in ((a, 40), (b, 60)):
-            g = rng.uniform(1e-6, 100e-6, n)
-            ledger.record_pulses(g, "large_array")
-            both.record_pulses(g, "large_array")
-            ledger.record_read(float(n) * 1e-6, 0.2, 15e-6)
-            both.record_read(float(n) * 1e-6, 0.2, 15e-6)
-        a.extend(b)
-        assert a.pulse_count == both.pulse_count == 100
-        assert a.read_count == 2
-        assert np.array_equal(a.pulse_hists["large_array"], both.pulse_hists["large_array"])
-        assert programming_energy(a, LARGE_ARRAY) == pytest.approx(
-            programming_energy(both, LARGE_ARRAY), rel=1e-15)
-        assert read_energy(a) == pytest.approx(read_energy(both), rel=1e-15)
 
     def test_reinits_recorded_in_one_call(self):
         ledger = EnergyLedger()
@@ -242,21 +208,38 @@ class TestLegacyLedger:
         rng = np.random.default_rng(9)
         values = {"large_array": [float(f"{g:.6g}") for g in rng.uniform(20, 90, 500)]}
         reads = [[float(f"{g:.6g}"), 0.2, 15e-6] for g in rng.uniform(100, 900, 25)]
-        legacy_dir, new_dir = tmp_path / "legacy", tmp_path / "aggregate"
-        legacy_dir.mkdir()
-        new_dir.mkdir()
-        (legacy_dir / "ledger.json").write_text(json.dumps(legacy_payload(values, reads)))
+        run_dirs = [tmp_path / name for name in ("legacy", "histogram", "aggregate")]
+        for run_dir in run_dirs:
+            run_dir.mkdir()
+        (run_dirs[0] / "ledger.json").write_text(json.dumps(legacy_payload(values, reads)))
         ledger = EnergyLedger()
         ledger.record_pulses(np.asarray(values["large_array"]) * 1e-6, "large_array")
         for g, v, t in reads:
             ledger.record_read(g * 1e-6, v, t)
         ledger.record_macs(4321)
         ledger.record_reinit(1.5e-12, count=2)
-        ledger.save(new_dir / "ledger.json")
+        ledger.save(run_dirs[2] / "ledger.json")
+        # the aggregate layout that also carried a G_pre histogram: 2 uS
+        # bins from 0 to 200 uS; the values lie in bins 10 to 44
+        totals = ledger.to_json()
+        pulses = totals["pulse_totals"]["large_array"]
+        hist = np.bincount(np.asarray(values["large_array"], dtype=int) // 2,
+                           minlength=100)
+        assert hist.sum() == 500 and len(hist) == 100
+        with_histogram = {
+            "g_pre_hist_bin_uS": 2.0,
+            "pulse_totals": {"large_array": {
+                "g_pre_sum_S": pulses["g_pre_sum_S"], "count": 500,
+                "g_pre_hist": hist.tolist()}},
+            "read_totals": totals["read_totals"],
+            "mac_count": 4321, "reinit_count": 2,
+            "reinit_energy_j": totals["reinit_energy_j"],
+        }
+        (run_dirs[1] / "ledger.json").write_text(json.dumps(with_histogram))
         outputs = []
-        for run_dir in (legacy_dir, new_dir):
+        for run_dir in run_dirs:
             assert cli.main(["energy", "--run", str(run_dir)]) == 0
             outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-        assert ((legacy_dir / "energy.json").read_text()
-                == (new_dir / "energy.json").read_text())
+        assert outputs[0] == outputs[1] == outputs[2]
+        energy = [(run_dir / "energy.json").read_text() for run_dir in run_dirs]
+        assert energy[0] == energy[1] == energy[2]

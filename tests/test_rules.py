@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from memgrad.rules import (CFParams, LayerSpec, SFFParams, bp_gradients,
-                           cf_batch_loss, cf_goodness_loss, cf_gradient, cf_loss,
-                           cluster_labels, cluster_mask, cross_entropy_loss,
-                           goodness, sff_batch_loss, sff_goodness_loss,
-                           sff_gradient, sff_loss, sign_descent_step_float,
-                           softmax, threshold_sign_plan)
+                           cf_batch_loss, cf_goodness_loss, cf_gradient,
+                           cluster_labels, cross_entropy_loss, sff_batch_loss,
+                           sff_goodness_loss, sff_gradient,
+                           sign_descent_step_float, softmax,
+                           threshold_sign_plan)
 from memgrad.trainer import _pos_neg_batch
 
 
@@ -75,18 +75,32 @@ def rel_err(a, b):
 
 # ---------------------------------------------------------------- goodness
 
+def sff_goodness(h_pos, h_neg, eta):
+    """Per-sample goodness of both passes, as sff_gradient reports it."""
+    x = np.ones((len(h_pos), 1))
+    g = sff_gradient(x, h_pos, x, h_neg, SFFParams(eta=eta))
+    return g.goodness_pos, g.goodness_neg
+
+
 class TestGoodness:
+    # goodness g = eta * sum(h^2), per sample and pass
     def test_zero(self):
-        assert goodness(np.zeros(5), 1.0) == 0.0
+        g_pos, g_neg = sff_goodness(np.zeros((1, 5)), np.zeros((1, 5)), 1.0)
+        assert g_pos[0] == 0.0 and g_neg[0] == 0.0
 
     def test_hand_value(self):
-        assert goodness(np.array([3.0, 4.0]), 1.0) == pytest.approx(25.0)
+        g_pos, g_neg = sff_goodness(np.array([[3.0, 4.0]]), np.array([[1.0, 2.0]]), 1.0)
+        assert g_pos[0] == pytest.approx(25.0)
+        assert g_neg[0] == pytest.approx(5.0)
 
     def test_eta_negates(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            h = rng.normal(0, 1, 7)
-            assert goodness(h, -1.0) == pytest.approx(-goodness(h, 1.0))
+            h_pos, h_neg = rng.normal(0, 1, (2, 1, 7))
+            for eta in (1.0, -1.0):
+                g_pos, g_neg = sff_goodness(h_pos, h_neg, eta)
+                assert g_pos[0] == pytest.approx(eta * np.sum(h_pos ** 2))
+                assert g_neg[0] == pytest.approx(eta * np.sum(h_neg ** 2))
 
 
 # ---------------------------------------------------------------- pos/neg
@@ -125,13 +139,13 @@ class TestSffLoss:
         # goodness exactly at the thresholds on both sides
         params = SFFParams(theta_plus=25.0 / 2, theta_minus=25.0 / 2, eta=1.0)
         h = np.array([3.0, 4.0])
-        loss = sff_loss(h, h, params, n_h=2)
+        loss = sff_batch_loss(h[None], h[None], params)
         assert loss == pytest.approx(np.log(2.0), rel=1e-12)
 
     def test_saturation_limit(self):
         # positive margin -> +inf, negative margin -> -inf: loss -> 0
         params = SFFParams(theta_plus=0.0, theta_minus=1000.0, eta=1.0)
-        loss = sff_loss(np.full(4, 100.0), np.zeros(4), params, n_h=4)
+        loss = sff_batch_loss(np.full((1, 4), 100.0), np.zeros((1, 4)), params)
         assert loss < 1e-6
 
     def test_matches_transcription_oracle(self):
@@ -143,7 +157,7 @@ class TestSffLoss:
                                eta=1.0 if rng.random() < 0.5 else -1.0)
             h_pos = np.abs(rng.normal(0, 1, n_h))
             h_neg = np.abs(rng.normal(0, 1, n_h))
-            assert sff_loss(h_pos, h_neg, params, n_h) == pytest.approx(
+            assert sff_batch_loss(h_pos[None], h_neg[None], params) == pytest.approx(
                 sff_loss_oracle(h_pos, h_neg, params, n_h), rel=1e-12, abs=1e-12)
 
     def test_batch_loss_is_mean(self):
@@ -151,7 +165,7 @@ class TestSffLoss:
         params = SFFParams()
         h_pos = np.abs(rng.normal(0, 1, (8, 5)))
         h_neg = np.abs(rng.normal(0, 1, (8, 5)))
-        per_sample = [sff_loss(h_pos[k], h_neg[k], params, 5) for k in range(8)]
+        per_sample = [sff_loss_oracle(h_pos[k], h_neg[k], params, 5) for k in range(8)]
         assert sff_batch_loss(h_pos, h_neg, params) == pytest.approx(
             np.mean(per_sample), rel=1e-12)
 
@@ -224,25 +238,26 @@ class TestSffGradient:
 # ---------------------------------------------------------------- clusters
 
 class TestClusterMask:
+    # the mask of class y is cluster_labels(spec) == y, as cf_gradient builds it
     def test_first_cluster(self):
         spec = LayerSpec(8, 48, clusters=(4, 12))
-        z = cluster_mask(spec, 0)
+        z = cluster_labels(spec) == 0
         assert np.array_equal(np.nonzero(z)[0], np.arange(12))
         assert z.sum() == 12
 
     def test_last_cluster(self):
         spec = LayerSpec(8, 48, clusters=(4, 12))
-        z = cluster_mask(spec, 3)
+        z = cluster_labels(spec) == 3
         assert np.array_equal(np.nonzero(z)[0], np.arange(36, 48))
 
     def test_partition(self):
         spec = LayerSpec(8, 48, clusters=(4, 12))
-        total = sum(cluster_mask(spec, y) for y in range(4))
+        total = sum((cluster_labels(spec) == y).astype(int) for y in range(4))
         assert np.array_equal(total, np.ones(48))
 
     def test_requires_clusters(self):
         with pytest.raises(ValueError):
-            cluster_mask(LayerSpec(8, 48), 0)
+            cluster_labels(LayerSpec(8, 48))
 
     def test_bad_tiling(self):
         with pytest.raises(ValueError):
@@ -254,7 +269,8 @@ class TestCfLoss:
         params = CFParams(variant="temperature", theta_plus=0.3, theta_minus=0.3)
         z = np.zeros(8)
         z[:4] = 1
-        assert cf_loss(np.zeros(8), z, params) == pytest.approx(np.log(2.0))
+        assert cf_batch_loss(np.zeros((1, 8)), z[None], params) == pytest.approx(
+            np.log(2.0))
 
     def test_target_cluster_saturation(self):
         # all activity on the target cluster with a huge positive argument:
@@ -264,7 +280,8 @@ class TestCfLoss:
         h[:4] = 5.0
         z = np.zeros(8)
         z[:4] = 1
-        assert cf_loss(h, z, params) == pytest.approx(0.5 * np.log(2.0), rel=1e-6)
+        assert cf_batch_loss(h[None], z[None], params) == pytest.approx(
+            0.5 * np.log(2.0), rel=1e-6)
 
     @pytest.mark.parametrize("variant", ["temperature", "offset"])
     def test_matches_transcription_oracle(self, variant):
@@ -278,7 +295,7 @@ class TestCfLoss:
             h = np.abs(rng.normal(0, 1, n_h))
             z = np.zeros(n_h)
             z[rng.integers(0, 3) * 4:][:4] = 1
-            assert cf_loss(h, z, params) == pytest.approx(
+            assert cf_batch_loss(h[None], z[None], params) == pytest.approx(
                 cf_loss_oracle(h, z, params), rel=1e-12, abs=1e-12)
 
 
@@ -319,8 +336,12 @@ class TestCfGradient:
         h = np.abs(rng.normal(0, 1, (1, 8)))
         g = cf_gradient(x, h, np.array([0]), params, spec)
         # target rows scale with 1/D+, others with 1/D-; reconstruct directly
-        coef_pos = 1.0 / g.d_pos[0]
-        coef_neg = 1.0 / g.d_neg[0]
+        # (temperature variant, one sample: D = (1 + exp(+-a)) / (eta theta))
+        target = np.arange(8) < 4
+        a_pos = params.theta_plus * params.eta * np.sum(h[0, target] ** 2)
+        a_neg = params.theta_minus * params.eta * np.sum(h[0, ~target] ** 2)
+        coef_pos = params.eta * params.theta_plus / (1.0 + np.exp(a_pos))
+        coef_neg = params.eta * params.theta_minus / (1.0 + np.exp(-a_neg))
         expected = np.empty((8, 3))
         for i in range(8):
             c = coef_pos if i < 4 else -coef_neg

@@ -1,7 +1,12 @@
-"""Maintenance scripts stay importable against the package's public API."""
+"""Maintenance scripts and the package's public API stay importable."""
 
+import ast
+import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
+
+import memgrad
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -14,3 +19,26 @@ def test_tune_defaults_imports():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+
+
+def test_every_exported_name_resolves():
+    # a name deleted from a module but left in its __all__ fails here
+    for info in pkgutil.iter_modules(memgrad.__path__):
+        module = importlib.import_module(f"memgrad.{info.name}")
+        missing = [name for name in getattr(module, "__all__", [])
+                   if not hasattr(module, name)]
+        assert not missing, f"memgrad.{info.name}.__all__ names {missing}"
+
+
+def test_package_reexports_only_public_names():
+    # every name memgrad/__init__.py imports from a submodule is in that
+    # submodule's __all__
+    tree = ast.parse(Path(memgrad.__file__).read_text())
+    imports = [node for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"memgrad.{node.module}")
+        private = [alias.name for alias in node.names
+                   if alias.name not in module.__all__]
+        assert not private, f"memgrad re-exports {private} from {node.module}"
