@@ -24,7 +24,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, TECH_PROFILES, build_dataset,
+from .config import (ConfigError, TECH_PROFILES, build_bank, build_dataset,
                      build_drift_params, build_splits, build_training_run,
                      config_hash, load_config)
 from .data import (FeatureDataset, ParseError, SplitSpec, split_indices)
@@ -60,6 +60,33 @@ def _write_json(path, payload: dict, schema: str | None = None):
         jsonschema.validate(payload, json.loads(resource.read_text()))
     with open(path, "w") as f:
         json.dump(payload, f, indent=2)
+
+
+def _read_json(path, keys=()) -> dict:
+    """Read a JSON object that must hold ``keys``; anything else is a data error."""
+    with open(path) as f:
+        try:
+            payload = json.load(f)
+        except ValueError as exc:
+            raise ParseError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    missing = [k for k in keys if k not in payload]
+    if missing:
+        raise ParseError(f"{path}: missing {missing[0]!r}")
+    return payload
+
+
+def _parse_list(text: str, kind, flag: str) -> list:
+    """Parse a comma-separated CLI list; a bad token is a config error."""
+    values = []
+    for token in text.split(","):
+        try:
+            values.append(kind(token))
+        except ValueError:
+            raise ConfigError(f"{flag}: {token!r} is not a valid "
+                              f"{kind.__name__}") from None
+    return values
 
 
 def _spec_to_json(spec: LayerSpec) -> dict:
@@ -98,9 +125,9 @@ def _write_pulses(run, path):
                     w.writerow([k, j, i, int(counts[i, j])])
 
 
-def _train_one(cfg, seed, dataset, splits, outdir: Path):
+def _train_one(cfg, seed, dataset, splits, outdir: Path, bank=None):
     train_ds, val_ds, test_ds = splits
-    run = build_training_run(cfg, seed, dataset)
+    run = build_training_run(cfg, seed, dataset, bank)
     train(run, train_ds, val_ds)
     test_acc = evaluate(run, test_ds)
 
@@ -166,8 +193,8 @@ def cmd_train(args) -> int:
     if args.tau is not None:
         overrides.setdefault("schedule", {})["tau"] = args.tau
     if args.epochs:
-        overrides.setdefault("schedule", {})["epochs"] = [
-            int(v) for v in args.epochs.split(",")]
+        overrides.setdefault("schedule", {})["epochs"] = _parse_list(
+            args.epochs, int, "--epochs")
     if args.tech:
         overrides.setdefault("device", {})["tech"] = args.tech
     cfg = load_config(args.config, overrides)
@@ -189,8 +216,14 @@ def cmd_train(args) -> int:
             by_seed = dict(pool.map(_train_worker, jobs))
     else:
         splits = build_splits(cfg, dataset)
+        # a bank loaded from a file or drawn from a pinned seed is the same
+        # for every repeat, so it is built once
+        bank = None
+        if not cfg["algorithm"].startswith("float_") and (
+                cfg["bank"].get("path") or cfg["bank"]["seed"] is not None):
+            bank = build_bank(cfg, seeds[0])
         by_seed = {seed: _train_one(cfg, seed, dataset, splits,
-                                    out / f"run_{seed}")
+                                    out / f"run_{seed}", bank)
                    for _, seed, _ in jobs}
     accs = [by_seed[seed] for seed in seeds]
     for seed, acc in zip(seeds, accs):
@@ -266,7 +299,7 @@ def cmd_characterize(args) -> int:
 # ---------------------------------------------------------------- age
 
 def cmd_age(args) -> int:
-    days = [float(v) for v in args.days.split(",")]
+    days = _parse_list(args.days, float, "--days")
     if days != sorted(days):
         raise ConfigError("day checkpoints must be ascending")
     if args.repeats < 1:
@@ -275,8 +308,7 @@ def cmd_age(args) -> int:
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         raise ParseError(f"missing manifest: {manifest_path}")
-    with open(manifest_path) as f:
-        manifest = json.load(f)
+    manifest = _read_json(manifest_path, ("config", "layers", "scale_s"))
     cfg = manifest["config"]
     dataset = build_dataset(cfg)
     _, _, test_ds = build_splits(cfg, dataset)
@@ -423,6 +455,13 @@ def cmd_gradcheck(args) -> int:
 
 # ---------------------------------------------------------------- report
 
+# the fields each artifact must hold for memgrad report
+_REPORT_KEYS = {"manifest.json": ("config", "seed", "config_hash"),
+                "metrics.json": ("final_test_accuracy", "pulse_stats"),
+                "energy.json": ("programming_j", "pulse_count"),
+                "summary.json": ("test_accuracy",)}
+
+
 def cmd_report(args) -> int:
     run_dir = Path(args.run)
     print(f"run directory: {run_dir}")
@@ -430,8 +469,7 @@ def cmd_report(args) -> int:
         path = run_dir / name
         if not path.exists():
             continue
-        with open(path) as f:
-            payload = json.load(f)
+        payload = _read_json(path, _REPORT_KEYS[name])
         if name == "manifest.json":
             print(f"  algorithm: {payload['config']['algorithm']}, "
                   f"seed {payload['seed']}, "

@@ -42,6 +42,10 @@ __all__ = [
 ]
 
 
+# a pulse reads its device's sample at the cursor (G_pre) and the next one
+_PRE_POST = np.array([[0], [1]])
+
+
 class OnExhaustion(enum.Enum):
     """Policy when a planned pulse hits an exhausted trajectory.
 
@@ -93,7 +97,7 @@ class CrossbarArray:
         # device's lifetime pulse count for the endurance budget
         self.pulse_counts = np.zeros_like(traj_ids)
         # G+ and G- are sliced from _g on use, so a copy or pickle stays whole
-        self._g = bank.conductances[traj_ids, cursors]
+        self._g = bank.gather(traj_ids, cursors)
 
     @property
     def scale_s(self) -> float:
@@ -172,8 +176,7 @@ class CrossbarArray:
             raise ValueError(f"plan needs a boolean mask and a side array, "
                              f"each {self.n_out}x{self.n_in}")
         # gathers and scatters go through 1-D views of the (contiguous) state:
-        # device (i, j, side) sits at (i * n_in + j) * 2 + side, and bank
-        # sample (tid, cursor) at tid * width + cursor
+        # device (i, j, side) sits at (i * n_in + j) * 2 + side
         flat_tid, flat_cur, flat_pulses = (
             a.reshape(-1) for a in (self.traj_ids, self.cursors, self.pulse_counts))
         weight = np.flatnonzero(mask)
@@ -207,12 +210,10 @@ class CrossbarArray:
             self.reinit_counts.reshape(-1)[pos[exhausted]] += 1
             if self.ledger is not None:
                 self.ledger.record_reinit(count=reinits)
-        samples = self.bank.conductances.reshape(-1)
-        at = tid * self.bank.conductances.shape[1] + cur
-        g_pre = samples[at]
+        g_pre, g_post = self.bank.gather(tid, cur + _PRE_POST)
         flat_tid[pos] = tid
         flat_cur[pos] = cur + 1
-        self._g.reshape(-1)[pos] = samples[at + 1]
+        self._g.reshape(-1)[pos] = g_post
         flat_pulses[pos] = lifetime + 1
         if self.ledger is not None:
             self.ledger.record_pulses(g_pre, self.tech.name)

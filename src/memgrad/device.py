@@ -164,6 +164,10 @@ class SyntheticTrajectoryParams:
     p_max: int = 5000                # pulses per trajectory
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.g0_mean, self.g0_sigma, self.decrement_mean,
+                                       self.decrement_sigma, self.late_onset_fraction,
+                                       self.late_sigma_factor, self.anomalous_probability))):
+            raise ValueError("generator parameters must be finite")
         if self.p_max < 2:
             raise ValueError("p_max must be >= 2")
         if self.decrement_mean <= 0:
@@ -224,6 +228,32 @@ class DriftModelParams:
         return float(np.interp(days, xs, ws))
 
 
+# Columns a synthetic bank turns into conductances at least, per fill.
+_FILL_FLOOR = 256
+
+
+def _check_conductances(block: np.ndarray):
+    if not (block.min() >= 0 and np.isfinite(block.max())):
+        raise ValueError("conductances must be finite and non-negative")
+
+
+@dataclass
+class _PendingFill:
+    """What turns a synthetic bank's raw decrement draws into conductances.
+
+    ``scale`` is the per-decrement sigma of the normal family (None for
+    lognormal draws, which are decrements as drawn), ``carry`` each row's
+    running decrement sum up to the frontier, and ``signs`` the bit-packed
+    decrement signs (set bit: negative) of the anomalous rows ``sign_rows``.
+    """
+
+    scale: np.ndarray | None
+    mean: float
+    carry: np.ndarray
+    sign_rows: np.ndarray
+    signs: np.ndarray
+
+
 class TrajectoryBank(Sequence):
     """A cohort of trajectories stored as the rows of one matrix.
 
@@ -234,10 +264,15 @@ class TrajectoryBank(Sequence):
     as a sequence of :class:`ResetTrajectory`, each a view of its row, so
     scalar code (the reference device model, characterization) sees one
     object per trajectory without a second copy of the conductances.
+
+    A synthetic bank starts with only column 0 computed; columns from
+    ``filled`` on still hold raw decrement draws.  :meth:`gather` turns
+    columns into conductances only as far as its cursors reach, and
+    ``conductances`` turns all of them.  Measured banks are complete.
     """
 
-    def __init__(self, conductances, lengths, sources: list[str]):
-        # C order: crossbar arrays gather samples at tid * width + cursor
+    def __init__(self, conductances, lengths, sources: list[str], *,
+                 pending: _PendingFill | None = None):
         conductances = np.ascontiguousarray(conductances, dtype=float)
         lengths = np.asarray(lengths, dtype=np.int64)
         if conductances.ndim != 2 or len(conductances) < 1:
@@ -246,10 +281,12 @@ class TrajectoryBank(Sequence):
             raise ValueError("need one length and one source per trajectory")
         if lengths.min() < 2 or lengths.max() > conductances.shape[1]:
             raise ValueError("trajectory lengths must be in [2, width]")
-        if not (conductances.min() >= 0 and np.isfinite(conductances.max())):
-            raise ValueError("conductances must be finite and non-negative")
-        conductances.flags.writeable = False
-        self.conductances = conductances
+        self.filled = 1 if pending is not None else conductances.shape[1]
+        _check_conductances(conductances[:, :self.filled])
+        if pending is None:
+            conductances.flags.writeable = False
+        self._matrix = conductances
+        self._pending = pending
         self.lengths = lengths
         self.sources = list(sources)
         self._rows: list[ResetTrajectory | None] = [None] * len(lengths)
@@ -262,6 +299,67 @@ class TrajectoryBank(Sequence):
         for k, r in enumerate(rows):
             matrix[k, :len(r)] = r
         return cls(matrix, lengths, sources)
+
+    @property
+    def width(self) -> int:
+        return self._matrix.shape[1]
+
+    @property
+    def conductances(self) -> np.ndarray:
+        """The whole (count, width) matrix, read-only."""
+        self._fill(self.width)
+        view = self._matrix.view()
+        view.flags.writeable = False
+        return view
+
+    def gather(self, tid, cursor) -> np.ndarray:
+        """Samples ``conductances[tid, cursor]``, indices broadcast together.
+
+        Columns are filled up to the largest cursor first, and the frontier
+        at least doubles per fill, so a bank read to its end takes a few
+        fills and one read near the start takes one.
+        """
+        cursor = np.asarray(cursor)
+        need = int(cursor.max()) + 1 if cursor.size else 0
+        if need > self.filled:
+            self._fill(min(self.width, max(need, 2 * self.filled, _FILL_FLOOR)))
+        return self._matrix[tid, cursor]
+
+    def _fill(self, upto: int):
+        """Turn the raw draws of columns [filled, upto) into conductances.
+
+        Decrement j of a row sits in column j + 1.  The running decrement
+        sum continues from the carry of the previous fill; it is a
+        sequential left fold, so any split into fills gives the values of
+        one cumsum over the whole row.
+        """
+        lo = self.filled
+        if upto <= lo:
+            return
+        if self._pending is None:
+            # an earlier fill failed its check and left these columns unusable
+            raise ValueError("conductances must be finite and non-negative")
+        pending, self._pending = self._pending, None
+        block = self._matrix[:, lo:upto]
+        if pending.scale is not None:
+            block *= pending.scale[lo - 1:upto - 1]
+            block += pending.mean
+            np.maximum(block, 0.0, out=block)
+        # decrements lo-1 .. upto-2, unpacked from whole bytes; row by row,
+        # so no copy of the signed rows is made
+        skip, whole = (lo - 1) % 8, slice((lo - 1) // 8, (upto + 6) // 8)
+        for row, packed in zip(pending.sign_rows, pending.signs):
+            bits = np.unpackbits(packed[whole])[skip:skip + upto - lo]
+            block[row] *= np.where(bits, -1.0, 1.0)
+        block[:, 0] += pending.carry
+        np.cumsum(block, axis=1, out=block)
+        pending.carry[:] = block[:, -1]
+        np.subtract(self._matrix[:, :1], block, out=block)
+        np.clip(block, 0.0, None, out=block)
+        _check_conductances(block)
+        self.filled = upto
+        if upto < self.width:
+            self._pending = pending
 
     def __len__(self):
         return len(self.lengths)
@@ -282,7 +380,8 @@ def generate_trajectory_bank(params: SyntheticTrajectoryParams, count: int,
 
     Each trajectory draws, in this order: its decrements, the anomalous-device
     coin, the decrement signs (anomalous devices only) and its initial
-    conductance.  The rows are filled in place, one reused decrement buffer.
+    conductance.  The decrement draws go straight into their row; the bank
+    turns them into conductances when they are first read.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -297,24 +396,27 @@ def generate_trajectory_bank(params: SyntheticTrajectoryParams, count: int,
         mu_ln = np.log(params.decrement_mean) - var_ln / 2.0
         sd_ln = np.sqrt(var_ln)
     matrix = np.empty((count, params.p_max + 1))
-    dec = np.empty(params.p_max)
-    for g in matrix:
+    sign_rows, signs = [], []
+    for k, g in enumerate(matrix):
         if params.decrement_family == "lognormal":
-            dec[:] = rng.lognormal(mu_ln, sd_ln)
+            g[1:] = rng.lognormal(mu_ln, sd_ln)
         else:
-            # mean + sigma * z is exactly what rng.normal(mean, sigma) returns
-            rng.standard_normal(out=dec)
-            dec *= sigma
-            dec += params.decrement_mean
-            np.maximum(dec, 0.0, out=dec)
+            # the fill computes mean + sigma * z, what rng.normal(mean, sigma) returns
+            rng.standard_normal(out=g[1:])
         if rng.random() < params.anomalous_probability:
-            dec *= rng.choice([-1.0, 1.0], size=params.p_max)
+            sign_rows.append(k)
+            signs.append(np.packbits(rng.choice([-1.0, 1.0], size=params.p_max) < 0))
         g[0] = max(rng.normal(params.g0_mean, params.g0_sigma), 0.0)
-        np.cumsum(dec, out=g[1:])
-        np.subtract(g[0], g[1:], out=g[1:])
-        np.clip(g, 0.0, None, out=g)
+    # column 0 is final here; the fills clip the others
+    np.clip(matrix[:, 0], 0.0, None, out=matrix[:, 0])
+    signs = np.array(signs, dtype=np.uint8).reshape(-1, (params.p_max + 7) // 8)
+    # -0.0 is the exact additive identity: the first fill's sums are cumsum's
+    pending = _PendingFill(sigma if params.decrement_family == "normal" else None,
+                           params.decrement_mean, np.full(count, -0.0),
+                           np.array(sign_rows, dtype=np.int64), signs)
     return TrajectoryBank(matrix, np.full(count, params.p_max + 1),
-                          [f"synthetic(seed={seed},idx={k})" for k in range(count)])
+                          [f"synthetic(seed={seed},idx={k})" for k in range(count)],
+                          pending=pending)
 
 
 def apply_reset_pulse(device: DeviceState, endurance_budget: int | None = None) -> float:
@@ -386,8 +488,8 @@ def cycle_endurance(bank: TrajectoryBank, rng: np.random.Generator, devices: int
     pulses = max(pulses_per_cycle, 0)
     tid = rng.integers(0, len(bank), size=shape)
     last = bank.lengths[tid] - 1             # pulse at which a trajectory is spent
-    g_start = bank.conductances[tid, 0]
-    g_end = bank.conductances[tid, np.minimum(pulses, last)]
+    g_start = bank.gather(tid, 0)
+    g_end = bank.gather(tid, np.minimum(pulses, last))
     lifetime = np.broadcast_to(pulses * np.arange(1, shape[1] + 1), shape)
     # pulse of each cycle at which the budget is hit (pulses: never)
     spent = max(endurance_budget, 0)

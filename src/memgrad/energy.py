@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .device import DeviceTechParams
+from .errors import ParseError
 
 __all__ = [
     "EnergyLedger",
@@ -151,8 +152,14 @@ class EnergyLedger:
 
     @classmethod
     def load(cls, path) -> "EnergyLedger":
+        """Read a ledger file; one that is not a ledger raises ParseError."""
         with open(path) as f:
-            return cls.from_json(json.load(f))
+            try:
+                return cls.from_json(json.load(f))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                # JSONDecodeError is a ValueError; a missing field a KeyError
+                raise ParseError(f"{path}: malformed ledger "
+                                 f"({type(exc).__name__}: {exc})") from exc
 
 
 def programming_energy(ledger: EnergyLedger, tech: DeviceTechParams,

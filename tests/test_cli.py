@@ -330,6 +330,72 @@ class TestTrainCommand:
         assert (out / "run_3").exists()
 
 
+class TestListFlags:
+    @pytest.mark.parametrize("epochs, token", [("1,x", "'x'"), ("1,1.5", "'1.5'")])
+    def test_malformed_epochs_are_a_config_error(self, tiny_config_path, tmp_path,
+                                                 capsys, epochs, token):
+        out = tmp_path / "bad"
+        rc = cli.main(["train", "--config", tiny_config_path, "--epochs", epochs,
+                       "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert f"--epochs: {token} is not a valid int" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestSharedBank:
+    """A bank that no run seed changes is built once per memgrad train."""
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = []
+        real = getattr(config, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(config, name, counted)
+        return calls
+
+    @staticmethod
+    def run_files(out, seeds):
+        return {str(p.relative_to(out)): p.read_bytes()
+                for seed in seeds for p in sorted((out / f"run_{seed}").iterdir())}
+
+    @pytest.mark.parametrize("source", ["seed", "path"])
+    def test_built_once_and_runs_unchanged(self, tmp_path, monkeypatch, capsys, source):
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        if source == "path":
+            params = SyntheticTrajectoryParams(**cfg["bank"]["params"])
+            bank_path = tmp_path / "bank.csv"
+            save_bank_csv(generate_trajectory_bank(params, 40, 5), bank_path)
+            cfg["bank"] = {"path": str(bank_path)}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        args = ["train", "--config", str(cfg_path), "--algo", "cf", "--repeat", "3"]
+        generated = self.count_calls(monkeypatch, "generate_trajectory_bank")
+        loaded = self.count_calls(monkeypatch, "load_bank_csv")
+        assert cli.main([*args, "--out", str(tmp_path / "shared")]) == 0
+        assert (len(generated), len(loaded)) == ((1, 0) if source == "seed" else (0, 1))
+        # the same command with every run building its own bank
+        monkeypatch.setattr(cli, "build_bank", lambda cfg, seed: None)
+        assert cli.main([*args, "--out", str(tmp_path / "own")]) == 0
+        assert (len(generated), len(loaded)) == ((4, 0) if source == "seed" else (0, 4))
+        shared = self.run_files(tmp_path / "shared", [0, 1, 2])
+        assert len(shared) == 3 * 7
+        assert shared == self.run_files(tmp_path / "own", [0, 1, 2])
+
+    def test_seed_dependent_bank_built_per_run(self, tmp_path, monkeypatch, capsys):
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        cfg["bank"]["seed"] = None
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        generated = self.count_calls(monkeypatch, "generate_trajectory_bank")
+        assert cli.main(["train", "--config", str(cfg_path), "--algo", "cf",
+                         "--repeat", "3", "--out", str(tmp_path / "o")]) == 0
+        assert len({args[2] for args in generated}) == 3
+
+
 class TestRunPipeline:
     @pytest.fixture()
     def device_run_dir(self, tiny_config_path, tmp_path):
@@ -407,6 +473,45 @@ class TestRunPipeline:
         err = capsys.readouterr().err
         assert "snapshot_layer0.csv" in err
         assert re.search(message, err)
+        assert not (device_run_dir / "aging.csv").exists()
+
+    @pytest.mark.parametrize("days, token", [("8,x", "'x'"), ("0,,8", "''")])
+    def test_malformed_days_are_a_config_error(self, device_run_dir, capsys,
+                                               days, token):
+        rc = cli.main(["age", "--run", str(device_run_dir), "--days", days])
+        assert rc == cli.EXIT_CONFIG
+        assert f"--days: {token} is not a valid float" in capsys.readouterr().err
+        assert not (device_run_dir / "aging.csv").exists()
+
+    @pytest.mark.parametrize("case", ["not_json", "no_count"])
+    def test_malformed_ledger_is_data_error(self, device_run_dir, capsys, case):
+        path = device_run_dir / "ledger.json"
+        if case == "not_json":
+            path.write_text('{"pulse_totals": ')
+        else:
+            payload = json.loads(path.read_text())
+            for entry in payload["pulse_totals"].values():
+                del entry["count"]
+            path.write_text(json.dumps(payload))
+        rc = cli.main(["energy", "--run", str(device_run_dir)])
+        assert rc == cli.EXIT_DATA
+        assert re.search(r"ledger\.json: malformed ledger", capsys.readouterr().err)
+        assert not (device_run_dir / "energy.json").exists()
+
+    @pytest.mark.parametrize("command, content, message", [
+        (["age", "--days", "0"], '{"config": [', "not valid JSON"),
+        (["age", "--days", "0"], '{"seed": 0}', "missing 'config'"),
+        (["age", "--days", "0"], "[1, 2]", "expected a JSON object"),
+        (["report"], '{"config": [', "not valid JSON"),
+        (["report"], '{"seed": 0}', "missing 'config'"),
+    ], ids=["age-not-json", "age-no-config", "age-list", "report-not-json",
+            "report-no-config"])
+    def test_malformed_manifest_is_data_error(self, device_run_dir, capsys,
+                                              command, content, message):
+        (device_run_dir / "manifest.json").write_text(content)
+        rc = cli.main([command[0], "--run", str(device_run_dir), *command[1:]])
+        assert rc == cli.EXIT_DATA
+        assert f"manifest.json: {message}" in capsys.readouterr().err
         assert not (device_run_dir / "aging.csv").exists()
 
     def test_energy_report(self, device_run_dir, capsys):

@@ -1,6 +1,8 @@
 """Device model: replay, reinit, linearity metric, drift, pulse energy."""
 
+import copy
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ import pytest
 from memgrad.device import (DeviceState, DeviceTechParams, DriftModelParams,
                             EnduranceExceeded, LARGE_ARRAY, MAC_ARRAY,
                             NeedsReinit, ResetTrajectory,
-                            SyntheticTrajectoryParams, apply_reset_pulse,
+                            SyntheticTrajectoryParams, TrajectoryBank,
+                            apply_reset_pulse,
                             apply_retention_drift, generate_trajectory_bank,
                             load_bank_csv, pearson_coefficient, pulse_energy,
                             reinitialize, save_bank_csv)
@@ -230,6 +233,125 @@ class TestTrajectoryBank:
             SyntheticTrajectoryParams(decrement_sigma=-1e-9)
         with pytest.raises(ValueError):
             generate_trajectory_bank(SyntheticTrajectoryParams(), 0, seed=0)
+
+
+def one_shot_conductances(params, count, seed):
+    """The generator as one cumsum per row: draws, then arithmetic, row by row."""
+    rng = np.random.default_rng(seed)
+    onset = int(round(params.p_max * params.late_onset_fraction))
+    sigma = np.full(params.p_max, params.decrement_sigma)
+    sigma[onset:] *= params.late_sigma_factor
+    var_ln = np.log1p((sigma / params.decrement_mean) ** 2)
+    matrix = np.empty((count, params.p_max + 1))
+    for g in matrix:
+        if params.decrement_family == "lognormal":
+            dec = rng.lognormal(np.log(params.decrement_mean) - var_ln / 2.0,
+                                np.sqrt(var_ln))
+        else:
+            dec = np.maximum(rng.standard_normal(params.p_max) * sigma
+                             + params.decrement_mean, 0.0)
+        if rng.random() < params.anomalous_probability:
+            dec = dec * rng.choice([-1.0, 1.0], size=params.p_max)
+        g[0] = max(rng.normal(params.g0_mean, params.g0_sigma), 0.0)
+        g[1:] = g[0] - np.cumsum(dec)
+        np.clip(g, 0.0, None, out=g)
+    return matrix
+
+
+FAMILIES = [{"decrement_family": family, "anomalous_probability": anomalous}
+            for family in ("normal", "lognormal") for anomalous in (0.0, 0.3, 1.0)]
+
+
+class TestDeferredFill:
+    """Synthetic banks turn raw draws into conductances only as far as read."""
+
+    @pytest.mark.parametrize("kwargs", FAMILIES, ids=lambda k: "-".join(map(str, k.values())))
+    def test_any_fill_cut_points_match_one_shot(self, kwargs):
+        params = SyntheticTrajectoryParams(p_max=77, late_onset_fraction=0.5, **kwargs)
+        expected = one_shot_conductances(params, 12, seed=4)
+        width = params.p_max + 1
+        rng = np.random.default_rng(0)
+        for trial in range(20):
+            cuts = rng.choice(np.arange(2, width - 1), size=rng.integers(0, 6), replace=False)
+            cuts = sorted({1, width - 1, width, *cuts.tolist()})
+            bank = generate_trajectory_bank(params, 12, seed=4)
+            assert bank.filled == 1
+            for cut in cuts:
+                bank._fill(cut)
+                assert bank.filled == cut
+                assert np.array_equal(bank._matrix[:, :cut], expected[:, :cut])
+            assert bank.conductances.tobytes() == expected.tobytes()
+
+    def test_gather_fills_only_as_far_as_its_cursors(self):
+        params = SyntheticTrajectoryParams(p_max=2000, anomalous_probability=0.5)
+        expected = one_shot_conductances(params, 6, seed=9)
+        bank = generate_trajectory_bank(params, 6, seed=9)
+        tid = np.arange(6)
+        assert np.array_equal(bank.gather(tid, 0), expected[:, 0])
+        assert bank.filled == 1
+        assert np.array_equal(bank.gather(tid, np.full(6, 3)), expected[:, 3])
+        assert bank.filled == 256          # the floor of a fill
+        assert np.array_equal(bank.gather(tid[:, None], [[256, 300]]),
+                              expected[:, [256, 300]])
+        assert bank.filled == 512          # at least doubled
+        assert np.array_equal(bank.gather(2, 1500), expected[2, 1500])
+        assert bank.filled == 1500 + 1
+        assert bank.gather(tid[:0], np.zeros((2, 0), int)).shape == (2, 0)
+        assert bank.filled == 1501
+        assert np.array_equal(bank.gather(tid, 2000), expected[:, 2000])
+        assert bank.filled == bank.width == 2001
+        with pytest.raises(IndexError):
+            bank.gather(0, 2001)
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda b: pickle.loads(pickle.dumps(b))],
+                             ids=["deepcopy", "pickle"])
+    def test_half_filled_bank_continues_after_copy(self, clone):
+        params = SyntheticTrajectoryParams(p_max=600, anomalous_probability=0.5)
+        expected = one_shot_conductances(params, 10, seed=2)
+        bank = generate_trajectory_bank(params, 10, seed=2)
+        bank.gather(np.arange(10), 100)
+        twin = clone(bank)
+        assert twin.filled == bank.filled == 256
+        assert np.array_equal(twin.gather(np.arange(10), 400), expected[:, 400])
+        assert twin.filled == 512 and bank.filled == 256
+        assert twin.conductances.tobytes() == expected.tobytes()
+        assert bank.conductances.tobytes() == expected.tobytes()
+
+    def test_matrix_is_read_only_from_outside(self):
+        bank = generate_trajectory_bank(SyntheticTrajectoryParams(p_max=300), 3, seed=0)
+        bank.gather(0, 1)
+        with pytest.raises(ValueError):
+            bank.conductances[0, 0] = 1.0
+        assert bank.filled == bank.width
+        matrix = np.full((2, 4), 1e-6)
+        measured = TrajectoryBank(matrix, [4, 3], ["a", "b"])
+        assert measured.filled == 4
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0.0
+
+    @pytest.mark.parametrize("field", ["g0_mean", "g0_sigma", "decrement_mean",
+                                       "decrement_sigma", "late_sigma_factor",
+                                       "late_onset_fraction", "anomalous_probability"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_params_refused(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            SyntheticTrajectoryParams(**{field: value})
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_failed_fill_keeps_failing(self):
+        # finite but huge decrements of both signs overflow the running sum
+        # to inf - inf; the fill that meets them refuses, and so does every
+        # later read of those columns
+        params = SyntheticTrajectoryParams(p_max=300, decrement_mean=1e307,
+                                           decrement_sigma=0.0,
+                                           anomalous_probability=1.0)
+        bank = generate_trajectory_bank(params, 4, seed=0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                bank.gather(np.arange(4), 299)
+        assert bank.filled == 1
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            bank.conductances
 
 
 class TestRetentionDrift:

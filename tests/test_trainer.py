@@ -365,6 +365,25 @@ class TestMeasuredBank:
             assert np.all(g_plus > 0) and np.all(g_minus > 0)
 
 
+class TestBankFill:
+    def test_training_reads_only_the_start_of_its_bank(self):
+        # a CF run at the benchmark's desk epochs keeps its cursors near the
+        # start of each trajectory, so most of its bank stays raw draws
+        cfg = config.effective_config(None, {"algorithm": "cf",
+                                             "schedule": {"epochs": [1, 1]}})
+        dataset = config.build_dataset(cfg)
+        train_ds, val_ds, _ = config.build_splits(cfg, dataset)
+        run = config.build_training_run(cfg, 0, dataset)
+        train(run, train_ds, val_ds)
+        bank = run.layers[0].array.bank
+        assert all(layer.array.bank is bank for layer in run.layers)
+        cursors = max(int(layer.array.cursors.max()) for layer in run.layers)
+        assert cursors < bank.filled < bank.width
+        # characterization reads every trajectory whole
+        assert len(bank[0]) == bank.width
+        assert bank.filled == bank.width
+
+
 class TestNetworkLayer:
     def test_needs_exactly_one_backing(self):
         spec = LayerSpec(2, 3)
