@@ -23,5 +23,5 @@ from .energy import (EnergyLedger, mac_energy_projection, programming_energy,
                      pv_baseline_energy, read_energy)
 from .stats import (StatReport, holm_bonferroni, regularized_incomplete_beta,
                     welch_t_test)
-from .trainer import (Phase, Schedule, TrainingRun, default_schedule, evaluate,
-                      make_run, pulse_statistics, simulate_aging, train)
+from .trainer import (Phase, Schedule, TrainingRun, evaluate, pulse_statistics,
+                      simulate_aging, train)

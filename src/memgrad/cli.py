@@ -14,9 +14,11 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import dataclasses
 import hashlib
 import importlib.resources
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -25,12 +27,11 @@ import numpy as np
 
 from . import __version__
 from .config import (ConfigError, TECH_PROFILES, build_bank, build_dataset,
-                     build_drift_params, build_splits, build_training_run,
-                     config_hash, load_config)
-from .data import (FeatureDataset, ParseError, SplitSpec, split_indices)
-from .device import (cycle_endurance, load_bank_csv, pearson_coefficient,
-                     SyntheticTrajectoryParams, generate_trajectory_bank,
-                     save_bank_csv)
+                     build_drift_params, build_split_indices, build_splits,
+                     build_training_run, config_hash, effective_config,
+                     load_config)
+from .data import FeatureDataset, ParseError, split
+from .device import cycle_endurance, pearson_coefficient, save_bank_csv
 from .energy import (EnergyLedger, mac_energy_projection, programming_energy,
                      pv_baseline_energy, read_energy, PV_UPDATE_ENERGY_J)
 from .crossbar import save_snapshot_csv, load_snapshot_csv
@@ -89,17 +90,6 @@ def _parse_list(text: str, kind, flag: str) -> list:
     return values
 
 
-def _spec_to_json(spec: LayerSpec) -> dict:
-    return {"n_in": spec.n_in, "n_out": spec.n_out, "activation": spec.activation,
-            "eta": spec.eta, "clusters": list(spec.clusters) if spec.clusters else None}
-
-
-def _spec_from_json(payload: dict) -> LayerSpec:
-    clusters = tuple(payload["clusters"]) if payload.get("clusters") else None
-    return LayerSpec(payload["n_in"], payload["n_out"], payload["activation"],
-                     payload["eta"], clusters)
-
-
 # ---------------------------------------------------------------- train
 
 def _write_curve(run, path):
@@ -142,7 +132,7 @@ def _train_one(cfg, seed, dataset, splits, outdir: Path, bank=None):
                     "n_features": dataset.n_features,
                     "n_classes": dataset.n_classes,
                     "sha256": _dataset_digest(dataset)},
-        "layers": [_spec_to_json(layer.spec) for layer in run.layers],
+        "layers": [dataclasses.asdict(layer.spec) for layer in run.layers],
         "scale_s": [layer.array.scale_s if layer.array else None
                     for layer in run.layers],
     }
@@ -202,10 +192,8 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dataset = build_dataset(cfg)
-    s = cfg["split"]
-    split_spec = SplitSpec(train=s["train"], val=s["val"], test=s["test"],
-                           stratified=s["stratified"], seed=s["seed"])
-    _write_json(out / "splits.json", split_indices(dataset, split_spec))
+    indices = build_split_indices(cfg, dataset)
+    _write_json(out / "splits.json", indices)
 
     seeds = [cfg["seed"] + rep for rep in range(cfg["repeat"])]
     jobs = [(cfg, seed, str(out / f"run_{seed}")) for seed in seeds]
@@ -215,7 +203,7 @@ def cmd_train(args) -> int:
         with concurrent.futures.ProcessPoolExecutor(args.workers) as pool:
             by_seed = dict(pool.map(_train_worker, jobs))
     else:
-        splits = build_splits(cfg, dataset)
+        splits = split(dataset, indices)
         # a bank loaded from a file or drawn from a pinned seed is the same
         # for every repeat, so it is built once
         bank = None
@@ -243,18 +231,21 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------- characterize
 
 def cmd_characterize(args) -> int:
-    cfg = load_config(args.config, {})
+    for flag in ("cycles", "pulses_per_cycle", "devices"):
+        if getattr(args, flag) < 0:
+            raise ConfigError(f"--{flag.replace('_', '-')} must be >= 0, "
+                              f"got {getattr(args, flag)}")
+    flags = {"path": args.bank, "count": args.count, "seed": args.seed}
+    cfg = load_config(args.config, {"bank": {key: value for key, value in flags.items()
+                                             if value is not None}})
+    if cfg["bank"]["seed"] is None:
+        # a characterization draws from seed 0, not from a run seed
+        cfg = effective_config(cfg, {"bank": {"seed": 0}})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.bank:
-        bank = load_bank_csv(args.bank)
-    else:
-        params = SyntheticTrajectoryParams(**cfg["bank"]["params"])
-        count = args.count or cfg["bank"]["count"]
-        seed = args.seed if args.seed is not None else (cfg["bank"]["seed"] or 0)
-        bank = generate_trajectory_bank(params, count, seed)
-        if args.save_bank:
-            save_bank_csv(bank, out / "bank.csv")
+    bank = build_bank(cfg, cfg["seed"])
+    if args.save_bank and not cfg["bank"]["path"]:
+        save_bank_csv(bank, out / "bank.csv")
 
     rhos = [pearson_coefficient(t, len(t)) for t in bank]
     with open(out / "pearson.csv", "w", newline="") as f:
@@ -300,6 +291,9 @@ def cmd_characterize(args) -> int:
 
 def cmd_age(args) -> int:
     days = _parse_list(args.days, float, "--days")
+    for token, day in zip(args.days.split(","), days):
+        if not 0 <= day < math.inf:
+            raise ConfigError(f"--days: {token!r} is not a finite day >= 0")
     if days != sorted(days):
         raise ConfigError("day checkpoints must be ascending")
     if args.repeats < 1:
@@ -321,7 +315,7 @@ def cmd_age(args) -> int:
         if not snap_path.exists():
             raise ParseError(f"missing snapshot: {snap_path}")
         snap = load_snapshot_csv(snap_path)
-        spec = _spec_from_json(spec)
+        spec = LayerSpec(**spec)
         n_out, n_in = snap["g_plus"].shape
         if (n_out, n_in) != (spec.n_out, spec.n_in):
             raise ParseError(f"{snap_path}: {n_in} rows x {n_out} cols, layer {k} "

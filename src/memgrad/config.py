@@ -21,9 +21,11 @@ from . import data as data_mod
 from .device import (DriftModelParams, LARGE_ARRAY, MAC_ARRAY,
                      SyntheticTrajectoryParams, generate_trajectory_bank,
                      load_bank_csv)
-from .crossbar import OnExhaustion
+from .crossbar import CrossbarArray, OnExhaustion
+from .energy import EnergyLedger
 from .rules import CFParams, SFFParams
-from .trainer import TrainingRun, make_run
+from .trainer import (DEFAULT_TAU, FLOAT_INIT_SIGMA, NetworkLayer, Schedule,
+                      TrainingRun, _layer_specs, _phases)
 
 __all__ = [
     "ConfigError",
@@ -33,6 +35,7 @@ __all__ = [
     "effective_config",
     "config_hash",
     "build_dataset",
+    "build_split_indices",
     "build_splits",
     "build_bank",
     "build_drift_params",
@@ -135,8 +138,8 @@ def validate_config(cfg: dict):
 
 def effective_config(user_cfg: dict | None = None,
                      overrides: dict | None = None) -> dict:
-    """Defaults <- config file <- CLI overrides, validated."""
-    cfg = DEFAULT_CONFIG
+    """Defaults <- config file <- CLI overrides, validated; always a new dict."""
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
     if user_cfg:
         validate_config(user_cfg)
         cfg = _deep_merge(cfg, user_cfg)
@@ -195,11 +198,13 @@ def build_dataset(cfg: dict) -> data_mod.FeatureDataset:
     raise ConfigError(f"unknown task kind {task['kind']!r}")
 
 
+def build_split_indices(cfg: dict, dataset: data_mod.FeatureDataset) -> dict:
+    """Sample indices of the config's train/val/test split."""
+    return data_mod.split_indices(dataset, data_mod.SplitSpec(**cfg["split"]))
+
+
 def build_splits(cfg: dict, dataset: data_mod.FeatureDataset):
-    s = cfg["split"]
-    spec = data_mod.SplitSpec(train=s["train"], val=s["val"], test=s["test"],
-                              stratified=s["stratified"], seed=s["seed"])
-    return data_mod.split(dataset, spec)
+    return data_mod.split(dataset, build_split_indices(cfg, dataset))
 
 
 def build_bank(cfg: dict, run_seed: int):
@@ -220,9 +225,7 @@ def build_drift_params(cfg: dict) -> DriftModelParams:
                             targets=tuple(tuple(t) for t in d["targets"]))
 
 
-def _rule_params_from_config(cfg: dict, algorithm: str):
-    rules = cfg["rules"]
-    rule = algorithm.removeprefix("float_")
+def _rule_params(rules: dict, rule: str) -> list | None:
     if rule == "bp":
         return None
     if rule == "sff":
@@ -232,22 +235,45 @@ def _rule_params_from_config(cfg: dict, algorithm: str):
 
 def build_training_run(cfg: dict, seed: int, dataset: data_mod.FeatureDataset,
                        bank=None) -> TrainingRun:
-    """Instantiate a TrainingRun for one seed from an effective config."""
+    """Instantiate a TrainingRun for one seed from an effective config.
+
+    This is the one constructor of a run: each setting goes to the object
+    that uses it.  A device run without ``bank`` draws its own.
+    """
     algorithm = cfg["algorithm"]
-    if not algorithm.startswith("float_") and bank is None:
-        bank = build_bank(cfg, seed)
+    rule = algorithm.removeprefix("float_")
+    is_float = algorithm.startswith("float_")
     arch, sched, dev, rules = cfg["arch"], cfg["schedule"], cfg["device"], cfg["rules"]
-    run = make_run(
-        algorithm, dataset.n_features, dataset.n_classes, seed,
-        bank=bank, tech=TECH_PROFILES[dev["tech"]],
-        hidden_units=arch["hidden_units"], cluster_size=arch["cluster_size"],
-        single_layer=arch["single_layer"], gain_kappa=dev["gain_kappa"],
-        pre_pulse_max=dev["pre_pulse_max"], tau=sched["tau"],
-        batch_size=sched["batch_size"], learning_rate=sched["learning_rate"],
-        epochs=sched["epochs"], token_amplitude=rules["token_amplitude"],
-        plan_mode=sched["plan_mode"],
-        rule_params=_rule_params_from_config(cfg, algorithm))
-    run.schedule.float_update = sched["float_update"]
-    run.sff_inference = rules["sff_inference"]
-    run.on_exhaustion = OnExhaustion(dev["on_exhaustion"])
-    return run
+    rule_params = _rule_params(rules, rule)
+    specs = _layer_specs(rule, dataset.n_features, dataset.n_classes,
+                         arch["hidden_units"], arch["cluster_size"],
+                         arch["single_layer"], rule_params)
+    rule_params = rule_params or [None] * len(specs)
+    tau = sched["tau"]
+    if tau is None:
+        tau = 0.0 if is_float else DEFAULT_TAU[rule]
+    schedule = Schedule(phases=_phases(rule, len(specs), sched["epochs"]),
+                        algorithm=algorithm, batch_size=sched["batch_size"],
+                        tau=tau, learning_rate=sched["learning_rate"],
+                        plan_mode=sched["plan_mode"],
+                        float_update=sched["float_update"])
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA11]))
+    ledger = EnergyLedger()
+    if is_float:
+        layers = [NetworkLayer(spec, weights=rng.normal(
+                      0.0, FLOAT_INIT_SIGMA, (spec.n_out, spec.n_in)))
+                  for spec in specs]
+    else:
+        if bank is None:
+            bank = build_bank(cfg, seed)
+        layers = [NetworkLayer(spec, array=CrossbarArray.build(
+                      spec.n_in, spec.n_out, bank, rng, TECH_PROFILES[dev["tech"]],
+                      gain_kappa=dev["gain_kappa"],
+                      pre_pulse_max=dev["pre_pulse_max"], ledger=ledger))
+                  for spec in specs]
+    return TrainingRun(layers=layers, schedule=schedule, seed=seed,
+                       rule_params=rule_params,
+                       token_amplitude=rules["token_amplitude"],
+                       sff_inference=rules["sff_inference"],
+                       on_exhaustion=OnExhaustion(dev["on_exhaustion"]),
+                       ledger=ledger)

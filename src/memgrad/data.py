@@ -217,8 +217,8 @@ def _largest_remainder(total: int, fractions: list[float]) -> list[int]:
     return counts
 
 
-def split(dataset: FeatureDataset, spec: SplitSpec):
-    """(train, val, test) datasets per the split specification object."""
-    idx = split_indices(dataset, spec)
+def split(dataset: FeatureDataset, spec: SplitSpec | dict[str, list[int]]):
+    """(train, val, test) datasets per a split specification or its indices."""
+    idx = split_indices(dataset, spec) if isinstance(spec, SplitSpec) else spec
     return (dataset.subset(idx["train"]), dataset.subset(idx["val"]),
             dataset.subset(idx["test"]))

@@ -23,12 +23,11 @@ import numpy as np
 
 from .crossbar import CrossbarArray, OnExhaustion
 from .data import FeatureDataset
-from .device import DeviceTechParams, DriftModelParams, LARGE_ARRAY, apply_retention_drift
+from .device import DriftModelParams, apply_retention_drift
 from .energy import EnergyLedger
-from .rules import (CFParams, GradientBatch, LayerSpec, SFFParams, bp_gradients,
-                    cf_goodness_loss, cf_gradient, cross_entropy_loss,
-                    sff_goodness_loss, sff_gradient, sign_descent_step_float,
-                    threshold_sign_plan)
+from .rules import (GradientBatch, LayerSpec, bp_gradients, cf_goodness_loss,
+                    cf_gradient, cross_entropy_loss, sff_goodness_loss,
+                    sff_gradient, sign_descent_step_float, threshold_sign_plan)
 
 __all__ = [
     "Phase",
@@ -37,8 +36,6 @@ __all__ = [
     "StepRecord",
     "EpochRecord",
     "TrainingRun",
-    "default_schedule",
-    "make_run",
     "train",
     "evaluate",
     "predict",
@@ -154,11 +151,11 @@ class TrainingRun:
     layers: list[NetworkLayer]
     schedule: Schedule
     seed: int
-    rule_params: list = field(default_factory=list)   # SFFParams/CFParams/None per layer
-    token_amplitude: float = 1.0
-    sff_inference: str = "neutral"     # "neutral" | "per_label"
-    on_exhaustion: OnExhaustion = OnExhaustion.SKIP
-    ledger: EnergyLedger = field(default_factory=EnergyLedger)
+    rule_params: list                  # SFFParams/CFParams/None per layer
+    token_amplitude: float
+    sff_inference: str                 # "neutral" | "per_label"
+    on_exhaustion: OnExhaustion
+    ledger: EnergyLedger
     step_log: list[StepRecord] = field(default_factory=list)
     epoch_log: list[EpochRecord] = field(default_factory=list)
     max_buffered_scalars: dict[int, int] = field(default_factory=dict)
@@ -176,99 +173,47 @@ class TrainingRun:
         return last.n_out
 
 
-def default_schedule(algorithm: str, n_layers: int, tau: float | None = None,
-                     batch_size: int = 16, learning_rate: float = 0.05,
-                     epochs: list[int] | None = None,
-                     plan_mode: str = "descent") -> Schedule:
-    """Standard layer-wise schedules.
-
-    Backprop: single layer 20 epochs; two layers output first (10) then
-    input (20).  Forward-only rules: input to output, 15 epochs each.
-    """
-    rule = algorithm.removeprefix("float_")
-    if rule == "bp":
-        order = list(range(n_layers - 1, -1, -1))
-        counts = DEFAULT_EPOCHS["perceptron"] if n_layers == 1 else DEFAULT_EPOCHS["bp"]
-    else:
-        order = list(range(n_layers))
-        counts = DEFAULT_EPOCHS["forward"][:n_layers]
-    if epochs is not None:
-        if len(epochs) != n_layers:
-            raise ValueError("need one epoch count per layer")
-        counts = list(epochs)
-    if tau is None:
-        tau = DEFAULT_TAU[rule] if not algorithm.startswith("float_") else 0.0
-    phases = [Phase(layer, count) for layer, count in zip(order, counts)]
-    return Schedule(phases=phases, algorithm=algorithm, batch_size=batch_size,
-                    tau=tau, learning_rate=learning_rate, plan_mode=plan_mode)
-
-
-def _layer_specs(algorithm: str, n_features: int, n_classes: int,
-                 hidden_units: int, cluster_size: int,
-                 single_layer: bool) -> tuple[list[LayerSpec], list]:
-    rule = algorithm.removeprefix("float_")
+def _layer_specs(rule: str, n_features: int, n_classes: int,
+                 hidden_units: int, cluster_size: int, single_layer: bool,
+                 rule_params: list) -> list[LayerSpec]:
+    """Layer layout of a rule; a forward-rule layer's goodness sign is the
+    eta of its rule parameters."""
     if rule == "bp":
         if single_layer:
-            return [LayerSpec(n_features, n_classes, activation="identity")], [None]
-        return ([LayerSpec(n_features, hidden_units, activation="relu"),
-                 LayerSpec(hidden_units, n_classes, activation="identity")],
-                [None, None])
+            return [LayerSpec(n_features, n_classes, activation="identity")]
+        return [LayerSpec(n_features, hidden_units, activation="relu"),
+                LayerSpec(hidden_units, n_classes, activation="identity")]
+    first, last = (float(params.eta) for params in rule_params)
+    clusters = (n_classes, cluster_size)
     head_units = n_classes * cluster_size
     if rule == "sff":
-        specs = [LayerSpec(n_features + n_classes, hidden_units, eta=1.0),
-                 LayerSpec(hidden_units, head_units, eta=1.0,
-                           clusters=(n_classes, cluster_size))]
-        params = [SFFParams(), CFParams()]
-        return specs, params
-    if rule == "cf":
-        # first layer learns with inverted goodness sign: it suppresses the
-        # target cluster and lets the output layer concentrate the activity
-        specs = [LayerSpec(n_features, head_units, eta=-1.0,
-                           clusters=(n_classes, cluster_size)),
-                 LayerSpec(head_units, head_units, eta=1.0,
-                           clusters=(n_classes, cluster_size))]
-        params = [CFParams(eta=-1.0), CFParams(eta=1.0)]
-        return specs, params
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+        return [LayerSpec(n_features + n_classes, hidden_units, eta=first),
+                LayerSpec(hidden_units, head_units, eta=last, clusters=clusters)]
+    # by default the CF first layer learns with inverted goodness sign: it
+    # suppresses the target cluster and lets the output layer concentrate
+    # the activity
+    return [LayerSpec(n_features, head_units, eta=first, clusters=clusters),
+            LayerSpec(head_units, head_units, eta=last, clusters=clusters)]
 
 
-def make_run(algorithm: str, n_features: int, n_classes: int, seed: int,
-             bank=None, tech: DeviceTechParams = LARGE_ARRAY,
-             hidden_units: int = 48, cluster_size: int = 12,
-             single_layer: bool = False, gain_kappa: float = 5e4,
-             pre_pulse_max: int = 50, tau: float | None = None,
-             batch_size: int = 16, learning_rate: float = 0.05,
-             epochs: list[int] | None = None, token_amplitude: float = 1.0,
-             plan_mode: str = "descent",
-             rule_params: list | None = None) -> TrainingRun:
-    """Assemble a reproducible TrainingRun (network + schedule + ledger)."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA11]))
-    ledger = EnergyLedger()
-    specs, params = _layer_specs(algorithm, n_features, n_classes,
-                                 hidden_units, cluster_size, single_layer)
-    layers = []
-    for spec in specs:
-        if algorithm.startswith("float_"):
-            w = rng.normal(0.0, FLOAT_INIT_SIGMA, (spec.n_out, spec.n_in))
-            layers.append(NetworkLayer(spec=spec, weights=w))
-        else:
-            if bank is None:
-                raise ValueError("device mode needs a trajectory bank")
-            array = CrossbarArray.build(spec.n_in, spec.n_out, bank, rng, tech,
-                                        gain_kappa=gain_kappa,
-                                        pre_pulse_max=pre_pulse_max, ledger=ledger)
-            layers.append(NetworkLayer(spec=spec, array=array))
-    if rule_params is not None:
-        if len(rule_params) != len(layers):
-            raise ValueError("need one rule-params entry per layer")
-        params = rule_params
-    schedule = default_schedule(algorithm, len(layers), tau=tau,
-                                batch_size=batch_size,
-                                learning_rate=learning_rate, epochs=epochs,
-                                plan_mode=plan_mode)
-    return TrainingRun(layers=layers, schedule=schedule, seed=seed,
-                       rule_params=params, token_amplitude=token_amplitude,
-                       ledger=ledger)
+def _phases(rule: str, n_layers: int, epochs: list[int] | None) -> list[Phase]:
+    """Standard layer-wise phases.
+
+    Backprop trains output to input: a single layer 20 epochs, two layers
+    10 (output) then 20 (input).  Forward-only rules train input to output,
+    15 epochs each.
+    """
+    if rule == "bp":
+        order = range(n_layers - 1, -1, -1)
+        default = DEFAULT_EPOCHS["perceptron" if n_layers == 1 else "bp"]
+    else:
+        order = range(n_layers)
+        default = DEFAULT_EPOCHS["forward"]
+    if epochs is None:
+        epochs = default
+    elif len(epochs) != n_layers:
+        raise ValueError("need one epoch count per layer")
+    return [Phase(layer, count) for layer, count in zip(order, epochs)]
 
 
 def _forward(layers: list[NetworkLayer], x: np.ndarray) -> list[np.ndarray]:

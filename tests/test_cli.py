@@ -131,6 +131,37 @@ class TestCharacterizeCommand:
                        "--out", str(tmp_path / "o")])
         assert rc == cli.EXIT_DATA
 
+    @pytest.mark.parametrize("args, message", [
+        (["--count", "0"], "bank/count"),
+        (["--count", "-3"], "bank/count"),
+        (["--seed", "-1"], "bank/seed"),
+        (["--cycles=-5"], "--cycles must be >= 0, got -5"),
+        (["--cycles", "1", "--pulses-per-cycle=-1"], "--pulses-per-cycle must be >= 0"),
+        (["--cycles", "1", "--devices=-2"], "--devices must be >= 0, got -2"),
+    ])
+    def test_bad_flags_are_a_config_error(self, tmp_path, capsys, args, message):
+        out = tmp_path / "o"
+        rc = cli.main(["characterize", *args, "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (out / "pearson.csv").exists()
+
+    def test_config_bank_path_is_characterized(self, tmp_path, capsys):
+        # a measured bank named in the config file, not a synthetic one
+        rows = [np.linspace(90e-6, 60e-6, 6 + k) for k in range(3)]
+        bank_path = tmp_path / "bank.csv"
+        save_bank_csv(TrajectoryBank.from_rows(rows, ["m"] * 3), bank_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"bank": {"path": str(bank_path)}}))
+        out = tmp_path / "o"
+        assert cli.main(["characterize", "--config", str(cfg_path),
+                         "--out", str(out)]) == 0
+        flag = tmp_path / "flag"
+        assert cli.main(["characterize", "--bank", str(bank_path),
+                         "--out", str(flag)]) == 0
+        assert (out / "pearson.csv").read_text().count("\n") == 4
+        assert (out / "pearson.csv").read_bytes() == (flag / "pearson.csv").read_bytes()
+
 
 def scalar_endurance(bank, seed, devices, cycles, pulses_per_cycle, budget, path):
     """Reference endurance replay: one DeviceState per device, one call per pulse.
@@ -329,6 +360,31 @@ class TestTrainCommand:
         assert rc == 0
         assert (out / "run_3").exists()
 
+    def test_env_seed_leaves_defaults_alone(self, monkeypatch):
+        # restored after the test, so a failure here spoils no later test
+        monkeypatch.setitem(config.DEFAULT_CONFIG, "seed", 0)
+        monkeypatch.setenv("MEMGRAD_SEED", "9")
+        assert config.load_config(None)["seed"] == 9
+        assert config.DEFAULT_CONFIG["seed"] == 0
+
+    @pytest.mark.parametrize("algo, block, layer", [
+        ("cf", "cf_first", 0), ("cf", "cf_last", 1),
+        ("sff", "sff", 0), ("sff", "sff_head", 1)])
+    def test_manifest_records_trained_eta(self, tmp_path, capsys, algo, block,
+                                          layer):
+        cfg = dict(TINY_CONFIG, rules={block: {"eta": -config.DEFAULT_CONFIG[
+            "rules"][block]["eta"]}})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "eta"
+        assert cli.main(["train", "--config", str(path), "--algo", algo,
+                         "--out", str(out)]) == 0
+        manifest = json.loads((out / "run_0" / "manifest.json").read_text())
+        etas = [1.0, 1.0] if algo == "sff" else [-1.0, 1.0]
+        etas[layer] = -etas[layer]
+        assert [spec["eta"] for spec in manifest["layers"]] == etas
+        assert all(isinstance(spec["eta"], float) for spec in manifest["layers"])
+
 
 class TestListFlags:
     @pytest.mark.parametrize("epochs, token", [("1,x", "'x'"), ("1,1.5", "'1.5'")])
@@ -481,6 +537,18 @@ class TestRunPipeline:
         rc = cli.main(["age", "--run", str(device_run_dir), "--days", days])
         assert rc == cli.EXIT_CONFIG
         assert f"--days: {token} is not a valid float" in capsys.readouterr().err
+        assert not (device_run_dir / "aging.csv").exists()
+
+    @pytest.mark.parametrize("days, token", [
+        ("nan", "'nan'"), ("0,inf", "'inf'"), ("-1,8", "'-1'"), ("0,-0.5", "'-0.5'")])
+    def test_non_finite_or_negative_days_are_a_config_error(
+            self, device_run_dir, capsys, days, token):
+        # refused before the manifest is read: this run has none
+        (device_run_dir / "manifest.json").unlink()
+        rc = cli.main(["age", "--run", str(device_run_dir), f"--days={days}",
+                       "--repeats", "2"])
+        assert rc == cli.EXIT_CONFIG
+        assert f"--days: {token} is not a finite day >= 0" in capsys.readouterr().err
         assert not (device_run_dir / "aging.csv").exists()
 
     @pytest.mark.parametrize("case", ["not_json", "no_count"])

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from memgrad import config
-from memgrad.data import SplitSpec, make_cluster_task, split
-from memgrad.device import (DriftModelParams, SyntheticTrajectoryParams,
-                            generate_trajectory_bank)
-from memgrad.rules import LayerSpec
-from memgrad.trainer import (NetworkLayer, Phase, Schedule, default_schedule,
-                             evaluate, evaluate_weights, make_run, predict,
-                             pulse_statistics, simulate_aging, train)
+from memgrad.data import FeatureDataset, SplitSpec, make_cluster_task, split
+from memgrad.crossbar import OnExhaustion
+from memgrad.device import (LARGE_ARRAY, MAC_ARRAY, DriftModelParams,
+                            SyntheticTrajectoryParams, generate_trajectory_bank)
+from memgrad.rules import CFParams, LayerSpec, SFFParams
+from memgrad.trainer import (NetworkLayer, Phase, Schedule, evaluate,
+                             evaluate_weights, predict, pulse_statistics,
+                             simulate_aging, train)
 
 
 @pytest.fixture(scope="module")
@@ -26,23 +27,29 @@ def tiny_bank():
         SyntheticTrajectoryParams(p_max=400, anomalous_probability=0.0), 64, seed=3)
 
 
-def tiny_run(algorithm, bank, seed=0, epochs=None, tau=None, **kw):
-    return make_run(algorithm, n_features=12, n_classes=4, seed=seed, bank=bank,
-                    hidden_units=12, cluster_size=3, epochs=epochs, tau=tau, **kw)
+def tiny_run(algorithm, bank, seed=0, n_features=12, single_layer=False,
+             **schedule):
+    """A run on the tiny task's shape, built from a config like every run."""
+    cfg = config.effective_config(None, {
+        "algorithm": algorithm,
+        "arch": {"hidden_units": 12, "cluster_size": 3, "single_layer": single_layer},
+        "schedule": schedule})
+    shape = FeatureDataset(np.zeros((4, n_features)), np.arange(4), 4)
+    return config.build_training_run(cfg, seed, shape, bank)
 
 
 class TestSchedules:
-    def test_bp_defaults_output_first(self):
-        sched = default_schedule("bp", 2)
+    def test_bp_defaults_output_first(self, tiny_bank):
+        sched = tiny_run("bp", tiny_bank).schedule
         assert [(p.layer, p.epochs) for p in sched.phases] == [(1, 10), (0, 20)]
 
-    def test_perceptron_default(self):
-        sched = default_schedule("bp", 1)
+    def test_perceptron_default(self, tiny_bank):
+        sched = tiny_run("bp", tiny_bank, single_layer=True).schedule
         assert [(p.layer, p.epochs) for p in sched.phases] == [(0, 20)]
 
-    def test_forward_rules_input_first(self):
+    def test_forward_rules_input_first(self, tiny_bank):
         for algo in ("sff", "cf", "float_sff", "float_cf"):
-            sched = default_schedule(algo, 2)
+            sched = tiny_run(algo, tiny_bank).schedule
             assert [p.layer for p in sched.phases] == [0, 1]
 
     def test_phase_needs_positive_epochs(self):
@@ -52,6 +59,88 @@ class TestSchedules:
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
             Schedule(phases=[], algorithm="nope")
+
+
+def _cursors_max(run):
+    return max(int(layer.array.cursors.max()) for layer in run.layers)
+
+
+# (algorithm, non-default override, what the built run carries, expected)
+RUN_SETTINGS = {
+    "batch_size": ("cf", {"schedule": {"batch_size": 5}},
+                   lambda run: run.schedule.batch_size, 5),
+    "tau": ("cf", {"schedule": {"tau": 0.02}}, lambda run: run.schedule.tau, 0.02),
+    "tau_default": ("bp", {}, lambda run: run.schedule.tau, 0.045),
+    "tau_float": ("float_cf", {}, lambda run: run.schedule.tau, 0.0),
+    "learning_rate": ("float_bp", {"schedule": {"learning_rate": 0.3}},
+                      lambda run: run.schedule.learning_rate, 0.3),
+    "plan_mode": ("bp", {"schedule": {"plan_mode": "paper_literal"}},
+                  lambda run: run.schedule.plan_mode, "paper_literal"),
+    "float_update": ("float_sff", {"schedule": {"float_update": "sign"}},
+                     lambda run: run.schedule.float_update, "sign"),
+    "epochs": ("bp", {"schedule": {"epochs": [2, 3]}},
+               lambda run: [(p.layer, p.epochs) for p in run.schedule.phases],
+               [(1, 2), (0, 3)]),
+    "token_amplitude": ("sff", {"rules": {"token_amplitude": 0.5}},
+                        lambda run: run.token_amplitude, 0.5),
+    "sff_inference": ("sff", {"rules": {"sff_inference": "per_label"}},
+                      lambda run: run.sff_inference, "per_label"),
+    "sff": ("sff", {"rules": {"sff": {"theta_plus": 3.0, "theta_minus": 0.5,
+                                      "eta": -1}}},
+            lambda run: (run.rule_params[0], run.layers[0].spec.eta),
+            (SFFParams(3.0, 0.5, -1), -1.0)),
+    "sff_head": ("float_sff", {"rules": {"sff_head": {"variant": "offset",
+                                                      "eta": -1}}},
+                 lambda run: (run.rule_params[1], run.layers[1].spec.eta),
+                 (CFParams("offset", 0.15, 0.15, -1), -1.0)),
+    "cf_first": ("cf", {"rules": {"cf_first": {"theta_plus": 0.3, "eta": 1}}},
+                 lambda run: (run.rule_params[0], run.layers[0].spec.eta),
+                 (CFParams("temperature", 0.3, 0.15, 1), 1.0)),
+    "cf_last": ("float_cf", {"rules": {"cf_last": {"theta_minus": 0.4}}},
+                lambda run: (run.rule_params[1], run.layers[1].spec.eta),
+                (CFParams("temperature", 0.15, 0.4, 1), 1.0)),
+    "on_exhaustion": ("cf", {"device": {"on_exhaustion": "reinit"}},
+                      lambda run: run.on_exhaustion, OnExhaustion.REINIT),
+    "gain_kappa": ("bp", {"device": {"gain_kappa": 2e4}},
+                   lambda run: [l.array.scale_s for l in run.layers],
+                   [2e4 * LARGE_ARRAY.v_read] * 2),
+    "pre_pulse_max": ("sff", {"device": {"pre_pulse_max": 0}}, _cursors_max, 0),
+    "tech": ("cf", {"device": {"tech": "mac_array"}},
+             lambda run: [l.array.tech for l in run.layers], [MAC_ARRAY] * 2),
+    "hidden_units": ("bp", {"arch": {"hidden_units": 7}},
+                     lambda run: [(l.spec.n_in, l.spec.n_out) for l in run.layers],
+                     [(12, 7), (7, 4)]),
+    "cluster_size": ("cf", {"arch": {"cluster_size": 2}},
+                     lambda run: [l.spec.clusters for l in run.layers], [(4, 2)] * 2),
+    "single_layer": ("float_bp", {"arch": {"single_layer": True}},
+                     lambda run: [(p.layer, p.epochs) for p in run.schedule.phases],
+                     [(0, 20)]),
+}
+
+
+class TestBuildTrainingRun:
+    """Every run setting reaches the run through its one constructor."""
+
+    @pytest.mark.parametrize("setting", sorted(RUN_SETTINGS))
+    def test_setting_reaches_run(self, tiny_task, tiny_bank, setting):
+        algorithm, override, carried, expected = RUN_SETTINGS[setting]
+        cfg = config.effective_config(None, {"algorithm": algorithm, **override})
+        run = config.build_training_run(cfg, 0, tiny_task[0], tiny_bank)
+        assert carried(run) == expected
+
+    def test_defaults_build_the_default_run(self, tiny_task, tiny_bank):
+        run = config.build_training_run(config.effective_config(), 0,
+                                        tiny_task[0], tiny_bank)
+        assert run.rule_params == [CFParams(eta=-1), CFParams(eta=1)]
+        assert [l.spec.eta for l in run.layers] == [-1.0, 1.0]
+        assert (run.schedule.batch_size, run.schedule.tau) == (16, 1e-3)
+        assert run.on_exhaustion is OnExhaustion.SKIP
+        assert _cursors_max(run) > 0
+
+    def test_epoch_count_per_layer(self, tiny_task, tiny_bank):
+        cfg = config.effective_config(None, {"schedule": {"epochs": [1]}})
+        with pytest.raises(ValueError, match="one epoch count per layer"):
+            config.build_training_run(cfg, 0, tiny_task[0], tiny_bank)
 
 
 class TestTrain:
@@ -149,8 +238,7 @@ class TestTrain:
 
     def test_dataset_dimension_mismatch(self, tiny_task, tiny_bank):
         train_ds, _, _ = tiny_task
-        run = make_run("cf", n_features=9, n_classes=4, seed=0, bank=tiny_bank,
-                       hidden_units=12, cluster_size=3)
+        run = tiny_run("cf", tiny_bank, n_features=9)
         with pytest.raises(ValueError, match="features"):
             train(run, train_ds)
 
@@ -173,8 +261,7 @@ class TestTrain:
 class TestDevicePerceptron:
     def test_single_layer_bp_trains_on_device(self, tiny_task, tiny_bank):
         train_ds, _, test_ds = tiny_task
-        run = make_run("bp", n_features=12, n_classes=4, seed=0, bank=tiny_bank,
-                       single_layer=True, epochs=[3], tau=0.01)
+        run = tiny_run("bp", tiny_bank, single_layer=True, epochs=[3], tau=0.01)
         assert len(run.layers) == 1
         before = evaluate(run, test_ds)
         train(run, train_ds)
