@@ -78,6 +78,17 @@ def _read_json(path, keys=()) -> dict:
     return payload
 
 
+def _run_config(path, cfg) -> dict:
+    """The complete effective config a run recorded; anything else is a data error."""
+    try:
+        complete = effective_config(cfg) == cfg
+    except ConfigError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if not complete:
+        raise ParseError(f"{path}: config is not a complete run config")
+    return cfg
+
+
 def _parse_list(text: str, kind, flag: str) -> list:
     """Parse a comma-separated CLI list; a bad token is a config error."""
     values = []
@@ -154,12 +165,17 @@ def _train_one(cfg, seed, dataset, splits, outdir: Path, bank=None):
     return test_acc
 
 
-def _train_worker(payload):
-    """Self-contained repeat-run worker: rebuilds its inputs from the config."""
-    cfg, seed, run_dir = payload
-    dataset = build_dataset(cfg)
-    splits = build_splits(cfg, dataset)
-    return seed, _train_one(cfg, seed, dataset, splits, Path(run_dir))
+def _train_runs(cfg, dataset, indices, seeds, out: Path) -> dict:
+    """Train and write the runs of ``seeds``; one call per process."""
+    splits = split(dataset, indices)
+    # a bank loaded from a file or drawn from a pinned seed is the same
+    # for every repeat, so it is built once
+    bank = None
+    if not cfg["algorithm"].startswith("float_") and (
+            cfg["bank"].get("path") or cfg["bank"]["seed"] is not None):
+        bank = build_bank(cfg, seeds[0])
+    return {seed: _train_one(cfg, seed, dataset, splits, out / f"run_{seed}", bank)
+            for seed in seeds}
 
 
 def cmd_train(args) -> int:
@@ -188,6 +204,8 @@ def cmd_train(args) -> int:
     if args.tech:
         overrides.setdefault("device", {})["tech"] = args.tech
     cfg = load_config(args.config, overrides)
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -196,23 +214,16 @@ def cmd_train(args) -> int:
     _write_json(out / "splits.json", indices)
 
     seeds = [cfg["seed"] + rep for rep in range(cfg["repeat"])]
-    jobs = [(cfg, seed, str(out / f"run_{seed}")) for seed in seeds]
-    if args.workers > 1 and len(jobs) > 1:
-        # fan the repeats out across processes; each worker is isolated
-        # (own arrays, rng streams, output subdirectory)
-        with concurrent.futures.ProcessPoolExecutor(args.workers) as pool:
-            by_seed = dict(pool.map(_train_worker, jobs))
+    n = min(args.workers, len(seeds))
+    if n > 1:
+        # process k trains seeds k, k+n, ...; each writes only its own
+        # run directories
+        with concurrent.futures.ProcessPoolExecutor(n) as pool:
+            parts = pool.map(_train_runs, [cfg] * n, [dataset] * n, [indices] * n,
+                             [seeds[k::n] for k in range(n)], [out] * n)
+            by_seed = {seed: acc for part in parts for seed, acc in part.items()}
     else:
-        splits = split(dataset, indices)
-        # a bank loaded from a file or drawn from a pinned seed is the same
-        # for every repeat, so it is built once
-        bank = None
-        if not cfg["algorithm"].startswith("float_") and (
-                cfg["bank"].get("path") or cfg["bank"]["seed"] is not None):
-            bank = build_bank(cfg, seeds[0])
-        by_seed = {seed: _train_one(cfg, seed, dataset, splits,
-                                    out / f"run_{seed}", bank)
-                   for _, seed, _ in jobs}
+        by_seed = _train_runs(cfg, dataset, indices, seeds, out)
     accs = [by_seed[seed] for seed in seeds]
     for seed, acc in zip(seeds, accs):
         print(f"run seed={seed}: test accuracy {acc:.4f}")
@@ -303,19 +314,28 @@ def cmd_age(args) -> int:
     if not manifest_path.exists():
         raise ParseError(f"missing manifest: {manifest_path}")
     manifest = _read_json(manifest_path, ("config", "layers", "scale_s"))
-    cfg = manifest["config"]
-    dataset = build_dataset(cfg)
-    _, _, test_ds = build_splits(cfg, dataset)
-    scales = manifest["scale_s"]
+    cfg = _run_config(manifest_path, manifest["config"])
+    specs, scales = manifest["layers"], manifest["scale_s"]
+    if not (isinstance(specs, list) and isinstance(scales, list)
+            and len(specs) == len(scales)):
+        raise ParseError(f"{manifest_path}: 'layers' and 'scale_s' must be "
+                         f"lists of one entry per layer")
     if any(s is None for s in scales):
         raise ParseError("run is float-mode; aging needs device snapshots")
+    for k, spec in enumerate(specs):
+        try:
+            specs[k] = LayerSpec(**spec)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{manifest_path}: layers[{k}] is not a layer "
+                             f"spec ({exc})") from exc
+    dataset = build_dataset(cfg)
+    _, _, test_ds = build_splits(cfg, dataset)
     layers = []
-    for k, (spec, s) in enumerate(zip(manifest["layers"], scales)):
+    for k, (spec, s) in enumerate(zip(specs, scales)):
         snap_path = run_dir / f"snapshot_layer{k}.csv"
         if not snap_path.exists():
             raise ParseError(f"missing snapshot: {snap_path}")
         snap = load_snapshot_csv(snap_path)
-        spec = LayerSpec(**spec)
         n_out, n_in = snap["g_plus"].shape
         if (n_out, n_in) != (spec.n_out, spec.n_in):
             raise ParseError(f"{snap_path}: {n_in} rows x {n_out} cols, layer {k} "
@@ -346,6 +366,10 @@ def cmd_energy(args) -> int:
     if not ledger_path.exists():
         raise ParseError(f"missing ledger: {ledger_path}")
     ledger = EnergyLedger.load(ledger_path)
+    for name in ledger.pulse_sums:
+        if name not in TECH_PROFILES:
+            raise ParseError(f"{ledger_path}: malformed ledger (unknown tech "
+                             f"{name!r} in pulse_totals)")
     profiles = [p.strip() for p in args.tech.split(",") if p.strip()]
     for p in profiles:
         if p not in TECH_PROFILES:
@@ -411,9 +435,12 @@ def cmd_stats(args) -> int:
                 if not line or line.startswith("#"):
                     continue
                 try:
-                    values.append(float(line))
+                    value = float(line)
                 except ValueError as exc:
                     raise ParseError(f"{path}:{lineno}: not a number: {line!r}") from exc
+                if not math.isfinite(value):
+                    raise ParseError(f"{path}:{lineno}: not a finite number: {line!r}")
+                values.append(value)
         if len(values) < 2:
             raise ParseError(f"{path}: need at least 2 values per group")
         groups[Path(path).stem] = values
@@ -456,6 +483,24 @@ _REPORT_KEYS = {"manifest.json": ("config", "seed", "config_hash"),
                 "summary.json": ("test_accuracy",)}
 
 
+def _print_artifact(name: str, payload: dict):
+    if name == "manifest.json":
+        print(f"  algorithm: {payload['config']['algorithm']}, "
+              f"seed {payload['seed']}, "
+              f"config hash {payload['config_hash'][:12]}")
+    elif name == "metrics.json":
+        print(f"  final test accuracy: {payload['final_test_accuracy']:.4f}")
+        for entry in payload["pulse_stats"]["per_layer"]:
+            print(f"  layer {entry['layer']}: {entry['pulses']} pulses, "
+                  f"{entry['mean_per_device']:.1f} per device")
+    elif name == "energy.json":
+        print(f"  programming energy: {payload['programming_j']:.3e} J "
+              f"({payload['pulse_count']} pulses)")
+    elif name == "summary.json":
+        acc = payload["test_accuracy"]
+        print(f"  repeat summary: {acc['mean']:.4f} +/- {acc['std']:.4f}")
+
+
 def cmd_report(args) -> int:
     run_dir = Path(args.run)
     print(f"run directory: {run_dir}")
@@ -464,29 +509,25 @@ def cmd_report(args) -> int:
         if not path.exists():
             continue
         payload = _read_json(path, _REPORT_KEYS[name])
-        if name == "manifest.json":
-            print(f"  algorithm: {payload['config']['algorithm']}, "
-                  f"seed {payload['seed']}, "
-                  f"config hash {payload['config_hash'][:12]}")
-        elif name == "metrics.json":
-            print(f"  final test accuracy: {payload['final_test_accuracy']:.4f}")
-            for entry in payload["pulse_stats"]["per_layer"]:
-                print(f"  layer {entry['layer']}: {entry['pulses']} pulses, "
-                      f"{entry['mean_per_device']:.1f} per device")
-        elif name == "energy.json":
-            print(f"  programming energy: {payload['programming_j']:.3e} J "
-                  f"({payload['pulse_count']} pulses)")
-        elif name == "summary.json":
-            acc = payload["test_accuracy"]
-            print(f"  repeat summary: {acc['mean']:.4f} +/- {acc['std']:.4f}")
+        try:
+            _print_artifact(name, payload)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: malformed artifact "
+                             f"({type(exc).__name__}: {exc})") from exc
     aging = run_dir / "aging.csv"
     if aging.exists():
+        by_day = {}
         with open(aging) as f:
-            rows = list(csv.DictReader(f))
-        days = sorted({float(r["day"]) for r in rows})
-        for day in days:
-            accs = [float(r["accuracy"]) for r in rows if float(r["day"]) == day]
-            print(f"  aging day {day:g}: {np.mean(accs):.4f}")
+            reader = csv.DictReader(f)
+            for row in reader:
+                try:
+                    by_day.setdefault(float(row["day"]), []).append(
+                        float(row["accuracy"]))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ParseError(f"{aging}:{reader.line_num}: not a "
+                                     f"day,repeat,accuracy row") from exc
+        for day in sorted(by_day):
+            print(f"  aging day {day:g}: {np.mean(by_day[day]):.4f}")
     return EXIT_OK
 
 

@@ -123,27 +123,20 @@ class EnergyLedger:
 
     @classmethod
     def from_json(cls, payload: dict) -> "EnergyLedger":
-        """Read the aggregate layout, or sum the older event-list layout.
+        """Read the aggregate layout that ``to_json`` writes.
 
-        The event-list layout stored every pre-pulse conductance under
-        ``pulse_g_pre_uS`` and every read as ``[g_sum_uS, v_read, t_read]``
-        under ``reads``, all conductances in microsiemens.  The G_pre
-        histogram that aggregate files once carried (``g_pre_hist``,
-        ``g_pre_hist_bin_uS``) is ignored.
+        Every field is required.  The G_pre histogram that aggregate files
+        once carried (``g_pre_hist``, ``g_pre_hist_bin_uS``) is ignored.
         """
         ledger = cls()
-        for tech, entry in payload.get("pulse_totals", {}).items():
+        for tech, entry in payload["pulse_totals"].items():
             ledger.pulse_sums[tech] = RunningSum(entry["g_pre_sum_S"], entry["count"])
-        for entry in payload.get("read_totals", []):
+        for entry in payload["read_totals"]:
             ledger.read_sums[(entry["v_read"], entry["t_read"])] = RunningSum(
                 entry["g_sum_S"], entry["count"])
-        for tech, values in payload.get("pulse_g_pre_uS", {}).items():
-            ledger.record_pulses(np.asarray(values, dtype=float) * 1e-6, tech)
-        for g, v, t in payload.get("reads", []):
-            ledger.record_read(g * 1e-6, v, t)
-        ledger.mac_count = int(payload.get("mac_count", 0))
-        ledger.reinit_count = int(payload.get("reinit_count", 0))
-        ledger.reinit_energy_j = float(payload.get("reinit_energy_j", 0.0))
+        ledger.mac_count = int(payload["mac_count"])
+        ledger.reinit_count = int(payload["reinit_count"])
+        ledger.reinit_energy_j = float(payload["reinit_energy_j"])
         return ledger
 
     def save(self, path):

@@ -3,6 +3,8 @@
 import csv
 import dataclasses
 import json
+import multiprocessing
+import os
 import re
 
 import numpy as np
@@ -34,6 +36,21 @@ TINY_CONFIG = {
 def tiny_config_path(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(TINY_CONFIG))
+    return str(path)
+
+
+def bank_config_path(tmp_path, source):
+    """The tiny config with a pinned (``seed``), seed-derived or file bank."""
+    cfg = json.loads(json.dumps(TINY_CONFIG))
+    if source == "derived":
+        cfg["bank"]["seed"] = None
+    elif source == "path":
+        params = SyntheticTrajectoryParams(**cfg["bank"]["params"])
+        bank_path = tmp_path / "bank.csv"
+        save_bank_csv(generate_trajectory_bank(params, 40, 5), bank_path)
+        cfg["bank"] = {"path": str(bank_path)}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
     return str(path)
 
 
@@ -73,6 +90,16 @@ class TestStatsCommand:
         rc = cli.main(["stats", str(a), str(b)])
         assert rc == cli.EXIT_DATA
         assert "a.txt:2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_line(self, tmp_path, capsys, token):
+        a = tmp_path / "a.txt"
+        a.write_text(f"1.0\n2.0\n{token}\n")
+        b = tmp_path / "b.txt"
+        b.write_text("1.0\n2.0\n")
+        rc = cli.main(["stats", str(a), str(b)])
+        assert rc == cli.EXIT_DATA
+        assert f"a.txt:3: not a finite number: {token!r}" in capsys.readouterr().err
 
 
 class TestGradcheckCommand:
@@ -420,15 +447,8 @@ class TestSharedBank:
 
     @pytest.mark.parametrize("source", ["seed", "path"])
     def test_built_once_and_runs_unchanged(self, tmp_path, monkeypatch, capsys, source):
-        cfg = json.loads(json.dumps(TINY_CONFIG))
-        if source == "path":
-            params = SyntheticTrajectoryParams(**cfg["bank"]["params"])
-            bank_path = tmp_path / "bank.csv"
-            save_bank_csv(generate_trajectory_bank(params, 40, 5), bank_path)
-            cfg["bank"] = {"path": str(bank_path)}
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(cfg))
-        args = ["train", "--config", str(cfg_path), "--algo", "cf", "--repeat", "3"]
+        args = ["train", "--config", bank_config_path(tmp_path, source), "--algo", "cf",
+                "--repeat", "3"]
         generated = self.count_calls(monkeypatch, "generate_trajectory_bank")
         loaded = self.count_calls(monkeypatch, "load_bank_csv")
         assert cli.main([*args, "--out", str(tmp_path / "shared")]) == 0
@@ -442,12 +462,9 @@ class TestSharedBank:
         assert shared == self.run_files(tmp_path / "own", [0, 1, 2])
 
     def test_seed_dependent_bank_built_per_run(self, tmp_path, monkeypatch, capsys):
-        cfg = json.loads(json.dumps(TINY_CONFIG))
-        cfg["bank"]["seed"] = None
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(cfg))
         generated = self.count_calls(monkeypatch, "generate_trajectory_bank")
-        assert cli.main(["train", "--config", str(cfg_path), "--algo", "cf",
+        assert cli.main(["train", "--config", bank_config_path(tmp_path, "derived"),
+                         "--algo", "cf",
                          "--repeat", "3", "--out", str(tmp_path / "o")]) == 0
         assert len({args[2] for args in generated}) == 3
 
@@ -551,15 +568,28 @@ class TestRunPipeline:
         assert f"--days: {token} is not a finite day >= 0" in capsys.readouterr().err
         assert not (device_run_dir / "aging.csv").exists()
 
-    @pytest.mark.parametrize("case", ["not_json", "no_count"])
+    @pytest.mark.parametrize("case", ["not_json", "no_count", "event_list", "empty",
+                                      "unknown_tech"])
     def test_malformed_ledger_is_data_error(self, device_run_dir, capsys, case):
         path = device_run_dir / "ledger.json"
+        payload = json.loads(path.read_text())
         if case == "not_json":
             path.write_text('{"pulse_totals": ')
-        else:
-            payload = json.loads(path.read_text())
+        elif case == "no_count":
             for entry in payload["pulse_totals"].values():
                 del entry["count"]
+            path.write_text(json.dumps(payload))
+        elif case == "event_list":
+            # the older layout: one pre-pulse conductance per pulse, one
+            # [g_sum_uS, v_read, t_read] per read, in microsiemens
+            path.write_text(json.dumps({
+                "pulse_g_pre_uS": {"large_array": [80.0, 75.5]},
+                "reads": [[500.0, 0.2, 15e-6]], "mac_count": 4,
+                "reinit_count": 0, "reinit_energy_j": 0.0}))
+        elif case == "empty":
+            path.write_text("{}")
+        else:
+            payload["pulse_totals"] = {"foo": payload["pulse_totals"]["large_array"]}
             path.write_text(json.dumps(payload))
         rc = cli.main(["energy", "--run", str(device_run_dir)])
         assert rc == cli.EXIT_DATA
@@ -581,6 +611,54 @@ class TestRunPipeline:
         assert rc == cli.EXIT_DATA
         assert f"manifest.json: {message}" in capsys.readouterr().err
         assert not (device_run_dir / "aging.csv").exists()
+
+    @pytest.mark.parametrize("case, message", [
+        ("layer_key", r"layers\[0\] is not a layer spec .*'n_in'"),
+        ("layer_type", r"layers\[1\] is not a layer spec"),
+        ("short_scales", "'layers' and 'scale_s' must be lists of one entry per layer"),
+        ("no_task", "config is not a complete run config"),
+        ("config_key", "config invalid at <root>"),
+    ], ids=["layer_key", "layer_type", "short_scales", "no_task", "config_key"])
+    def test_malformed_manifest_entries_are_data_error(self, device_run_dir, capsys,
+                                                       case, message):
+        path = device_run_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if case == "layer_key":
+            del manifest["layers"][0]["n_in"]
+        elif case == "layer_type":
+            manifest["layers"][1] = 12
+        elif case == "short_scales":
+            manifest["scale_s"] = manifest["scale_s"][:1]
+        elif case == "no_task":
+            del manifest["config"]["task"]
+        else:
+            manifest["config"]["extra"] = 1
+        path.write_text(json.dumps(manifest))
+        rc = cli.main(["age", "--run", str(device_run_dir), "--days", "0",
+                       "--repeats", "2"])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "manifest.json: " in err
+        assert re.search(message, err)
+        assert not (device_run_dir / "aging.csv").exists()
+
+    @pytest.mark.parametrize("name, message", [
+        ("aging.csv", r"aging\.csv:3: not a day,repeat,accuracy row"),
+        ("metrics.json", r"metrics\.json: malformed artifact \(KeyError: 'layer'\)"),
+    ], ids=["aging", "metrics"])
+    def test_malformed_report_artifact_is_data_error(self, device_run_dir, capsys,
+                                                     name, message):
+        path = device_run_dir / name
+        if name == "aging.csv":
+            path.write_text("day,repeat,accuracy\n0,0,0.500000\n8,0,x\n")
+        else:
+            metrics = json.loads(path.read_text())
+            for entry in metrics["pulse_stats"]["per_layer"]:
+                del entry["layer"]
+            path.write_text(json.dumps(metrics))
+        rc = cli.main(["report", "--run", str(device_run_dir)])
+        assert rc == cli.EXIT_DATA
+        assert re.search(message, capsys.readouterr().err)
 
     def test_energy_report(self, device_run_dir, capsys):
         rc = cli.main(["energy", "--run", str(device_run_dir)])
@@ -627,18 +705,51 @@ class TestPerceptronSchedule:
 
 
 class TestRepeatFanOut:
-    def test_worker_pool_matches_serial(self, tiny_config_path, tmp_path):
-        serial = tmp_path / "serial"
-        pooled = tmp_path / "pooled"
+    @pytest.mark.parametrize("source", ["derived", "seed", "path"])
+    def test_worker_pool_matches_serial(self, tmp_path, capsys, source):
+        args = ["train", "--config", bank_config_path(tmp_path, source),
+                "--algo", "cf", "--repeat", "3"]
+        files = []
+        for name, extra in (("serial", []), ("pooled", ["--workers", "2"])):
+            out = tmp_path / name
+            assert cli.main([*args, *extra, "--out", str(out)]) == 0
+            files.append({str(p.relative_to(out)): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+        assert len(files[0]) == 3 * 7 + 2
+        assert {"summary.json", "splits.json", "run_2/ledger.json"} <= files[0].keys()
+        assert files[0] == files[1]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers see the patched build_bank only when forked")
+    def test_each_worker_builds_a_shared_bank_once(self, tiny_config_path, tmp_path,
+                                                   monkeypatch, capsys):
+        log = tmp_path / "pids.txt"
+        real = config.build_bank
+
+        def logged(cfg, seed):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return real(cfg, seed)
+
+        # both names: a run builds its own bank through config.build_bank
+        monkeypatch.setattr(cli, "build_bank", logged)
+        monkeypatch.setattr(config, "build_bank", logged)
+        assert cli.main(["train", "--config", tiny_config_path, "--algo", "cf",
+                         "--repeat", "4", "--workers", "2",
+                         "--out", str(tmp_path / "o")]) == 0
+        pids = log.read_text().split()
+        assert len(pids) == len(set(pids)) == 2
+        assert str(os.getpid()) not in pids
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_are_a_config_error(self, tiny_config_path, tmp_path,
+                                                  capsys, workers):
+        out = tmp_path / "w"
         rc = cli.main(["train", "--config", tiny_config_path, "--algo", "cf",
-                       "--repeat", "2", "--out", str(serial)])
-        assert rc == 0
-        rc = cli.main(["train", "--config", tiny_config_path, "--algo", "cf",
-                       "--repeat", "2", "--workers", "2", "--out", str(pooled)])
-        assert rc == 0
-        a = json.loads((serial / "summary.json").read_text())
-        b = json.loads((pooled / "summary.json").read_text())
-        assert a["test_accuracy"]["values"] == b["test_accuracy"]["values"]
+                       "--repeat", "2", "--workers", workers, "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_splits_manifest_written(self, tiny_config_path, tmp_path):
         out = tmp_path / "sp"

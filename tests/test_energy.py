@@ -180,45 +180,21 @@ class TestAggregates:
             160e-6 * 0.09 * 2e-6)
 
 
-def legacy_payload(values_uS, reads):
-    """A ledger.json in the older layout: one entry per pulse and per read."""
-    return {"pulse_g_pre_uS": values_uS, "reads": reads, "mac_count": 4321,
-            "reinit_count": 2, "reinit_energy_j": 3e-12}
-
-
 class TestLegacyLedger:
-    def test_legacy_layout_is_summed(self):
-        rng = np.random.default_rng(8)
-        values = {"large_array": [float(f"{g:.6g}") for g in rng.uniform(20, 90, 300)],
-                  "mac_array": [float(f"{g:.6g}") for g in rng.uniform(20, 90, 120)]}
-        reads = [[float(f"{g:.6g}"), 0.2, 15e-6] for g in rng.uniform(100, 900, 40)]
-        ledger = EnergyLedger.from_json(legacy_payload(values, reads))
-        assert ledger.pulse_count == 420 and ledger.read_count == 40
-        assert ledger.mac_count == 4321 and ledger.reinit_count == 2
-        # the sums the event-list ledger computed, term by term
-        naive = sum(sum(g * 1e-6 for g in v) for v in values.values())
-        assert programming_energy(ledger, LARGE_ARRAY) == pytest.approx(
-            naive * 0.9 ** 2 * 600e-9, rel=1e-12)
-        naive_read = 0.0
-        for g, v, t in reads:
-            naive_read += g * 1e-6 * v ** 2 * t
-        assert read_energy(ledger) == pytest.approx(naive_read, rel=1e-12)
-
     def test_legacy_ledger_gives_same_energy_json(self, tmp_path, capsys):
         rng = np.random.default_rng(9)
         values = {"large_array": [float(f"{g:.6g}") for g in rng.uniform(20, 90, 500)]}
         reads = [[float(f"{g:.6g}"), 0.2, 15e-6] for g in rng.uniform(100, 900, 25)]
-        run_dirs = [tmp_path / name for name in ("legacy", "histogram", "aggregate")]
+        run_dirs = [tmp_path / name for name in ("histogram", "aggregate")]
         for run_dir in run_dirs:
             run_dir.mkdir()
-        (run_dirs[0] / "ledger.json").write_text(json.dumps(legacy_payload(values, reads)))
         ledger = EnergyLedger()
         ledger.record_pulses(np.asarray(values["large_array"]) * 1e-6, "large_array")
         for g, v, t in reads:
             ledger.record_read(g * 1e-6, v, t)
         ledger.record_macs(4321)
         ledger.record_reinit(1.5e-12, count=2)
-        ledger.save(run_dirs[2] / "ledger.json")
+        ledger.save(run_dirs[1] / "ledger.json")
         # the aggregate layout that also carried a G_pre histogram: 2 uS
         # bins from 0 to 200 uS; the values lie in bins 10 to 44
         totals = ledger.to_json()
@@ -235,11 +211,11 @@ class TestLegacyLedger:
             "mac_count": 4321, "reinit_count": 2,
             "reinit_energy_j": totals["reinit_energy_j"],
         }
-        (run_dirs[1] / "ledger.json").write_text(json.dumps(with_histogram))
+        (run_dirs[0] / "ledger.json").write_text(json.dumps(with_histogram))
         outputs = []
         for run_dir in run_dirs:
             assert cli.main(["energy", "--run", str(run_dir)]) == 0
             outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1]
         energy = [(run_dir / "energy.json").read_text() for run_dir in run_dirs]
-        assert energy[0] == energy[1] == energy[2]
+        assert energy[0] == energy[1]
