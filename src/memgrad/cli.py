@@ -16,16 +16,14 @@ import concurrent.futures
 import csv
 import dataclasses
 import hashlib
-import importlib.resources
-import json
 import math
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
+from .artifacts import read_json, write_json
 from .config import (ConfigError, TECH_PROFILES, build_bank, build_dataset,
                      build_drift_params, build_split_indices, build_splits,
                      build_training_run, config_hash, effective_config,
@@ -54,39 +52,21 @@ def _dataset_digest(ds: FeatureDataset) -> str:
     return h.hexdigest()
 
 
-def _write_json(path, payload: dict, schema: str | None = None):
-    """Write a JSON artifact, validating against a shipped schema first."""
-    if schema is not None:
-        resource = importlib.resources.files("memgrad.schemas") / schema
-        jsonschema.validate(payload, json.loads(resource.read_text()))
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2)
+def _read_manifest(path) -> dict:
+    """A run manifest that records the complete effective config of its run."""
+    manifest = read_json(path, "manifest.schema.json")
+    if effective_config(manifest["config"]) != manifest["config"]:
+        raise ParseError(f"{path}: invalid at config: not a complete run config")
+    return manifest
 
 
-def _read_json(path, keys=()) -> dict:
-    """Read a JSON object that must hold ``keys``; anything else is a data error."""
-    with open(path) as f:
-        try:
-            payload = json.load(f)
-        except ValueError as exc:
-            raise ParseError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    missing = [k for k in keys if k not in payload]
-    if missing:
-        raise ParseError(f"{path}: missing {missing[0]!r}")
-    return payload
-
-
-def _run_config(path, cfg) -> dict:
-    """The complete effective config a run recorded; anything else is a data error."""
-    try:
-        complete = effective_config(cfg) == cfg
-    except ConfigError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if not complete:
-        raise ParseError(f"{path}: config is not a complete run config")
-    return cfg
+def _check_min(args, **minimums):
+    """Refuse an integer flag below its minimum, naming the flag."""
+    for name, low in minimums.items():
+        value = getattr(args, name)
+        if value < low:
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= {low}, "
+                              f"got {value}")
 
 
 def _parse_list(text: str, kind, flag: str) -> list:
@@ -147,7 +127,7 @@ def _train_one(cfg, seed, dataset, splits, outdir: Path, bank=None):
         "scale_s": [layer.array.scale_s if layer.array else None
                     for layer in run.layers],
     }
-    _write_json(outdir / "manifest.json", manifest)
+    write_json(outdir / "manifest.json", manifest, "manifest.schema.json")
     _write_curve(run, outdir / "curve.csv")
     if run.is_device:
         _write_pulses(run, outdir / "pulses.csv")
@@ -161,7 +141,7 @@ def _train_one(cfg, seed, dataset, splits, outdir: Path, bank=None):
         "pulse_stats": pulse_statistics(run),
         "max_buffered_scalars": run.max_buffered_scalars,
     }
-    _write_json(outdir / "metrics.json", metrics)
+    write_json(outdir / "metrics.json", metrics, "metrics.schema.json")
     return test_acc
 
 
@@ -204,14 +184,13 @@ def cmd_train(args) -> int:
     if args.tech:
         overrides.setdefault("device", {})["tech"] = args.tech
     cfg = load_config(args.config, overrides)
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    _check_min(args, workers=1)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dataset = build_dataset(cfg)
     indices = build_split_indices(cfg, dataset)
-    _write_json(out / "splits.json", indices)
+    write_json(out / "splits.json", indices)
 
     seeds = [cfg["seed"] + rep for rep in range(cfg["repeat"])]
     n = min(args.workers, len(seeds))
@@ -233,7 +212,7 @@ def cmd_train(args) -> int:
         "test_accuracy": {"values": accs, "mean": float(np.mean(accs)),
                           "std": float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0},
     }
-    _write_json(out / "summary.json", summary, "run_summary.schema.json")
+    write_json(out / "summary.json", summary, "run_summary.schema.json")
     print(f"summary: mean test accuracy {summary['test_accuracy']['mean']:.4f} "
           f"over {cfg['repeat']} run(s)")
     return EXIT_OK
@@ -242,10 +221,7 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------- characterize
 
 def cmd_characterize(args) -> int:
-    for flag in ("cycles", "pulses_per_cycle", "devices"):
-        if getattr(args, flag) < 0:
-            raise ConfigError(f"--{flag.replace('_', '-')} must be >= 0, "
-                              f"got {getattr(args, flag)}")
+    _check_min(args, cycles=0, pulses_per_cycle=0, devices=0)
     flags = {"path": args.bank, "count": args.count, "seed": args.seed}
     cfg = load_config(args.config, {"bank": {key: value for key, value in flags.items()
                                              if value is not None}})
@@ -307,27 +283,24 @@ def cmd_age(args) -> int:
             raise ConfigError(f"--days: {token!r} is not a finite day >= 0")
     if days != sorted(days):
         raise ConfigError("day checkpoints must be ascending")
-    if args.repeats < 1:
-        raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
+    _check_min(args, repeats=1, seed=0)
     run_dir = Path(args.run)
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         raise ParseError(f"missing manifest: {manifest_path}")
-    manifest = _read_json(manifest_path, ("config", "layers", "scale_s"))
-    cfg = _run_config(manifest_path, manifest["config"])
-    specs, scales = manifest["layers"], manifest["scale_s"]
-    if not (isinstance(specs, list) and isinstance(scales, list)
-            and len(specs) == len(scales)):
-        raise ParseError(f"{manifest_path}: 'layers' and 'scale_s' must be "
-                         f"lists of one entry per layer")
+    manifest = _read_manifest(manifest_path)
+    cfg, specs, scales = manifest["config"], manifest["layers"], manifest["scale_s"]
+    if len(specs) != len(scales):
+        raise ParseError(f"{manifest_path}: invalid at scale_s: {len(scales)} "
+                         f"scale(s) for {len(specs)} layers")
     if any(s is None for s in scales):
         raise ParseError("run is float-mode; aging needs device snapshots")
     for k, spec in enumerate(specs):
         try:
             specs[k] = LayerSpec(**spec)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{manifest_path}: layers[{k}] is not a layer "
-                             f"spec ({exc})") from exc
+        except ValueError as exc:
+            # the schema cannot relate a layer's clusters to its n_out
+            raise ParseError(f"{manifest_path}: invalid at layers/{k}: {exc}") from exc
     dataset = build_dataset(cfg)
     _, _, test_ds = build_splits(cfg, dataset)
     layers = []
@@ -366,10 +339,6 @@ def cmd_energy(args) -> int:
     if not ledger_path.exists():
         raise ParseError(f"missing ledger: {ledger_path}")
     ledger = EnergyLedger.load(ledger_path)
-    for name in ledger.pulse_sums:
-        if name not in TECH_PROFILES:
-            raise ParseError(f"{ledger_path}: malformed ledger (unknown tech "
-                             f"{name!r} in pulse_totals)")
     profiles = [p.strip() for p in args.tech.split(",") if p.strip()]
     for p in profiles:
         if p not in TECH_PROFILES:
@@ -412,7 +381,7 @@ def cmd_energy(args) -> int:
                                          if mean_optimized_j else None),
         },
     }
-    _write_json(run_dir / "energy.json", report, "energy_report.schema.json")
+    write_json(run_dir / "energy.json", report, "energy_report.schema.json")
     print(f"pulses: {pulse_count}, programming {native:.3e} J, "
           f"reads {report['read_j']:.3e} J, "
           f"projected MAC {report['mac_projected_j']:.3e} J")
@@ -424,10 +393,18 @@ def cmd_energy(args) -> int:
 # ---------------------------------------------------------------- stats
 
 def cmd_stats(args) -> int:
-    if len(args.files) < 2:
+    if not 0 < args.alpha < 1:
+        raise ConfigError(f"--alpha must be in (0, 1), got {args.alpha}")
+    paths = {}   # a group is named by its file's stem
+    for path in args.files:
+        name = Path(path).stem
+        if name in paths:
+            raise ConfigError(f"{paths[name]} and {path} are both group {name!r}")
+        paths[name] = path
+    if len(paths) < 2:
         raise ParseError("need >= 2 groups of accuracies")
     groups = {}
-    for path in args.files:
+    for name, path in paths.items():
         values = []
         with open(path) as f:
             for lineno, line in enumerate(f, start=1):
@@ -443,11 +420,11 @@ def cmd_stats(args) -> int:
                 values.append(value)
         if len(values) < 2:
             raise ParseError(f"{path}: need at least 2 values per group")
-        groups[Path(path).stem] = values
+        groups[name] = values
     report = StatReport.from_groups(groups, alpha=args.alpha)
     payload = report.to_json()
     if args.out:
-        _write_json(args.out, payload, "stats_report.schema.json")
+        write_json(args.out, payload, "stats_report.schema.json")
     for (a, b), p, rejected in zip(report.pairs, report.p_values, report.rejected):
         verdict = "reject" if rejected else "retain"
         print(f"{a} vs {b}: p = {p:.4f} ({verdict} at alpha={args.alpha})")
@@ -457,6 +434,7 @@ def cmd_stats(args) -> int:
 # ---------------------------------------------------------------- gradcheck
 
 def cmd_gradcheck(args) -> int:
+    _check_min(args, trials=1, seed=0)
     if args.rule == "all":
         results = gradcheck_mod.run_all(trials=args.trials, seed=args.seed)
     elif args.rule == "sff":
@@ -475,13 +453,6 @@ def cmd_gradcheck(args) -> int:
 
 
 # ---------------------------------------------------------------- report
-
-# the fields each artifact must hold for memgrad report
-_REPORT_KEYS = {"manifest.json": ("config", "seed", "config_hash"),
-                "metrics.json": ("final_test_accuracy", "pulse_stats"),
-                "energy.json": ("programming_j", "pulse_count"),
-                "summary.json": ("test_accuracy",)}
-
 
 def _print_artifact(name: str, payload: dict):
     if name == "manifest.json":
@@ -504,16 +475,14 @@ def _print_artifact(name: str, payload: dict):
 def cmd_report(args) -> int:
     run_dir = Path(args.run)
     print(f"run directory: {run_dir}")
-    for name in ("manifest.json", "metrics.json", "energy.json", "summary.json"):
+    for name, schema in (("manifest.json", None),
+                         ("metrics.json", "metrics.schema.json"),
+                         ("energy.json", "energy_report.schema.json"),
+                         ("summary.json", "run_summary.schema.json")):
         path = run_dir / name
-        if not path.exists():
-            continue
-        payload = _read_json(path, _REPORT_KEYS[name])
-        try:
-            _print_artifact(name, payload)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: malformed artifact "
-                             f"({type(exc).__name__}: {exc})") from exc
+        if path.exists():
+            _print_artifact(name, read_json(path, schema) if schema
+                            else _read_manifest(path))
     aging = run_dir / "aging.csv"
     if aging.exists():
         by_day = {}

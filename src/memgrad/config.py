@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import importlib.resources
 import json
 import os
 
-import jsonschema
 import numpy as np
 
 from . import data as data_mod
+from .artifacts import invalid_at
 from .device import (DriftModelParams, LARGE_ARRAY, MAC_ARRAY,
                      SyntheticTrajectoryParams, generate_trajectory_bank,
                      load_bank_csv)
@@ -113,11 +112,6 @@ class ConfigError(ValueError):
     """Configuration rejected by the schema or semantically invalid."""
 
 
-def _schema() -> dict:
-    resource = importlib.resources.files("memgrad.schemas") / "run_config.schema.json"
-    return json.loads(resource.read_text())
-
-
 def _deep_merge(base: dict, override: dict) -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -129,11 +123,9 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def validate_config(cfg: dict):
-    try:
-        jsonschema.validate(cfg, _schema())
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
+    error = invalid_at(cfg, "run_config.schema.json")
+    if error is not None:
+        raise ConfigError(f"config {error}")
 
 
 def effective_config(user_cfg: dict | None = None,

@@ -13,14 +13,13 @@ MACs are projected through a TOPS/W efficiency figure (one MAC = two ops).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import read_json, write_json
 from .device import DeviceTechParams
-from .errors import ParseError
 
 __all__ = [
     "EnergyLedger",
@@ -121,13 +120,13 @@ class EnergyLedger:
             "reinit_energy_j": self.reinit_energy_j,
         }
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "EnergyLedger":
-        """Read the aggregate layout that ``to_json`` writes.
+    def save(self, path):
+        write_json(path, self.to_json(), "ledger.schema.json", indent=None)
 
-        Every field is required.  The G_pre histogram that aggregate files
-        once carried (``g_pre_hist``, ``g_pre_hist_bin_uS``) is ignored.
-        """
+    @classmethod
+    def load(cls, path) -> "EnergyLedger":
+        """Read a ledger file; one that is not a ledger raises ParseError."""
+        payload = read_json(path, "ledger.schema.json")
         ledger = cls()
         for tech, entry in payload["pulse_totals"].items():
             ledger.pulse_sums[tech] = RunningSum(entry["g_pre_sum_S"], entry["count"])
@@ -138,21 +137,6 @@ class EnergyLedger:
         ledger.reinit_count = int(payload["reinit_count"])
         ledger.reinit_energy_j = float(payload["reinit_energy_j"])
         return ledger
-
-    def save(self, path):
-        with open(path, "w") as f:
-            json.dump(self.to_json(), f)
-
-    @classmethod
-    def load(cls, path) -> "EnergyLedger":
-        """Read a ledger file; one that is not a ledger raises ParseError."""
-        with open(path) as f:
-            try:
-                return cls.from_json(json.load(f))
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                # JSONDecodeError is a ValueError; a missing field a KeyError
-                raise ParseError(f"{path}: malformed ledger "
-                                 f"({type(exc).__name__}: {exc})") from exc
 
 
 def programming_energy(ledger: EnergyLedger, tech: DeviceTechParams,

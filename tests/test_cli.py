@@ -2,13 +2,16 @@
 
 import csv
 import dataclasses
+import importlib.resources
 import json
 import multiprocessing
 import os
 import re
 
+import jsonschema
 import numpy as np
 import pytest
+import referencing
 
 from memgrad import cli, config
 from memgrad.device import (DeviceState, EnduranceExceeded, NeedsReinit,
@@ -100,6 +103,23 @@ class TestStatsCommand:
         rc = cli.main(["stats", str(a), str(b)])
         assert rc == cli.EXIT_DATA
         assert f"a.txt:3: not a finite number: {token!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("names", [("a/g", "b/g", "a/h"), ("a/g", "b/g")])
+    def test_shared_stem_is_a_config_error(self, tmp_path, capsys, names):
+        # groups are named by file stem: a/g.txt and b/g.txt would be one group
+        paths = []
+        for name in names:
+            path = tmp_path / f"{name}.txt"
+            path.parent.mkdir(exist_ok=True)
+            path.write_text("1.0\n2.0\n")
+            paths.append(str(path))
+        out = tmp_path / "stats.json"
+        rc = cli.main(["stats", *paths, "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"{paths[0]} and {paths[1]} are both group 'g'" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestGradcheckCommand:
@@ -425,6 +445,30 @@ class TestListFlags:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["age", "--run", "absent", "--days", "0", "--seed", "-1"],
+     "--seed must be >= 0, got -1"),
+    (["gradcheck", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["gradcheck", "--trials", "0"], "--trials must be >= 1, got 0"),
+    (["stats", "a.txt", "b.txt", "--alpha", "1.5"], "--alpha must be in (0, 1), got 1.5"),
+    (["stats", "a.txt", "b.txt", "--alpha", "nan"], "--alpha must be in (0, 1), got nan"),
+    (["train", "--tau", "nan", "--out", "absent"],
+     "config invalid at schedule/tau: nan is not of type 'number', 'null'"),
+], ids=["age-seed", "gradcheck-seed", "gradcheck-trials", "stats-alpha", "stats-nan",
+        "train-tau-nan"])
+def test_out_of_range_flag_is_a_config_error(tmp_path, monkeypatch, capsys, argv,
+                                             message):
+    # refused before any input is read (no run or stats file exists) and
+    # before any output
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(argv)
+    assert rc == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())
+
+
 class TestSharedBank:
     """A bank that no run seed changes is built once per memgrad train."""
 
@@ -568,16 +612,35 @@ class TestRunPipeline:
         assert f"--days: {token} is not a finite day >= 0" in capsys.readouterr().err
         assert not (device_run_dir / "aging.csv").exists()
 
-    @pytest.mark.parametrize("case", ["not_json", "no_count", "event_list", "empty",
-                                      "unknown_tech"])
-    def test_malformed_ledger_is_data_error(self, device_run_dir, capsys, case):
+    @pytest.mark.parametrize("case, message", [
+        ("not_json", "not valid JSON"),
+        ("no_count", "invalid at pulse_totals/large_array: 'count' is a required"),
+        ("event_list", "invalid at <root>: Additional properties are not allowed"),
+        ("empty", "invalid at <root>: 'pulse_totals' is a required property"),
+        ("unknown_tech", "invalid at pulse_totals: 'foo' is not one of"),
+        ("negative_count", "invalid at pulse_totals/large_array/count: -5 is less"),
+        ("fractional_count", "invalid at pulse_totals/large_array/count: 1.5 is not "
+                             "of type 'integer'"),
+        ("nan_sum", "invalid at pulse_totals/large_array/g_pre_sum_S: nan is not "
+                    "of type 'number'"),
+    ], ids=["not_json", "no_count", "event_list", "empty", "unknown_tech",
+            "negative_count", "fractional_count", "nan_sum"])
+    def test_malformed_ledger_is_data_error(self, device_run_dir, capsys, case,
+                                            message):
         path = device_run_dir / "ledger.json"
         payload = json.loads(path.read_text())
+        pulses = payload["pulse_totals"]["large_array"]
         if case == "not_json":
             path.write_text('{"pulse_totals": ')
         elif case == "no_count":
             for entry in payload["pulse_totals"].values():
                 del entry["count"]
+            path.write_text(json.dumps(payload))
+        elif case in ("negative_count", "fractional_count", "nan_sum"):
+            if case == "nan_sum":
+                pulses["g_pre_sum_S"] = float("nan")
+            else:
+                pulses["count"] = -5 if case == "negative_count" else 1.5
             path.write_text(json.dumps(payload))
         elif case == "event_list":
             # the older layout: one pre-pulse conductance per pulse, one
@@ -589,19 +652,20 @@ class TestRunPipeline:
         elif case == "empty":
             path.write_text("{}")
         else:
-            payload["pulse_totals"] = {"foo": payload["pulse_totals"]["large_array"]}
+            payload["pulse_totals"] = {"foo": pulses}
             path.write_text(json.dumps(payload))
         rc = cli.main(["energy", "--run", str(device_run_dir)])
         assert rc == cli.EXIT_DATA
-        assert re.search(r"ledger\.json: malformed ledger", capsys.readouterr().err)
+        assert f"ledger.json: {message}" in capsys.readouterr().err
         assert not (device_run_dir / "energy.json").exists()
 
     @pytest.mark.parametrize("command, content, message", [
         (["age", "--days", "0"], '{"config": [', "not valid JSON"),
-        (["age", "--days", "0"], '{"seed": 0}', "missing 'config'"),
-        (["age", "--days", "0"], "[1, 2]", "expected a JSON object"),
+        (["age", "--days", "0"], '{"seed": 0}',
+         "invalid at <root>: 'config' is a required property"),
+        (["age", "--days", "0"], "[1, 2]", "invalid at <root>: [1, 2] is not of type"),
         (["report"], '{"config": [', "not valid JSON"),
-        (["report"], '{"seed": 0}', "missing 'config'"),
+        (["report"], '{"seed": 0}', "invalid at <root>: 'config' is a required property"),
     ], ids=["age-not-json", "age-no-config", "age-list", "report-not-json",
             "report-no-config"])
     def test_malformed_manifest_is_data_error(self, device_run_dir, capsys,
@@ -613,12 +677,16 @@ class TestRunPipeline:
         assert not (device_run_dir / "aging.csv").exists()
 
     @pytest.mark.parametrize("case, message", [
-        ("layer_key", r"layers\[0\] is not a layer spec .*'n_in'"),
-        ("layer_type", r"layers\[1\] is not a layer spec"),
-        ("short_scales", "'layers' and 'scale_s' must be lists of one entry per layer"),
-        ("no_task", "config is not a complete run config"),
-        ("config_key", "config invalid at <root>"),
-    ], ids=["layer_key", "layer_type", "short_scales", "no_task", "config_key"])
+        ("layer_key", r"invalid at layers/0: 'n_in' is a required property"),
+        ("layer_type", r"invalid at layers/1: 12 is not of type 'object'"),
+        ("short_scales", r"invalid at scale_s: 1 scale\(s\) for 2 layers"),
+        ("no_task", "invalid at config: not a complete run config"),
+        ("config_key", r"invalid at config: Additional properties are not allowed "
+                       r"\('extra' was unexpected\)"),
+        ("scale_strings", r"invalid at scale_s/\d: '\w' is not of type 'number', 'null'"),
+        ("clusters", "invalid at layers/0: clusters 4x4 do not tile 12 outputs"),
+    ], ids=["layer_key", "layer_type", "short_scales", "no_task", "config_key",
+            "scale_strings", "clusters"])
     def test_malformed_manifest_entries_are_data_error(self, device_run_dir, capsys,
                                                        case, message):
         path = device_run_dir / "manifest.json"
@@ -631,20 +699,24 @@ class TestRunPipeline:
             manifest["scale_s"] = manifest["scale_s"][:1]
         elif case == "no_task":
             del manifest["config"]["task"]
-        else:
+        elif case == "config_key":
             manifest["config"]["extra"] = 1
+        elif case == "scale_strings":
+            manifest["scale_s"] = ["a", "b"]
+        else:
+            manifest["layers"][0]["clusters"] = [4, 4]
         path.write_text(json.dumps(manifest))
         rc = cli.main(["age", "--run", str(device_run_dir), "--days", "0",
                        "--repeats", "2"])
         assert rc == cli.EXIT_DATA
         err = capsys.readouterr().err
-        assert "manifest.json: " in err
-        assert re.search(message, err)
+        assert re.search(r"manifest\.json: " + message, err)
         assert not (device_run_dir / "aging.csv").exists()
 
     @pytest.mark.parametrize("name, message", [
         ("aging.csv", r"aging\.csv:3: not a day,repeat,accuracy row"),
-        ("metrics.json", r"metrics\.json: malformed artifact \(KeyError: 'layer'\)"),
+        ("metrics.json", r"metrics\.json: invalid at pulse_stats/per_layer/\d: "
+                         r"'layer' is a required property"),
     ], ids=["aging", "metrics"])
     def test_malformed_report_artifact_is_data_error(self, device_run_dir, capsys,
                                                      name, message):
@@ -761,15 +833,42 @@ class TestRepeatFanOut:
 
 
 class TestOutputSchemas:
-    def test_emitted_json_validates(self, paper_files, tmp_path):
-        # _write_json validates on emit; re-validate here explicitly
-        import importlib.resources
-        import jsonschema
-        out = tmp_path / "stats.json"
-        cli.main(["stats", *paper_files, "--out", str(out)])
-        schema = json.loads((importlib.resources.files("memgrad.schemas")
-                             / "stats_report.schema.json").read_text())
-        jsonschema.validate(json.loads(out.read_text()), schema)
+    SCHEMAS = {path.name: json.loads(path.read_text())
+               for path in importlib.resources.files("memgrad.schemas").iterdir()
+               if path.name.endswith(".schema.json")}
+
+    @pytest.mark.parametrize("name", sorted(SCHEMAS))
+    def test_shipped_schema_is_valid(self, name):
+        jsonschema.Draft202012Validator.check_schema(self.SCHEMAS[name])
+
+    def test_tech_enums_are_the_tech_profiles(self):
+        ledger = self.SCHEMAS["ledger.schema.json"]["properties"]["pulse_totals"]
+        device = self.SCHEMAS["run_config.schema.json"]["properties"]["device"]
+        assert ledger["propertyNames"]["enum"] == list(config.TECH_PROFILES)
+        assert device["properties"]["tech"]["enum"] == list(config.TECH_PROFILES)
+
+    def test_emitted_json_validates(self, paper_files, tiny_config_path, tmp_path,
+                                    capsys):
+        # every JSON artifact of one device run, checked by a stock validator
+        out = tmp_path / "dev"
+        assert cli.main(["train", "--config", tiny_config_path, "--algo", "cf",
+                         "--out", str(out)]) == 0
+        run_dir = out / "run_0"
+        assert cli.main(["energy", "--run", str(run_dir)]) == 0
+        assert cli.main(["stats", *paper_files, "--out",
+                         str(tmp_path / "stats.json")]) == 0
+        registry = referencing.Registry().with_resources(
+            (name, referencing.Resource.from_contents(schema))
+            for name, schema in self.SCHEMAS.items())
+        for path, name in [(run_dir / "manifest.json", "manifest.schema.json"),
+                           (run_dir / "metrics.json", "metrics.schema.json"),
+                           (run_dir / "ledger.json", "ledger.schema.json"),
+                           (out / "summary.json", "run_summary.schema.json"),
+                           (run_dir / "energy.json", "energy_report.schema.json"),
+                           (tmp_path / "stats.json", "stats_report.schema.json")]:
+            validator = jsonschema.Draft202012Validator(self.SCHEMAS[name],
+                                                        registry=registry)
+            validator.validate(json.loads(path.read_text()))
 
 
 class TestEmptyLedgerEnergy:

@@ -118,6 +118,14 @@ class TestLedgerPersistence:
         assert programming_energy(back, LARGE_ARRAY) == pytest.approx(
             programming_energy(ledger, LARGE_ARRAY), rel=1e-5)
 
+    def test_non_finite_total_is_not_written(self, tmp_path):
+        ledger = EnergyLedger()
+        ledger.record_reinit(float("nan"))
+        path = tmp_path / "ledger.json"
+        with pytest.raises(ValueError, match="invalid at reinit_energy_j: nan"):
+            ledger.save(path)
+        assert not path.exists()
+
     def test_aggregate_layout_is_small_and_exact(self, tmp_path):
         rng = np.random.default_rng(7)
         ledger = EnergyLedger()
