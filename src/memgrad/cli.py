@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import csv
 import dataclasses
 import hashlib
 import math
@@ -23,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .artifacts import read_json, write_json
+from .artifacts import read_csv, read_json, write_csv, write_json
 from .config import (ConfigError, TECH_PROFILES, build_bank, build_dataset,
                      build_drift_params, build_split_indices, build_splits,
                      build_training_run, config_hash, effective_config,
@@ -83,29 +82,6 @@ def _parse_list(text: str, kind, flag: str) -> list:
 
 # ---------------------------------------------------------------- train
 
-def _write_curve(run, path):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "split", "accuracy", "loss"])
-        for rec in run.epoch_log:
-            w.writerow([rec.epoch, rec.split,
-                        "" if rec.accuracy is None else f"{rec.accuracy:.6f}",
-                        "" if rec.loss is None else f"{rec.loss:.9g}"])
-
-
-def _write_pulses(run, path):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["layer", "row", "col", "count"])
-        for k, layer in enumerate(run.layers):
-            if layer.array is None:
-                continue
-            counts = layer.array.pulse_counts.sum(axis=2)
-            for i in range(layer.array.n_out):
-                for j in range(layer.array.n_in):
-                    w.writerow([k, j, i, int(counts[i, j])])
-
-
 def _train_one(cfg, seed, dataset, splits, outdir: Path, bank=None):
     train_ds, val_ds, test_ds = splits
     run = build_training_run(cfg, seed, dataset, bank)
@@ -128,9 +104,16 @@ def _train_one(cfg, seed, dataset, splits, outdir: Path, bank=None):
                     for layer in run.layers],
     }
     write_json(outdir / "manifest.json", manifest, "manifest.schema.json")
-    _write_curve(run, outdir / "curve.csv")
+    write_csv(outdir / "curve.csv", ["epoch", "split", "accuracy", "loss"],
+              ([rec.epoch, rec.split,
+                "" if rec.accuracy is None else f"{rec.accuracy:.6f}",
+                "" if rec.loss is None else f"{rec.loss:.9g}"] for rec in run.epoch_log))
     if run.is_device:
-        _write_pulses(run, outdir / "pulses.csv")
+        write_csv(outdir / "pulses.csv", ["layer", "row", "col", "count"],
+                  ([k, j, i, count] for k, layer in enumerate(run.layers)
+                   if layer.array is not None
+                   for i, counts in enumerate(layer.array.pulse_counts.sum(axis=2).tolist())
+                   for j, count in enumerate(counts)))
         for k, layer in enumerate(run.layers):
             save_snapshot_csv(layer.array, outdir / f"snapshot_layer{k}.csv")
         run.ledger.save(outdir / "ledger.json")
@@ -235,17 +218,12 @@ def cmd_characterize(args) -> int:
         save_bank_csv(bank, out / "bank.csv")
 
     rhos = [pearson_coefficient(t, len(t)) for t in bank]
-    with open(out / "pearson.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["device_id", "pearson"])
-        for k, rho in enumerate(rhos):
-            w.writerow([k, f"{rho:.6f}"])
+    write_csv(out / "pearson.csv", ["device_id", "pearson"],
+              ([k, f"{rho:.6f}"] for k, rho in enumerate(rhos)))
     counts, edges = np.histogram(rhos, bins=40, range=(-1.0, 1.0))
-    with open(out / "pearson_hist.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["bin_left", "bin_right", "count"])
-        for k in range(len(counts)):
-            w.writerow([f"{edges[k]:.4f}", f"{edges[k + 1]:.4f}", int(counts[k])])
+    write_csv(out / "pearson_hist.csv", ["bin_left", "bin_right", "count"],
+              ([f"{left:.4f}", f"{right:.4f}", count]
+               for left, right, count in zip(edges, edges[1:], counts.tolist())))
     print(f"pearson: median {np.median(rhos):.4f}, "
           f"fraction above -0.5: {np.mean(np.array(rhos) > -0.5):.4f}")
 
@@ -258,13 +236,10 @@ def cmd_characterize(args) -> int:
         g_start = (cycling.g_start.ravel()[:n] * 1e6).tolist()
         g_end = (cycling.g_end.ravel()[:n] * 1e6).tolist()
         lifetime = cycling.lifetime_pulses.ravel()[:n].tolist()
-        with open(out / "endurance.csv", "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["device_id", "cycle", "g_start_uS", "g_end_uS",
-                        "pulses", "lifetime_pulses"])
-            for k in range(n):
-                w.writerow([*divmod(k, cycling.g_start.shape[1]), f"{g_start[k]:.6g}",
-                            f"{g_end[k]:.6g}", args.pulses_per_cycle, lifetime[k]])
+        write_csv(out / "endurance.csv", ["device_id", "cycle", "g_start_uS", "g_end_uS",
+                                          "pulses", "lifetime_pulses"],
+                  ([*divmod(k, cycling.g_start.shape[1]), f"{g_start[k]:.6g}",
+                    f"{g_end[k]:.6g}", args.pulses_per_cycle, lifetime[k]] for k in range(n)))
         if cycling.error is not None:
             raise cycling.error
         total = args.cycles * args.pulses_per_cycle
@@ -275,6 +250,9 @@ def cmd_characterize(args) -> int:
 
 
 # ---------------------------------------------------------------- age
+
+_AGING_HEADER = ["day", "repeat", "accuracy"]
+
 
 def cmd_age(args) -> int:
     days = _parse_list(args.days, float, "--days")
@@ -321,11 +299,9 @@ def cmd_age(args) -> int:
                                   cfg["algorithm"].removeprefix("float_"),
                                   cfg["rules"]["token_amplitude"],
                                   cfg["rules"]["sff_inference"])
-    with open(run_dir / "aging.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["day", "repeat", "accuracy"])
-        for rep, row in enumerate(accuracies.tolist()):
-            w.writerows([day, rep, f"{acc:.6f}"] for day, acc in zip(days, row))
+    write_csv(run_dir / "aging.csv", _AGING_HEADER,
+              ([day, rep, f"{acc:.6f}"] for rep, row in enumerate(accuracies.tolist())
+               for day, acc in zip(days, row)))
     for day, accs in zip(days, accuracies.T):
         print(f"day {day:g}: accuracy {np.mean(accs):.4f} +/- {np.std(accs):.4f}")
     return EXIT_OK
@@ -486,15 +462,9 @@ def cmd_report(args) -> int:
     aging = run_dir / "aging.csv"
     if aging.exists():
         by_day = {}
-        with open(aging) as f:
-            reader = csv.DictReader(f)
-            for row in reader:
-                try:
-                    by_day.setdefault(float(row["day"]), []).append(
-                        float(row["accuracy"]))
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ParseError(f"{aging}:{reader.line_num}: not a "
-                                     f"day,repeat,accuracy row") from exc
+        for _, (day, _, acc) in read_csv(aging, _AGING_HEADER, lambda r: (
+                float(r[0]), int(r[1]), float(r[2]))):
+            by_day.setdefault(day, []).append(acc)
         for day in sorted(by_day):
             print(f"  aging day {day:g}: {np.mean(by_day[day]):.4f}")
     return EXIT_OK

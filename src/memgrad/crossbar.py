@@ -8,8 +8,8 @@ are y = W @ x.
 
 Device state is stored as arrays, one entry per device.  A device is a
 (trajectory id, cursor) pair into the rows of a shared
-:class:`~memgrad.device.TrajectoryBank` matrix.  ``traj_ids``, ``cursors``,
-``reinit_counts`` and ``pulse_counts`` are (n_out, n_in, 2) integer arrays
+:class:`~memgrad.device.TrajectoryBank` matrix.  ``traj_ids``, ``cursors``
+and ``pulse_counts`` are (n_out, n_in, 2) integer arrays
 whose last axis is the side of the pair: 0 for G+, 1 for G-.  An update plan
 is a pair ``(mask, side)`` of (n_out, n_in) arrays: a boolean mask with at
 most one pulse per weight, and the side that pulse goes to.  A plan is
@@ -24,12 +24,13 @@ weighted by x^2, which prices read energy) and the batch's MACs.
 
 from __future__ import annotations
 
-import csv
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import read_csv, write_csv
 from .errors import ParseError
 from .device import DeviceTechParams, EnduranceExceeded, TrajectoryBank
 
@@ -92,7 +93,6 @@ class CrossbarArray:
         self.ledger = ledger
         self.traj_ids = traj_ids
         self.cursors = cursors
-        self.reinit_counts = np.zeros_like(traj_ids)
         # applied pulses; pre-pulses are not counted, so this is also each
         # device's lifetime pulse count for the endurance budget
         self.pulse_counts = np.zeros_like(traj_ids)
@@ -207,7 +207,6 @@ class CrossbarArray:
         if reinits:
             tid[exhausted] = rng.integers(0, len(self.bank), size=reinits)
             cur[exhausted] = 0
-            self.reinit_counts.reshape(-1)[pos[exhausted]] += 1
             if self.ledger is not None:
                 self.ledger.record_reinit(count=reinits)
         g_pre, g_post = self.bank.gather(tid, cur + _PRE_POST)
@@ -220,6 +219,10 @@ class CrossbarArray:
         return PulseResult(applied=len(pos), skipped=skipped, reinits=reinits)
 
 
+_SNAPSHOT_HEADER = ["row", "col", "g_plus_uS", "g_minus_uS",
+                    "pulse_index_plus", "pulse_index_minus"]
+
+
 def save_snapshot_csv(array: CrossbarArray, path):
     """Persist the readable state of an array.
 
@@ -227,14 +230,10 @@ def save_snapshot_csv(array: CrossbarArray, path):
     microsiemens, and the replay cursors.
     """
     g_plus, g_minus = array.conductances()
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["row", "col", "g_plus_uS", "g_minus_uS",
-                    "pulse_index_plus", "pulse_index_minus"])
-        for i in range(array.n_out):
-            for j in range(array.n_in):
-                w.writerow([j, i, f"{g_plus[i, j] * 1e6:.9g}", f"{g_minus[i, j] * 1e6:.9g}",
-                            *array.cursors[i, j].tolist()])
+    write_csv(path, _SNAPSHOT_HEADER,
+              ([j, i, f"{g_plus[i, j] * 1e6:.9g}", f"{g_minus[i, j] * 1e6:.9g}",
+                *array.cursors[i, j].tolist()]
+               for i in range(array.n_out) for j in range(array.n_in)))
 
 
 def load_snapshot_csv(path):
@@ -244,38 +243,29 @@ def load_snapshot_csv(path):
     all shaped (n_out, n_in).  Trajectories are not part of a snapshot, so
     this is a read-state restore (enough for aging and energy re-analysis),
     not a resumable training state.  Every (row, col) cell of the grid must
-    appear exactly once, with non-negative conductances.
+    appear exactly once, with finite, non-negative conductances.
     """
     cells = {}   # (row, col) -> (line, g_plus_uS, g_minus_uS, index+, index-)
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        expected = ["row", "col", "g_plus_uS", "g_minus_uS",
-                    "pulse_index_plus", "pulse_index_minus"]
-        if header != expected:
-            raise ParseError(f"{path}: unexpected header {header}")
-        for lineno, r in enumerate(reader, start=2):
-            try:
-                j, i, gp, gm, pp, pm = (int(r[0]), int(r[1]), float(r[2]),
-                                        float(r[3]), int(r[4]), int(r[5]))
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"{path}:{lineno}: malformed row {r}") from exc
-            if j < 0 or i < 0:
-                raise ParseError(f"{path}:{lineno}: negative row or col in {r}")
-            if not (gp >= 0 and gm >= 0):
-                raise ParseError(f"{path}:{lineno}: negative or NaN conductance in {r}")
-            if (j, i) in cells:
-                raise ParseError(f"{path}:{lineno}: duplicate cell (row {j}, col {i}), "
-                                 f"first on line {cells[j, i][0]}")
-            cells[j, i] = (lineno, gp, gm, pp, pm)
+    for line, (j, i, gp, gm, pp, pm) in read_csv(path, _SNAPSHOT_HEADER, lambda r: (
+            int(r[0]), int(r[1]), float(r[2]), float(r[3]), int(r[4]), int(r[5]))):
+        if j < 0 or i < 0:
+            raise ParseError(f"{path}:{line}: negative row or col ({j}, {i})")
+        if not (0 <= gp < math.inf and 0 <= gm < math.inf):
+            raise ParseError(f"{path}:{line}: conductance must be finite and non-negative")
+        if (j, i) in cells:
+            raise ParseError(f"{path}:{line}: duplicate cell (row {j}, col {i}), "
+                             f"first on line {cells[j, i][0]}")
+        cells[j, i] = (line, gp, gm, pp, pm)
     if not cells:
         raise ParseError(f"{path}: empty snapshot")
     n_in, n_out = (max(cell[k] for cell in cells) + 1 for k in (0, 1))
-    grid = [(j, i) for i in range(n_out) for j in range(n_in)]
-    missing = [cell for cell in grid if cell not in cells]
-    if missing:
-        raise ParseError(f"{path}: no line for cell (row {missing[0][0]}, col "
-                         f"{missing[0][1]}) of the {n_in} x {n_out} grid")
+    grid = ((j, i) for i in range(n_out) for j in range(n_in))
+    if len(cells) < n_in * n_out:
+        # a missing cell is among the first len(cells) + 1, however large the
+        # grid that a stray row or col spans
+        j, i = next(cell for cell in grid if cell not in cells)
+        raise ParseError(f"{path}: no line for cell (row {j}, col {i}) "
+                         f"of the {n_in} x {n_out} grid")
     _, gp, gm, pp, pm = np.array([cells[cell] for cell in grid]).T.reshape(5, n_out, n_in)
     return {"g_plus": gp * 1e-6, "g_minus": gm * 1e-6,
             "pulse_index_plus": pp.astype(int), "pulse_index_minus": pm.astype(int)}

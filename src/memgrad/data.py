@@ -8,12 +8,12 @@ clipped at zero, mimicking post-ReLU backbone outputs).
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import read_csv, write_csv
 from .errors import ParseError
 
 __all__ = [
@@ -83,43 +83,28 @@ class SplitSpec:
 
 def load_feature_csv(path) -> FeatureDataset:
     """Read `label,f0,...,f{D-1}` rows; rejects non-finite values."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if not header or header[0] != "label" or len(header) < 2:
-            raise ParseError(f"{path}:1: expected header 'label,f0,...', got {header}")
-        dim = len(header) - 1
-        if header[1:] != [f"f{k}" for k in range(dim)]:
-            raise ParseError(f"{path}:1: feature columns must be f0..f{dim - 1}")
-        feats, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != dim + 1:
-                raise ParseError(f"{path}:{lineno}: expected {dim + 1} fields, got {len(row)}")
-            try:
-                labels.append(int(row[0]))
-                feats.append([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            if not np.all(np.isfinite(feats[-1])):
-                raise ParseError(f"{path}:{lineno}: non-finite feature value")
-    if not feats:
+    # a label, then as many feature columns as the file's header has (at least one)
+    rows = [row for _, row in read_csv(
+        path, lambda names: ["label"] + [f"f{k}" for k in range(max(len(names) - 1, 1))],
+        lambda r: (int(r[0]), [float(v) for v in r[1:]]))]
+    if not rows:
         raise ParseError(f"{path}: no data rows")
-    labels_arr = np.array(labels)
+    labels_arr, features = (np.array(column) for column in zip(*rows))
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"{path}:{np.argmin(finite) + 2}: non-finite feature value")
     n_classes = int(labels_arr.max()) + 1
     if labels_arr.min() < 0:
         bad = int(np.argmin(labels_arr))
         raise ParseError(f"{path}:{bad + 2}: negative label {labels_arr[bad]}")
-    return FeatureDataset(np.array(feats), labels_arr, n_classes,
-                          provenance=f"csv:{path}")
+    return FeatureDataset(features, labels_arr, n_classes, provenance=f"csv:{path}")
 
 
 def save_feature_csv(dataset: FeatureDataset, path):
     """Write the CSV feature format with 9 significant digits."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["label"] + [f"f{k}" for k in range(dataset.n_features)])
-        for label, row in zip(dataset.labels, dataset.features):
-            w.writerow([int(label)] + [f"{v:.9g}" for v in row])
+    write_csv(path, ["label"] + [f"f{k}" for k in range(dataset.n_features)],
+              ([int(label)] + [f"{v:.9g}" for v in row]
+               for label, row in zip(dataset.labels, dataset.features)))
 
 
 def _read_idx_header(f, path, expect_magic, n_dims):

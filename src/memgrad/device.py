@@ -13,13 +13,14 @@ All conductances are stored in siemens.  File formats use microsiemens.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
+from .artifacts import read_csv, write_csv
 from .errors import ParseError
 
 __all__ = [
@@ -563,39 +564,40 @@ def pulse_energy(conductance: float, tech: DeviceTechParams) -> float:
     return conductance * tech.v_reset ** 2 * tech.t_reset
 
 
+_BANK_HEADER = ["device_id", "pulse_index", "conductance_uS"]
+_BANK_ROW = np.dtype([("device", np.int64), ("index", np.int64), ("g_uS", float)])
+
+
 def save_bank_csv(bank: Sequence[ResetTrajectory], path):
     """Write a bank in long format: device_id,pulse_index,conductance_uS."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["device_id", "pulse_index", "conductance_uS"])
-        for dev_id, traj in enumerate(bank):
-            for k, g in enumerate(traj.conductances):
-                w.writerow([dev_id, k, f"{g * 1e6:.9g}"])
+    write_csv(path, _BANK_HEADER, ([dev_id, k, f"{g * 1e6:.9g}"]
+                                   for dev_id, traj in enumerate(bank)
+                                   for k, g in enumerate(traj.conductances.tolist())))
 
 
 def load_bank_csv(path) -> TrajectoryBank:
-    """Load a long-format bank file, validating density and non-negativity."""
-    per_device: dict[int, list[tuple[int, float]]] = {}
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["device_id", "pulse_index", "conductance_uS"]:
-            raise ParseError(f"{path}: unexpected header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                dev, idx, g_us = int(row[0]), int(row[1]), float(row[2])
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"{path}:{lineno}: malformed row {row}") from exc
-            if g_us < 0:
-                raise ParseError(f"{path}:{lineno}: negative conductance")
-            per_device.setdefault(dev, []).append((idx, g_us * 1e-6))
-    if not per_device:
+    """Load a long-format bank file, validating density and conductances."""
+    try:
+        table = np.fromiter(map(itemgetter(1), read_csv(path, _BANK_HEADER, lambda r: (
+            int(r[0]), int(r[1]), float(r[2])))), dtype=_BANK_ROW)
+    except OverflowError as exc:
+        raise ParseError(f"{path}: a device_id or pulse_index is beyond 64 bits") from exc
+    if not table.size:
         raise ParseError(f"{path}: no trajectories found")
-    rows, sources = [], []
-    for dev in sorted(per_device):
-        samples = sorted(per_device[dev])
-        if [i for i, _ in samples] != list(range(len(samples))):
-            raise ParseError(f"device {dev}: pulse_index not dense from 0")
-        rows.append([g for _, g in samples])
-        sources.append(f"measured(file={path},device={dev})")
-    return TrajectoryBank.from_rows(rows, sources)
+    bad = ~((table["g_uS"] >= 0) & (table["g_uS"] < math.inf))
+    if bad.any():
+        # read_csv yields every line after the header: row k is line k + 2
+        raise ParseError(f"{path}:{np.argmax(bad) + 2}: conductance must be "
+                         f"finite and non-negative")
+    order = np.lexsort((table["index"], table["device"]))
+    device, index, g_us = (table[field][order] for field in _BANK_ROW.names)
+    devices, first, lengths = np.unique(device, return_index=True, return_counts=True)
+    dense = index == np.arange(len(index)) - np.repeat(first, lengths)
+    if not dense.all():
+        raise ParseError(f"{path}: device {device[np.argmin(dense)]}: "
+                         f"pulse_index not dense from 0")
+    if lengths.min() < 2:
+        raise ParseError(f"{path}: device {devices[np.argmin(lengths)]}: fewer than 2 samples")
+    return TrajectoryBank.from_rows(np.split(g_us * 1e-6, first[1:]),
+                                    [f"measured(file={path},device={dev})"
+                                     for dev in devices.tolist()])

@@ -178,6 +178,25 @@ class TestCharacterizeCommand:
                        "--out", str(tmp_path / "o")])
         assert rc == cli.EXIT_DATA
 
+    @pytest.mark.parametrize("name, row, message", [
+        ("nan.csv", "0,1,nan", r"nan\.csv:3: conductance must be finite and non-negative"),
+        ("inf.csv", "0,1,inf", r"inf\.csv:3: conductance must be finite and non-negative"),
+        ("dup.csv", "0,0,99", r"dup\.csv: device 0: pulse_index not dense from 0"),
+        ("extra.csv", "0,1,99,5",
+         r"extra\.csv:3: not a device_id,pulse_index,conductance_uS row"),
+        ("huge.csv", "99999999999999999999,1,99",
+         r"huge\.csv: a device_id or pulse_index is beyond 64 bits"),
+        ("single.csv", "1,0,5", r"single\.csv: device 0: fewer than 2 samples"),
+    ])
+    def test_bank_row_faults_name_the_file(self, tmp_path, capsys, name, row, message):
+        bad = tmp_path / name
+        bad.write_text(f"device_id,pulse_index,conductance_uS\n0,0,100\n{row}\n")
+        out = tmp_path / "o"
+        rc = cli.main(["characterize", "--bank", str(bad), "--out", str(out)])
+        assert rc == cli.EXIT_DATA
+        assert re.search(message, capsys.readouterr().err)
+        assert not (out / "pearson.csv").exists()
+
     @pytest.mark.parametrize("args, message", [
         (["--count", "0"], "bank/count"),
         (["--count", "-3"], "bank/count"),
@@ -565,7 +584,8 @@ class TestRunPipeline:
     @pytest.mark.parametrize("case, message", [
         ("missing", r"no line for cell \(row 0, col 1\)"),
         ("duplicate", r":3: duplicate cell \(row 0, col 0\), first on line 2"),
-        ("negative", r":4: negative or NaN conductance"),
+        ("negative", r":4: conductance must be finite and non-negative"),
+        ("inf", r":4: conductance must be finite and non-negative"),
         ("shape", r"11 rows x 12 cols, layer 0 needs 12 x 12"),
     ])
     def test_malformed_snapshot_is_data_error(self, device_run_dir, capsys,
@@ -578,9 +598,9 @@ class TestRunPipeline:
             body = body[:12] + body[13:]
         elif case == "duplicate":
             body[1] = body[0]
-        elif case == "negative":
+        elif case in ("negative", "inf"):
             cells = body[2].split(",")
-            cells[3] = "-0.5"
+            cells[3] = "-0.5" if case == "negative" else "inf"
             body[2] = ",".join(cells)
         else:
             body = [line for line in body if not line.startswith("11,")]
@@ -713,16 +733,19 @@ class TestRunPipeline:
         assert re.search(r"manifest\.json: " + message, err)
         assert not (device_run_dir / "aging.csv").exists()
 
-    @pytest.mark.parametrize("name, message", [
-        ("aging.csv", r"aging\.csv:3: not a day,repeat,accuracy row"),
-        ("metrics.json", r"metrics\.json: invalid at pulse_stats/per_layer/\d: "
-                         r"'layer' is a required property"),
-    ], ids=["aging", "metrics"])
+    @pytest.mark.parametrize("name, text, message", [
+        ("aging.csv", "day,repeat,accuracy\n0,0,0.500000\n8,0,x\n",
+         r"aging\.csv:3: not a day,repeat,accuracy row"),
+        ("aging.csv", "repeat,day,accuracy\n0,0,0.500000\n",
+         r"aging\.csv:1: expected header day,repeat,accuracy, got repeat,day,accuracy"),
+        ("metrics.json", None, r"metrics\.json: invalid at pulse_stats/per_layer/\d: "
+                               r"'layer' is a required property"),
+    ], ids=["aging", "aging_reordered", "metrics"])
     def test_malformed_report_artifact_is_data_error(self, device_run_dir, capsys,
-                                                     name, message):
+                                                     name, text, message):
         path = device_run_dir / name
-        if name == "aging.csv":
-            path.write_text("day,repeat,accuracy\n0,0,0.500000\n8,0,x\n")
+        if text is not None:
+            path.write_text(text)
         else:
             metrics = json.loads(path.read_text())
             for entry in metrics["pulse_stats"]["per_layer"]:

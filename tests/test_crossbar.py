@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,7 +218,6 @@ class TestUpdatePlan:
         result = arr.apply_update_plan(plan, policy=OnExhaustion.REINIT,
                                        rng=np.random.default_rng(1))
         assert result.reinits == 1
-        assert arr.reinit_counts[0, 0, PLUS] == 1
         assert arr.cursors[0, 0, PLUS] == 1
 
     def test_pulse_conservation(self):
@@ -271,16 +271,15 @@ class TestUpdatePlan:
         for _ in range(2):
             arr.apply_update_plan(plan_at(arr, {(0, 0): PLUS, (1, 1): PLUS}))
         arr.apply_update_plan(plan_at(arr, {(1, 1): PLUS}), OnExhaustion.REINIT, rng)
-        state = [a.copy() for a in (arr.traj_ids, arr.cursors, arr.reinit_counts,
-                                    arr.pulse_counts, *arr.conductances())]
+        state = [a.copy() for a in (arr.traj_ids, arr.cursors, arr.pulse_counts,
+                                    *arr.conductances())]
         events, pulses = copy.deepcopy(ledger.g_pre), ledger.pulse_count
         reinits, rng_state = ledger.reinit_count, copy.deepcopy(rng.bit_generator.state)
         with pytest.raises(EnduranceExceeded,
                            match=r"device \(1, 1, side 0\) at 3 lifetime pulses \(budget 3\)"):
             arr.apply_update_plan(plan_at(arr, {(0, 0): PLUS, (1, 1): PLUS}),
                                   OnExhaustion.REINIT, rng)
-        after = (arr.traj_ids, arr.cursors, arr.reinit_counts, arr.pulse_counts,
-                 *arr.conductances())
+        after = (arr.traj_ids, arr.cursors, arr.pulse_counts, *arr.conductances())
         assert all(np.array_equal(a, b) for a, b in zip(state, after))
         assert ledger.g_pre == events and ledger.pulse_count == pulses
         assert ledger.reinit_count == reinits == 1
@@ -342,11 +341,10 @@ class TestScalarReferenceModel:
         assert np.array_equal(np.stack(arr.conductances(), axis=-1), field("conductance"))
         assert np.array_equal(arr.cursors, field("pulse_index"))
         assert np.array_equal(arr.pulse_counts, field("lifetime_pulses"))
-        assert np.array_equal(arr.reinit_counts, field("reinit_count"))
         assert all(bank[t] is d.trajectory for t, d in zip(arr.traj_ids.flat, grid.flat))
         assert ledger.g_pre[LARGE_ARRAY.name] == ref_g_pre
         assert ledger.pulse_count == len(ref_g_pre)
-        assert ledger.reinit_count == int(arr.reinit_counts.sum())
+        assert ledger.reinit_count == int(field("reinit_count").sum())
 
     def test_batched_reinit_draws_match_scalar_draws(self):
         # REINIT (and endurance cycling) draws k trajectories at once; the
@@ -452,15 +450,31 @@ class TestSnapshot:
         return path, path.read_text().splitlines()
 
     @pytest.mark.parametrize("field", [2, 3])
-    @pytest.mark.parametrize("value", ["-1.5", "nan"])
+    @pytest.mark.parametrize("value", ["-1.5", "nan", "inf", "-inf"])
     def test_negative_conductance(self, snapshot_lines, field, value):
         path, lines = snapshot_lines
         cells = lines[5].split(",")
         cells[field] = value
         lines[5] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match="snap.csv:6: negative or NaN conductance"):
+        with pytest.raises(ParseError,
+                           match="snap.csv:6: conductance must be finite and non-negative"):
             load_snapshot_csv(path)
+
+    def test_stray_row_is_found_without_building_its_grid(self, snapshot_lines):
+        # row 100000 spans a 100001 x 2 grid; only the first gap is looked for
+        path, lines = snapshot_lines
+        lines[2] = "100000" + lines[2][1:]
+        path.write_text("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=r"no line for cell \(row 1, col 0\) "
+                                                 r"of the 100001 x 2 grid"):
+                load_snapshot_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_negative_index(self, snapshot_lines):
         path, lines = snapshot_lines

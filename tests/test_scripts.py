@@ -42,3 +42,18 @@ def test_package_reexports_only_public_names():
         private = [alias.name for alias in node.names
                    if alias.name not in module.__all__]
         assert not private, f"memgrad re-exports {private} from {node.module}"
+
+
+def test_only_artifacts_imports_file_format_libraries():
+    # every CSV and JSON Schema file goes through memgrad/artifacts.py
+    offenders = []
+    for path in sorted(Path(memgrad.__file__).parent.glob("*.py")):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+        if path.name != "artifacts.py" and imported & {"csv", "jsonschema"}:
+            offenders.append(path.name)
+    assert not offenders, f"{offenders} import csv or jsonschema"
