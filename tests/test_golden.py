@@ -7,7 +7,8 @@ it.  A training digest covers the per-device pulse counts, the final
 count per tech, its read sum and count per (v_read, t_read) condition, its
 MAC and reinit counts, and the test accuracy.  A loss digest covers every
 step's loss and the train-split loss of every epoch.  The runs use the
-default config with short schedules, so the file stays well under 10 s.
+default config with short schedules, so the file stays well under 10 s; the
+branch digests flip one config switch each on a smaller task.
 """
 
 import hashlib
@@ -76,6 +77,70 @@ GOLDEN_SFF_PER_LABEL = (
 GOLDEN_AGING_CSV = (
     "a23644b47fd69ea2d110836df3a2829027b29cbdd2e429adf7bd3abf7d3b22d5")
 
+# the same run, then `memgrad energy`: the energy.json bytes
+GOLDEN_ENERGY_JSON = (
+    "9dc0f6c64bd454edcafd608189e18990058cdf32ffed906c89259ff8bea20a2a")
+
+# One config switch per entry, which no digest above reaches: its overrides
+# over BRANCH_BASE, then the run digest and the loss digest of seed 0.
+BRANCH_BASE = {"task": {"n_per_class": 250}, "schedule": {"epochs": [1, 1]}}
+RAGGED_BANK = "ragged_bank.csv"   # written by the test, see _write_ragged_bank
+GOLDEN_BRANCHES = {
+    "paper_literal": (
+        {"schedule": {"plan_mode": "paper_literal"}},
+        "9a43d20770e6336b994362c9c707ad50b9d8f0f767dcc44677a0d37637b8c7de",
+        "c4eccf2ad570d6fe4159b0cbd03d9c532ac954fadd0c1e48be229bcce1a5921e"),
+    "float_sff_sign": (
+        {"algorithm": "float_sff", "schedule": {"float_update": "sign"}},
+        "cbc77a03efea1cddd6a5949ea982e95be217b6975ebb07ac9ea82944514d7b32",
+        "b3a4a8953e11bd72177a03cdccf1243a8282a86b5ba5251657d5681c9334ffb1"),
+    "float_cf_sign": (
+        {"algorithm": "float_cf", "schedule": {"float_update": "sign"}},
+        "4fbfccd0fdf0110acbe95c2ba3654bbee2f06f8034a93aa21988a9bccff20af6",
+        "dc776cbeb27a9beaaf4759164b2191ad08392c36d26c69edd85d39a4d90d7798"),
+    "cf_first_offset": (
+        {"rules": {"cf_first": {"variant": "offset"}}},
+        "53c2c5d71b68d33449d0c1babc2ae37c24fab12440bf4b2fcae60d1b65152a6d",
+        "9235d1927d6dbced7d6220b80c802e76df8b55d70df9cfbe8c0d83926f623693"),
+    "cf_last_offset": (
+        {"rules": {"cf_last": {"variant": "offset"}}},
+        "e56930fee22f949b0bacae2fd2f26283786502268c9df3f51c071fccd914b08a",
+        "2e7c5656b5077fac1be264c602096862fe6c56bd520a98c2f8b1084d3e80c017"),
+    "sff_head_offset": (
+        {"algorithm": "sff", "rules": {"sff_head": {"variant": "offset"}}},
+        "c76423267c045910b06f041facf3fff2d87fdff63317bb8dd867e2860346a37e",
+        "05bf627aebbb70add8d83490e9cf0932bbf9841d2f63fab12ac46344b2ace7a7"),
+    "single_layer": (
+        {"algorithm": "bp", "arch": {"single_layer": True}, "schedule": {"epochs": [1]}},
+        "3989a2fda6638c4d0c0560de947807240042b4c02d06b17397321ec26fbd8672",
+        "c388875c3de5fa7083dd84dfd87ef67c9587ad86864a5fc0774cf2e530597d26"),
+    "mac_array": (
+        {"device": {"tech": "mac_array"}},
+        "145d983e408a5eec8bfc552c1979d2f71bd2f1371158c152dfb15184191479ce",
+        "e4dd2d7a407ddfc4b1a6325df7850ba8c8e66b7c04c08cbb7f558b3d503e2022"),
+    "no_pre_pulses": (
+        {"device": {"pre_pulse_max": 0}},
+        "02210bf8ec0fe689b7584e39a3d8e83ba4274522a36623cec7e42132d76e3a56",
+        "02b17fd40b84c2f3a6a285514606813a05673152430bf2e7d087d1bf2c48ee78"),
+    "lognormal": (
+        {"bank": {"params": {"decrement_family": "lognormal"}}},
+        "98826df4b7057d5c96b0db8b641c9783e3f25b5783108c317887ba42fb6f0e98",
+        "1b3c3a8d9fa80262ac7ba89628bbbe03a79b65fc8f1a032a3414eac06dc7e177"),
+    "ragged_bank": (
+        {"bank": {"path": RAGGED_BANK}},
+        "f314a67a4b2fd4a51f6ba520b09fd404032c92322c8cdf396f223fd5acc37634",
+        "e30dcfec67d4a5cda664698cff4b4aed89112ea6c9013e116dd43a2e783477fb"),
+    "sff_per_label": (
+        {"algorithm": "sff", "rules": {"sff_inference": "per_label"}},
+        "246c47fb463d83c8ce5d2ec3897637e58fd9aa0634afee6203cc09bad59a4c49",
+        "0f3bd894e26c098257ba084d9c0a61e145c4b849abf632475d49bdbe3931bf0b"),
+}
+
+# the sff_per_label run: its per-epoch val accuracies, which the switch sets
+# and the loss digest does not see
+GOLDEN_PER_LABEL_VAL = (
+    "28ac59eefa67066a4e5934ce61c2c54bd93fbdc21eeafe31e6e818f410852e4f")
+
 
 @pytest.fixture(scope="module")
 def task():
@@ -102,6 +167,38 @@ def short_runs(task):
             cache[algorithm, seed] = _train(
                 task, {"algorithm": algorithm, "schedule": {"epochs": [1, 1]}}, seed)
         return cache[algorithm, seed]
+    return get
+
+
+def _write_ragged_bank(path):
+    """64 trajectories of 20 to 199 samples, each falling from near 100 uS."""
+    rng = np.random.default_rng(11)
+    lines = ["device_id,pulse_index,conductance_uS"]
+    for dev in range(64):
+        n = int(rng.integers(20, 200))
+        g = 100.0 + rng.normal(0.0, 10.0) - np.cumsum(np.abs(rng.normal(0.015, 0.01, n)))
+        lines += [f"{dev},{k},{value:.6f}" for k, value in enumerate(g)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.fixture(scope="module")
+def branch_runs(tmp_path_factory):
+    """Trained (run, test accuracy) per GOLDEN_BRANCHES entry."""
+    bank_dir = tmp_path_factory.mktemp("bank")
+    _write_ragged_bank(bank_dir / RAGGED_BANK)
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            cfg = config.effective_config(BRANCH_BASE, GOLDEN_BRANCHES[name][0])
+            dataset = config.build_dataset(cfg)
+            train_ds, val_ds, test_ds = config.build_splits(cfg, dataset)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.chdir(bank_dir)
+                run = config.build_training_run(cfg, 0, dataset)
+            train(run, train_ds, val_ds)
+            cache[name] = run, evaluate(run, test_ds)
+        return cache[name]
     return get
 
 
@@ -159,6 +256,21 @@ def test_exhaustion_digest(task, policy):
     assert run_digest(run, acc) == GOLDEN_NARROW[policy]
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_BRANCHES))
+def test_branch_digest(branch_runs, name):
+    run, acc = branch_runs(name)
+    _, golden_run, golden_loss = GOLDEN_BRANCHES[name]
+    assert run_digest(run, acc) == golden_run
+    assert loss_digest(run) == golden_loss
+
+
+def test_branch_per_label_val_accuracies(branch_runs):
+    run, _ = branch_runs("sff_per_label")
+    val = np.array([e.accuracy for e in run.epoch_log if e.split == "val"])
+    assert len(val) == 2
+    assert hashlib.sha256(val.tobytes()).hexdigest() == GOLDEN_PER_LABEL_VAL
+
+
 def test_sff_per_label_predictions(task):
     run, _ = _train(task, {"algorithm": "sff", "schedule": {"epochs": [1, 1]}}, 0)
     run.sff_inference = "per_label"
@@ -166,11 +278,23 @@ def test_sff_per_label_predictions(task):
     assert hashlib.sha256(labels.tobytes()).hexdigest() == GOLDEN_SFF_PER_LABEL
 
 
-def test_cli_aging_csv(tmp_path, capsys):
-    out = tmp_path / "pipe"
+@pytest.fixture(scope="module")
+def cli_run(tmp_path_factory):
+    """The run directory of `memgrad train --algo cf --epochs 1,1`."""
+    out = tmp_path_factory.mktemp("pipe")
     assert cli.main(["train", "--algo", "cf", "--epochs", "1,1",
                      "--out", str(out)]) == cli.EXIT_OK
-    assert cli.main(["age", "--run", str(out / "run_0"), "--days", "0,8,90",
+    return out / "run_0"
+
+
+def test_cli_aging_csv(cli_run):
+    assert cli.main(["age", "--run", str(cli_run), "--days", "0,8,90",
                      "--repeats", "3"]) == cli.EXIT_OK
-    data = (out / "run_0" / "aging.csv").read_bytes()
+    data = (cli_run / "aging.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == GOLDEN_AGING_CSV
+
+
+def test_cli_energy_json(cli_run):
+    assert cli.main(["energy", "--run", str(cli_run)]) == cli.EXIT_OK
+    data = (cli_run / "energy.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_ENERGY_JSON
