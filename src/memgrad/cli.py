@@ -105,9 +105,10 @@ def _train_one(cfg, seed, dataset, splits, outdir: Path, bank=None):
     }
     write_json(outdir / "manifest.json", manifest, "manifest.schema.json")
     write_csv(outdir / "curve.csv", ["epoch", "split", "accuracy", "loss"],
-              ([rec.epoch, rec.split,
-                "" if rec.accuracy is None else f"{rec.accuracy:.6f}",
-                "" if rec.loss is None else f"{rec.loss:.9g}"] for rec in run.epoch_log))
+              (row for epoch, (loss, acc) in enumerate(
+                  run.epoch_log[["loss", "val_accuracy"]].tolist())
+               for row in ([epoch, "train", "", f"{loss:.9g}"],
+                           [epoch, "val", f"{acc:.6f}", ""])))
     if run.is_device:
         write_csv(outdir / "pulses.csv", ["layer", "row", "col", "count"],
                   ([k, j, i, count] for k, layer in enumerate(run.layers)
@@ -117,10 +118,9 @@ def _train_one(cfg, seed, dataset, splits, outdir: Path, bank=None):
         for k, layer in enumerate(run.layers):
             save_snapshot_csv(layer.array, outdir / f"snapshot_layer{k}.csv")
         run.ledger.save(outdir / "ledger.json")
-    val_accs = [r.accuracy for r in run.epoch_log if r.split == "val"]
     metrics = {
         "final_test_accuracy": test_acc,
-        "final_val_accuracy": val_accs[-1] if val_accs else None,
+        "final_val_accuracy": run.epoch_log["val_accuracy"][-1].item(),
         "pulse_stats": pulse_statistics(run),
         "max_buffered_scalars": run.max_buffered_scalars,
     }

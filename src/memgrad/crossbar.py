@@ -122,14 +122,10 @@ class CrossbarArray:
         same stream as two scalar draws per device.
         """
         shape = (n_out, n_in, 2)
-        if pre_pulse_max:
-            bounds = np.empty(4 * n_in * n_out, dtype=np.int64)
-            bounds[0::2], bounds[1::2] = len(bank), pre_pulse_max + 1
-            draws = rng.integers(0, bounds)
-            traj_ids, pre = draws[0::2].reshape(shape), draws[1::2].reshape(shape)
-        else:
-            traj_ids = rng.integers(0, len(bank), size=shape)
-            pre = np.zeros(shape, dtype=np.int64)
+        bounds = np.empty(4 * n_in * n_out, dtype=np.int64)
+        bounds[0::2], bounds[1::2] = len(bank), pre_pulse_max + 1
+        draws = rng.integers(0, bounds)
+        traj_ids, pre = draws[0::2].reshape(shape), draws[1::2].reshape(shape)
         cursors = np.minimum(pre, bank.lengths[traj_ids] - 1)
         return cls(bank, traj_ids, cursors, tech, gain_kappa, ledger=ledger)
 

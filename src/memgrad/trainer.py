@@ -2,11 +2,12 @@
 
 A run owns a stack of layers (each backed by a crossbar array in device mode
 or a plain float matrix in the software baselines), a layer-wise schedule,
-and an event log.  Every batch step follows the loop: forward the batch
-through the layers the rule needs, compute the rule gradient for the one
-trainable layer, sparsify it into a sign-only single-pulse plan, program the
-array.  Backprop schedules train output->input; forward-only rules train
-input->output (information only travels forward).
+and a training log of two arrays, one row per step and one per epoch.  Every
+batch step follows the loop: forward the batch through the layers the rule
+needs, compute the rule gradient for the one trainable layer, sparsify it
+into a sign-only single-pulse plan, program the array.  Backprop schedules
+train output->input; forward-only rules train input->output (information
+only travels forward).
 
 Training reads a device layer only through ``NetworkLayer.forward``, which
 calls ``CrossbarArray.read`` (one logged read and its MACs per batch and
@@ -33,8 +34,6 @@ __all__ = [
     "Phase",
     "Schedule",
     "NetworkLayer",
-    "StepRecord",
-    "EpochRecord",
     "TrainingRun",
     "train",
     "evaluate",
@@ -56,6 +55,15 @@ DEFAULT_EPOCHS = {"perceptron": [20], "bp": [10, 20], "forward": [15, 15]}
 # spread of a freshly initialized differential-pair array so both modes
 # start from comparable operating points.
 FLOAT_INIT_SIGMA = 0.14
+
+# one row per batch step in training order: the global epoch, the batch in
+# it, the trained layer, the batch loss, and the pulses applied and skipped
+STEP_DTYPE = np.dtype([("epoch", np.int64), ("batch", np.int64), ("layer", np.int64),
+                       ("loss", np.float64), ("applied", np.int64), ("skipped", np.int64)])
+# one row per global epoch: the trained layer, the mean step loss, and the
+# val-split accuracy after the epoch (NaN without a val split)
+EPOCH_DTYPE = np.dtype([("layer", np.int64), ("loss", np.float64),
+                        ("val_accuracy", np.float64)])
 
 
 @dataclass
@@ -128,25 +136,6 @@ def _activate(spec: LayerSpec, pre: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class StepRecord:
-    epoch: int            # global epoch index across phases
-    batch: int
-    layer: int
-    loss: float
-    pulses: int           # applied this step
-    skipped: int = 0
-
-
-@dataclass
-class EpochRecord:
-    epoch: int
-    layer: int
-    split: str
-    accuracy: float | None = None
-    loss: float | None = None
-
-
-@dataclass
 class TrainingRun:
     layers: list[NetworkLayer]
     schedule: Schedule
@@ -156,8 +145,8 @@ class TrainingRun:
     sff_inference: str                 # "neutral" | "per_label"
     on_exhaustion: OnExhaustion
     ledger: EnergyLedger
-    step_log: list[StepRecord] = field(default_factory=list)
-    epoch_log: list[EpochRecord] = field(default_factory=list)
+    step_log: np.ndarray = field(default_factory=lambda: np.zeros(0, STEP_DTYPE))
+    epoch_log: np.ndarray = field(default_factory=lambda: np.zeros(0, EPOCH_DTYPE))
     max_buffered_scalars: dict[int, int] = field(default_factory=dict)
     completed: bool = False
 
@@ -281,7 +270,7 @@ def train(run: TrainingRun, train_ds: FeatureDataset,
     """Execute the schedule; deterministic for a fixed (run, datasets).
 
     An empty phase list is the zero-epoch run: nothing is touched and the
-    network keeps its initialization.
+    network keeps its initialization.  The logs are built on return.
     """
     if run.completed:
         raise RuntimeError("run already completed")
@@ -298,7 +287,7 @@ def train(run: TrainingRun, train_ds: FeatureDataset,
     rng = np.random.default_rng(np.random.SeedSequence([run.seed, 0x7E5]))
     n = train_ds.n_samples
     batch = run.schedule.batch_size
-    global_epoch = 0
+    steps, epochs = [], []
     for phase in run.schedule.phases:
         t = phase.layer
         for _ in range(phase.epochs):
@@ -326,14 +315,11 @@ def train(run: TrainingRun, train_ds: FeatureDataset,
                         run.layers[t].weights = w - run.schedule.learning_rate * grad.grad
                     applied = skipped = 0
                 losses.append(loss)
-                run.step_log.append(StepRecord(global_epoch, b_idx, t, loss,
-                                               applied, skipped))
-            run.epoch_log.append(EpochRecord(global_epoch, t, "train",
-                                             loss=float(np.mean(losses))))
-            if val_ds is not None:
-                run.epoch_log.append(EpochRecord(global_epoch, t, "val",
-                                                 accuracy=evaluate(run, val_ds)))
-            global_epoch += 1
+                steps.append((len(epochs), b_idx, t, loss, applied, skipped))
+            epochs.append((t, np.mean(losses),
+                           np.nan if val_ds is None else evaluate(run, val_ds)))
+    run.step_log = np.array(steps, dtype=STEP_DTYPE)
+    run.epoch_log = np.array(epochs, dtype=EPOCH_DTYPE)
     run.completed = True
     return run
 

@@ -773,6 +773,19 @@ class TestRunPipeline:
         assert "final test accuracy" in out
         assert "programming energy" in out
 
+    def test_report_reads_train_out_summary(self, tiny_config_path, tmp_path, capsys):
+        # `train` writes summary.json above the run directories, so report
+        # renders it from the `--out` directory
+        out = tmp_path / "fl"
+        assert cli.main(["train", "--config", tiny_config_path, "--algo", "float-bp",
+                         "--epochs", "1,2", "--repeat", "2", "--out", str(out)]) == 0
+        acc = json.loads((out / "summary.json").read_text())["test_accuracy"]
+        capsys.readouterr()
+        assert cli.main(["report", "--run", str(out)]) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            f"run directory: {out}",
+            f"  repeat summary: {acc['mean']:.4f} +/- {acc['std']:.4f}"]
+
     def test_missing_run_dir_is_data_error(self, tmp_path, capsys):
         rc = cli.main(["age", "--run", str(tmp_path / "nope"), "--days", "0"])
         assert rc == cli.EXIT_DATA

@@ -39,7 +39,7 @@ GOLDEN_TRAINING = {
         "40160d2c3239d601d66c456474c812937368f02190dd53a46c486bcda6f67ab8",
 }
 
-# the same runs: step_log losses, then the train-split epoch_log losses
+# the same runs: step_log losses, then epoch_log losses
 GOLDEN_LOSSES = {
     ("bp", 0):
         "83820c3ecd540a367891584ddfa3f7fe14deb7ccb4e40a72d2cd1cf68d70d924",
@@ -227,8 +227,8 @@ def run_digest(run, test_accuracy: float) -> str:
 
 def loss_digest(run) -> str:
     h = hashlib.sha256()
-    h.update(np.array([r.loss for r in run.step_log]).tobytes())
-    h.update(np.array([e.loss for e in run.epoch_log if e.split == "train"]).tobytes())
+    h.update(run.step_log["loss"].tobytes())
+    h.update(run.epoch_log["loss"].tobytes())
     return h.hexdigest()
 
 
@@ -250,7 +250,7 @@ def test_exhaustion_digest(task, policy):
     run, acc = _train(task, {"algorithm": "cf", "schedule": {"epochs": [3, 1]},
                              "bank": {"params": {"p_max": 300}},
                              "device": {"on_exhaustion": policy}}, 0)
-    counts = {"skip": sum(r.skipped for r in run.step_log),
+    counts = {"skip": run.step_log["skipped"].sum(),
               "reinit": run.ledger.reinit_count}
     assert counts[policy] > 0
     assert run_digest(run, acc) == GOLDEN_NARROW[policy]
@@ -266,7 +266,7 @@ def test_branch_digest(branch_runs, name):
 
 def test_branch_per_label_val_accuracies(branch_runs):
     run, _ = branch_runs("sff_per_label")
-    val = np.array([e.accuracy for e in run.epoch_log if e.split == "val"])
+    val = run.epoch_log["val_accuracy"]
     assert len(val) == 2
     assert hashlib.sha256(val.tobytes()).hexdigest() == GOLDEN_PER_LABEL_VAL
 

@@ -152,6 +152,7 @@ class TestTrain:
         train(run, train_ds)
         assert evaluate(run, test_ds) == before
         assert pulse_statistics(run)["total_pulses"] == 0
+        assert run.step_log.shape == run.epoch_log.shape == (0,)
 
     def test_device_determinism(self, tiny_task, tiny_bank):
         train_ds, _, _ = tiny_task
@@ -159,9 +160,8 @@ class TestTrain:
         for _ in range(2):
             run = tiny_run("cf", tiny_bank, seed=5, epochs=[2, 2])
             train(run, train_ds)
-            logs.append([(r.epoch, r.batch, r.layer, r.loss, r.pulses)
-                         for r in run.step_log])
-        assert logs[0] == logs[1]
+            logs.append(run.step_log)
+        assert np.array_equal(logs[0], logs[1])
 
     def test_float_determinism_bit_identical(self, tiny_task):
         train_ds, _, _ = tiny_task
@@ -185,7 +185,7 @@ class TestTrain:
         train_ds, _, _ = tiny_task
         run = tiny_run("bp", tiny_bank, epochs=[1, 1])
         train(run, train_ds)
-        layer_sequence = [r.layer for r in run.step_log]
+        layer_sequence = run.step_log["layer"].tolist()
         switch = layer_sequence.index(0)
         assert all(l == 1 for l in layer_sequence[:switch])
         assert all(l == 0 for l in layer_sequence[switch:])
@@ -195,7 +195,7 @@ class TestTrain:
         for algo in ("sff", "cf"):
             run = tiny_run(algo, tiny_bank, epochs=[1, 1])
             train(run, train_ds)
-            layer_sequence = [r.layer for r in run.step_log]
+            layer_sequence = run.step_log["layer"].tolist()
             switch = layer_sequence.index(1)
             assert all(l == 0 for l in layer_sequence[:switch])
             assert all(l == 1 for l in layer_sequence[switch:])
@@ -206,23 +206,23 @@ class TestTrain:
         train(run, train_ds)
         layer0_pulses = int(run.layers[0].array.pulse_counts.sum())
         # retrain nothing: pulses on layer 1 only come from its own phase
-        per_step = [(r.layer, r.pulses) for r in run.step_log]
-        assert sum(p for l, p in per_step if l == 0) == layer0_pulses
+        log = run.step_log
+        assert log["applied"][log["layer"] == 0].sum() == layer0_pulses
 
     def test_one_pulse_per_weight_per_batch(self, tiny_task, tiny_bank):
         train_ds, _, _ = tiny_task
         run = tiny_run("cf", tiny_bank, epochs=[1, 1], tau=0.0)
         train(run, train_ds)
-        for rec in run.step_log:
-            spec = run.layers[rec.layer].spec
-            assert rec.pulses + rec.skipped <= spec.n_in * spec.n_out
+        weights = np.array([layer.spec.n_in * layer.spec.n_out for layer in run.layers])
+        log = run.step_log
+        assert np.all(log["applied"] + log["skipped"] <= weights[log["layer"]])
 
     def test_pulse_log_matches_device_counters(self, tiny_task, tiny_bank):
         train_ds, _, _ = tiny_task
         run = tiny_run("bp", tiny_bank, epochs=[1, 1])
         train(run, train_ds)
         stats = pulse_statistics(run)
-        assert stats["total_pulses"] == sum(r.pulses for r in run.step_log)
+        assert stats["total_pulses"] == run.step_log["applied"].sum()
         assert stats["total_pulses"] == run.ledger.pulse_count
 
     def test_buffered_memory_formulas(self, tiny_task, tiny_bank):
@@ -253,9 +253,26 @@ class TestTrain:
         train_ds, val_ds, _ = tiny_task
         run = tiny_run("cf", tiny_bank, epochs=[2, 3])
         train(run, train_ds, val_ds)
-        val_records = [r for r in run.epoch_log if r.split == "val"]
-        assert len(val_records) == 5
-        assert all(r.accuracy is not None for r in val_records)
+        assert len(run.epoch_log) == 5
+        assert not np.isnan(run.epoch_log["val_accuracy"]).any()
+
+    def test_log_arrays_without_val_split(self, tiny_task, tiny_bank):
+        train_ds, _, _ = tiny_task
+        run = tiny_run("cf", tiny_bank, epochs=[2, 1])
+        train(run, train_ds)
+        per_epoch = -(-train_ds.n_samples // run.schedule.batch_size)
+        log = run.step_log
+        assert log.dtype.names == ("epoch", "batch", "layer", "loss", "applied", "skipped")
+        assert len(log) == 3 * per_epoch
+        assert log["epoch"].tolist() == np.repeat([0, 1, 2], per_epoch).tolist()
+        assert log["batch"].tolist() == list(range(per_epoch)) * 3
+        assert log["applied"].sum() == run.ledger.pulse_count
+        epochs = run.epoch_log
+        assert epochs.dtype.names == ("layer", "loss", "val_accuracy")
+        assert epochs["layer"].tolist() == [0, 0, 1]
+        assert epochs["loss"].tolist() == [
+            np.mean(log["loss"][log["epoch"] == e]) for e in range(3)]
+        assert np.isnan(epochs["val_accuracy"]).all()
 
 
 class TestDevicePerceptron:
@@ -439,7 +456,7 @@ class TestMeasuredBank:
         train_ds, _, _ = config.build_splits(cfg, dataset)
         run = config.build_training_run(cfg, 0, dataset)
         train(run, train_ds)
-        assert sum(step.skipped for step in run.step_log) > 0
+        assert run.step_log["skipped"].sum() > 0
         arr = run.layers[0].array
         own = arr.bank.lengths[arr.traj_ids]
         assert arr.bank.conductances.shape == (3, 6)
