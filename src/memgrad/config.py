@@ -191,8 +191,13 @@ def build_dataset(cfg: dict) -> data_mod.FeatureDataset:
 
 
 def build_split_indices(cfg: dict, dataset: data_mod.FeatureDataset) -> dict:
-    """Sample indices of the config's train/val/test split."""
-    return data_mod.split_indices(dataset, data_mod.SplitSpec(**cfg["split"]))
+    """Sample indices of the config's train/val/test split, none of them empty."""
+    indices = data_mod.split_indices(dataset, data_mod.SplitSpec(**cfg["split"]))
+    for name, idx in indices.items():
+        if not idx:
+            raise ConfigError(f"split.{name} = {cfg['split'][name]} leaves the {name} split "
+                              f"empty ({dataset.n_samples} samples)")
+    return indices
 
 
 def build_splits(cfg: dict, dataset: data_mod.FeatureDataset):

@@ -231,6 +231,9 @@ class DriftModelParams:
 
 # Columns a synthetic bank turns into conductances at least, per fill.
 _FILL_FLOOR = 256
+# Columns whose raw draws the first fill keeps at least: training runs at
+# the desk epochs read fewer, so they never redraw.
+_DRAW_FLOOR = 512
 
 
 def _check_conductances(block: np.ndarray):
@@ -240,19 +243,79 @@ def _check_conductances(block: np.ndarray):
 
 @dataclass
 class _PendingFill:
-    """What turns a synthetic bank's raw decrement draws into conductances.
+    """What a synthetic bank still has to draw and turn into conductances.
 
-    ``scale`` is the per-decrement sigma of the normal family (None for
-    lognormal draws, which are decrements as drawn), ``carry`` each row's
-    running decrement sum up to the frontier, and ``signs`` the bit-packed
-    decrement signs (set bit: negative) of the anomalous rows ``sign_rows``.
+    ``rng`` makes the bank's draws, row by row.  The first draw pass keeps
+    the raw decrement draws of the columns it needs only; ``states`` holds
+    each row's generator state at the drawn frontier (None when that pass
+    kept every column), and later columns are redrawn from it.  ``scale``
+    is the per-decrement sigma of the normal family (None for lognormal
+    draws, which are decrements as drawn with the per-decrement mu and
+    sigma of ``log_params``), ``carry`` each row's running decrement sum up
+    to the filled frontier, and ``signs`` the bit-packed decrement signs
+    (set bit: negative) of the anomalous rows ``sign_rows``.
     """
 
+    params: SyntheticTrajectoryParams
+    rng: np.random.Generator
     scale: np.ndarray | None
-    mean: float
-    carry: np.ndarray
-    sign_rows: np.ndarray
-    signs: np.ndarray
+    log_params: tuple[np.ndarray, np.ndarray] | None
+    states: list[dict] | None = None
+    carry: np.ndarray | None = None
+    sign_rows: np.ndarray | None = None
+    signs: np.ndarray | None = None
+
+    def draw(self, count: int, keep: int) -> np.ndarray:
+        """Make every draw of the bank; keep the first ``keep`` columns.
+
+        Each row draws, in this order: its decrements, the anomalous-device
+        coin, the decrement signs (anomalous rows only) and its initial
+        conductance.  Decrements from ``keep - 1`` on are drawn past, not
+        kept: every decrement is one standard normal draw (a lognormal one
+        too), and the generator caches none, so a pass that skips them
+        consumes the stream exactly as one that keeps them.
+        """
+        params, rng = self.params, self.rng
+        matrix = np.empty((count, keep))
+        rest = np.empty(params.p_max + 1 - keep)
+        self.states = [] if rest.size else None
+        sign_rows, signs = [], []
+        for k, g in enumerate(matrix):
+            self._decrements(g[1:], 0)
+            if rest.size:
+                self.states.append(rng.bit_generator.state)
+                rng.standard_normal(out=rest)
+            if rng.random() < params.anomalous_probability:
+                sign_rows.append(k)
+                signs.append(np.packbits(rng.choice([-1.0, 1.0], size=params.p_max) < 0))
+            g[0] = max(rng.normal(params.g0_mean, params.g0_sigma), 0.0)
+        np.clip(matrix[:, 0], 0.0, None, out=matrix[:, 0])
+        self.sign_rows = np.array(sign_rows, dtype=np.int64)
+        self.signs = np.array(signs, dtype=np.uint8).reshape(-1, (params.p_max + 7) // 8)
+        # -0.0 is the exact additive identity: the first fill's sums are cumsum's
+        self.carry = np.full(count, -0.0)
+        return matrix
+
+    def redraw(self, matrix: np.ndarray, upto: int) -> np.ndarray:
+        """``matrix`` widened to ``upto`` columns, the new ones redrawn."""
+        drawn = matrix.shape[1]
+        grown = np.empty((len(matrix), upto))
+        grown[:, :drawn] = matrix
+        bits = self.rng.bit_generator
+        for k, g in enumerate(grown):
+            bits.state = self.states[k]
+            self._decrements(g[drawn:], drawn - 1)
+            self.states[k] = bits.state
+        return grown
+
+    def _decrements(self, out: np.ndarray, first: int):
+        """Draw raw decrements ``first``, ``first + 1``, ... into ``out``."""
+        if self.scale is not None:
+            # the fill computes mean + sigma * z, what rng.normal(mean, sigma) returns
+            self.rng.standard_normal(out=out)
+        else:
+            mu, sd = (p[first:first + len(out)] for p in self.log_params)
+            out[:] = self.rng.lognormal(mu, sd)
 
 
 class TrajectoryBank(Sequence):
@@ -266,10 +329,14 @@ class TrajectoryBank(Sequence):
     scalar code (the reference device model, characterization) sees one
     object per trajectory without a second copy of the conductances.
 
-    A synthetic bank starts with only column 0 computed; columns from
-    ``filled`` on still hold raw decrement draws.  :meth:`gather` turns
-    columns into conductances only as far as its cursors reach, and
-    ``conductances`` turns all of them.  Measured banks are complete.
+    A synthetic bank draws nothing until it is first read.  Its first fill
+    makes the whole draw pass but keeps the raw draws of the columns it
+    needs only (at least 512), and a later fill past them widens the
+    matrix and redraws the next columns; so the matrix is only as wide as
+    the reads so far.  :meth:`gather` turns columns into conductances only
+    as far as its cursors reach, and ``conductances`` turns all of them,
+    keeping every column in one pass when it is the first read.  Measured
+    banks are complete.
     """
 
     def __init__(self, conductances, lengths, sources: list[str], *,
@@ -280,12 +347,13 @@ class TrajectoryBank(Sequence):
             raise ValueError("bank needs a (count, width) conductance matrix")
         if lengths.shape != (len(conductances),) or len(sources) != len(conductances):
             raise ValueError("need one length and one source per trajectory")
-        if lengths.min() < 2 or lengths.max() > conductances.shape[1]:
+        self.width = conductances.shape[1] if pending is None else pending.params.p_max + 1
+        if lengths.min() < 2 or lengths.max() > self.width:
             raise ValueError("trajectory lengths must be in [2, width]")
-        self.filled = 1 if pending is not None else conductances.shape[1]
-        _check_conductances(conductances[:, :self.filled])
         if pending is None:
+            _check_conductances(conductances)
             conductances.flags.writeable = False
+        self.filled = 0 if pending is not None else self.width
         self._matrix = conductances
         self._pending = pending
         self.lengths = lengths
@@ -300,10 +368,6 @@ class TrajectoryBank(Sequence):
         for k, r in enumerate(rows):
             matrix[k, :len(r)] = r
         return cls(matrix, lengths, sources)
-
-    @property
-    def width(self) -> int:
-        return self._matrix.shape[1]
 
     @property
     def conductances(self) -> np.ndarray:
@@ -327,12 +391,13 @@ class TrajectoryBank(Sequence):
         return self._matrix[tid, cursor]
 
     def _fill(self, upto: int):
-        """Turn the raw draws of columns [filled, upto) into conductances.
+        """Turn columns [filled, upto) into conductances, drawing them first.
 
-        Decrement j of a row sits in column j + 1.  The running decrement
-        sum continues from the carry of the previous fill; it is a
-        sequential left fold, so any split into fills gives the values of
-        one cumsum over the whole row.
+        The first fill makes the draw pass, which sets column 0; a fill past
+        the drawn columns redraws the missing ones.  Decrement j of a row
+        sits in column j + 1.  The running decrement sum continues from the
+        carry of the previous fill; it is a sequential left fold, so any
+        split into fills gives the values of one cumsum over the whole row.
         """
         lo = self.filled
         if upto <= lo:
@@ -341,24 +406,31 @@ class TrajectoryBank(Sequence):
             # an earlier fill failed its check and left these columns unusable
             raise ValueError("conductances must be finite and non-negative")
         pending, self._pending = self._pending, None
-        block = self._matrix[:, lo:upto]
-        if pending.scale is not None:
-            block *= pending.scale[lo - 1:upto - 1]
-            block += pending.mean
-            np.maximum(block, 0.0, out=block)
-        # decrements lo-1 .. upto-2, unpacked from whole bytes; row by row,
-        # so no copy of the signed rows is made
-        skip, whole = (lo - 1) % 8, slice((lo - 1) // 8, (upto + 6) // 8)
-        for row, packed in zip(pending.sign_rows, pending.signs):
-            bits = np.unpackbits(packed[whole])[skip:skip + upto - lo]
-            block[row] *= np.where(bits, -1.0, 1.0)
-        block[:, 0] += pending.carry
-        np.cumsum(block, axis=1, out=block)
-        pending.carry[:] = block[:, -1]
-        np.subtract(self._matrix[:, :1], block, out=block)
-        np.clip(block, 0.0, None, out=block)
-        _check_conductances(block)
-        self.filled = upto
+        if lo == 0:
+            self._matrix = pending.draw(len(self), min(self.width, max(upto, _DRAW_FLOOR)))
+            _check_conductances(self._matrix[:, :1])
+            self.filled = lo = 1
+        elif upto > self._matrix.shape[1]:
+            self._matrix = pending.redraw(self._matrix, upto)
+        if upto > lo:
+            block = self._matrix[:, lo:upto]
+            if pending.scale is not None:
+                block *= pending.scale[lo - 1:upto - 1]
+                block += pending.params.decrement_mean
+                np.maximum(block, 0.0, out=block)
+            # decrements lo-1 .. upto-2, unpacked from whole bytes; row by row,
+            # so no copy of the signed rows is made
+            skip, whole = (lo - 1) % 8, slice((lo - 1) // 8, (upto + 6) // 8)
+            for row, packed in zip(pending.sign_rows, pending.signs):
+                bits = np.unpackbits(packed[whole])[skip:skip + upto - lo]
+                block[row] *= np.where(bits, -1.0, 1.0)
+            block[:, 0] += pending.carry
+            np.cumsum(block, axis=1, out=block)
+            pending.carry[:] = block[:, -1]
+            np.subtract(self._matrix[:, :1], block, out=block)
+            np.clip(block, 0.0, None, out=block)
+            _check_conductances(block)
+            self.filled = upto
         if upto < self.width:
             self._pending = pending
 
@@ -377,45 +449,26 @@ class TrajectoryBank(Sequence):
 
 def generate_trajectory_bank(params: SyntheticTrajectoryParams, count: int,
                              seed: int) -> TrajectoryBank:
-    """Draw ``count`` synthetic trajectories, deterministically per seed.
+    """``count`` synthetic trajectories, deterministically per seed.
 
-    Each trajectory draws, in this order: its decrements, the anomalous-device
-    coin, the decrement signs (anomalous devices only) and its initial
-    conductance.  The decrement draws go straight into their row; the bank
-    turns them into conductances when they are first read.
+    The bank owns the generator and makes its draws when it is first read
+    (see :meth:`_PendingFill.draw` for their order); reading a bank, in
+    whole or in part, gives the same values whenever it happens.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(seed)
     onset = int(round(params.p_max * params.late_onset_fraction))
     sigma = np.full(params.p_max, params.decrement_sigma, dtype=float)
     sigma[onset:] *= params.late_sigma_factor
+    log_params = None
     if params.decrement_family == "lognormal":
         # match the requested per-pulse mean/sigma via the usual moment
         # mapping; sigma varies along the trajectory (late-stage amplification)
         var_ln = np.log1p((sigma / params.decrement_mean) ** 2)
-        mu_ln = np.log(params.decrement_mean) - var_ln / 2.0
-        sd_ln = np.sqrt(var_ln)
-    matrix = np.empty((count, params.p_max + 1))
-    sign_rows, signs = [], []
-    for k, g in enumerate(matrix):
-        if params.decrement_family == "lognormal":
-            g[1:] = rng.lognormal(mu_ln, sd_ln)
-        else:
-            # the fill computes mean + sigma * z, what rng.normal(mean, sigma) returns
-            rng.standard_normal(out=g[1:])
-        if rng.random() < params.anomalous_probability:
-            sign_rows.append(k)
-            signs.append(np.packbits(rng.choice([-1.0, 1.0], size=params.p_max) < 0))
-        g[0] = max(rng.normal(params.g0_mean, params.g0_sigma), 0.0)
-    # column 0 is final here; the fills clip the others
-    np.clip(matrix[:, 0], 0.0, None, out=matrix[:, 0])
-    signs = np.array(signs, dtype=np.uint8).reshape(-1, (params.p_max + 7) // 8)
-    # -0.0 is the exact additive identity: the first fill's sums are cumsum's
-    pending = _PendingFill(sigma if params.decrement_family == "normal" else None,
-                           params.decrement_mean, np.full(count, -0.0),
-                           np.array(sign_rows, dtype=np.int64), signs)
-    return TrajectoryBank(matrix, np.full(count, params.p_max + 1),
+        log_params = (np.log(params.decrement_mean) - var_ln / 2.0, np.sqrt(var_ln))
+    pending = _PendingFill(params, np.random.default_rng(seed),
+                           sigma if log_params is None else None, log_params)
+    return TrajectoryBank(np.empty((count, 0)), np.full(count, params.p_max + 1),
                           [f"synthetic(seed={seed},idx={k})" for k in range(count)],
                           pending=pending)
 
@@ -512,26 +565,31 @@ def cycle_endurance(bank: TrajectoryBank, rng: np.random.Generator, devices: int
     return EnduranceCycles(g_start, g_end, lifetime, first, error)
 
 
-def pearson_coefficient(trajectory: ResetTrajectory, p_max: int) -> float:
+def pearson_coefficient(conductances, p_max: int) -> float | np.ndarray:
     """Linearity of conductance vs. pulse number over the first p_max pulses.
 
     rho = (1/P) * sum_i (G_i - mu_G) (i - (P+1)/2) / (sigma_G * sigma_P),
     with population sigmas and sigma_P = sqrt(sum_i (i - (P+1)/2)^2 / P).
     -1 means ideal monotone decrease.  Constant trajectories return 0 by
     convention so population histograms stay total.
+
+    ``conductances`` is one trajectory (a :class:`ResetTrajectory` or a 1-D
+    array), which gives a float, or a (rows, P) block of trajectories, which
+    gives an array with one coefficient per row; a single trajectory is
+    computed as a one-row block.
     """
-    if not 2 <= p_max <= len(trajectory):
-        raise ValueError(f"p_max must be in [2, {len(trajectory)}], got {p_max}")
-    g = trajectory.conductances[:p_max]
-    i = np.arange(1, p_max + 1, dtype=float)
-    mu_g = g.mean()
-    sigma_g = math.sqrt(float(np.mean((g - mu_g) ** 2)))
-    if sigma_g == 0.0:
-        return 0.0
-    centered_i = i - (p_max + 1) / 2.0
+    g = np.asarray(getattr(conductances, "conductances", conductances), dtype=float)
+    if not 2 <= p_max <= g.shape[-1]:
+        raise ValueError(f"p_max must be in [2, {g.shape[-1]}], got {p_max}")
+    block = np.atleast_2d(g)[:, :p_max]
+    centered_g = block - block.mean(axis=1, keepdims=True)
+    sigma_g = np.sqrt(np.mean(centered_g ** 2, axis=1))
+    centered_i = np.arange(1, p_max + 1, dtype=float) - (p_max + 1) / 2.0
     sigma_p = math.sqrt(float(np.mean(centered_i ** 2)))
-    rho = float(np.mean((g - mu_g) * centered_i)) / (sigma_g * sigma_p)
-    return float(min(1.0, max(-1.0, rho)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.mean(centered_g * centered_i, axis=1) / (sigma_g * sigma_p)
+    rho = np.where(sigma_g == 0.0, 0.0, np.clip(rho, -1.0, 1.0))
+    return float(rho[0]) if g.ndim == 1 else rho
 
 
 def apply_retention_drift(conductance, days: float, params: DriftModelParams,

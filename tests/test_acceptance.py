@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from memgrad import cli, gradcheck
-from memgrad.config import (build_dataset, build_drift_params, build_splits,
-                            build_training_run, effective_config)
+from memgrad.config import (build_bank, build_dataset, build_drift_params,
+                            build_splits, build_training_run, effective_config)
 from memgrad.device import (DeviceState, DriftModelParams, LARGE_ARRAY, MAC_ARRAY,
                             NeedsReinit, ResetTrajectory,
                             SyntheticTrajectoryParams, apply_reset_pulse,
@@ -58,15 +58,17 @@ def desk_runs():
     a_star = evaluate(float_run, test_ds)
     del float_run
 
-    accs: dict[str, list[float]] = {}
-    pulses: dict[str, list[dict]] = {}
+    algos = ("bp", "sff", "cf")
+    algo_cfgs = {algo: effective_config(None, {"algorithm": algo}) for algo in algos}
+    accs: dict[str, list[float]] = {algo: [] for algo in algos}
+    pulses: dict[str, list[dict]] = {algo: [] for algo in algos}
     aging_points = None
-    for algo in ("bp", "sff", "cf"):
-        algo_cfg = effective_config(None, {"algorithm": algo})
-        accs[algo] = []
-        pulses[algo] = []
-        for seed in range(N_SEEDS):
-            run = build_training_run(algo_cfg, seed, dataset)
+    for seed in range(N_SEEDS):
+        # a run's bank depends on its seed alone, and training only reads
+        # it, so one bank per seed serves the three methods
+        bank = build_bank(cfg, seed)
+        for algo, algo_cfg in algo_cfgs.items():
+            run = build_training_run(algo_cfg, seed, dataset, bank)
             train(run, train_ds)
             accs[algo].append(evaluate(run, test_ds))
             pulses[algo].append(pulse_statistics(run))
@@ -76,7 +78,8 @@ def desk_runs():
                     run, [0.0, 90.0], build_drift_params(algo_cfg), rng,
                     n_repeats=20, test_ds=test_ds)
             del run
-            gc.collect()
+        del bank
+        gc.collect()
     return {"a_star": a_star, "accs": accs, "pulses": pulses,
             "aging": aging_points, "elapsed": time.time() - t0}
 

@@ -17,7 +17,8 @@ from memgrad import cli, config
 from memgrad.device import (DeviceState, EnduranceExceeded, NeedsReinit,
                             SyntheticTrajectoryParams, TrajectoryBank,
                             apply_reset_pulse, generate_trajectory_bank,
-                            load_bank_csv, reinitialize, save_bank_csv)
+                            load_bank_csv, pearson_coefficient, reinitialize,
+                            save_bank_csv)
 
 PAPER_LISTS = {
     "bp": "90.62\n91.18\n89.89\n87.87\n90.44\n",
@@ -212,6 +213,22 @@ class TestCharacterizeCommand:
         assert message in capsys.readouterr().err
         assert not (out / "pearson.csv").exists()
 
+    def test_pearson_per_trajectory_on_a_ragged_bank(self, tmp_path, capsys):
+        # rows of three lengths, one group spanning several blocks,
+        # in shuffled order: each row gets its own trajectory's coefficient
+        lengths = np.random.default_rng(0).permutation([40] * 5 + [57] * 20 + [300] * 150)
+        full = generate_trajectory_bank(SyntheticTrajectoryParams(
+            p_max=299, anomalous_probability=0.3), len(lengths), seed=2).conductances
+        bank = TrajectoryBank.from_rows([row[:n] for row, n in zip(full, lengths)],
+                                        ["m"] * len(lengths))
+        bank_path = tmp_path / "bank.csv"
+        save_bank_csv(bank, bank_path)
+        out = tmp_path / "o"
+        assert cli.main(["characterize", "--bank", str(bank_path), "--out", str(out)]) == 0
+        loaded = load_bank_csv(bank_path)
+        expected = [f"{k},{pearson_coefficient(t, len(t)):.6f}" for k, t in enumerate(loaded)]
+        assert (out / "pearson.csv").read_text().splitlines()[1:] == expected
+
     def test_config_bank_path_is_characterized(self, tmp_path, capsys):
         # a measured bank named in the config file, not a synthetic one
         rows = [np.linspace(90e-6, 60e-6, 6 + k) for k in range(3)]
@@ -392,6 +409,18 @@ class TestTrainCommand:
                        str(tmp_path / "o")])
         assert rc == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    def test_empty_split_is_a_config_error(self, tmp_path, capsys):
+        # 40 samples per class at val 0.001 round to no val sample at all
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps({"task": {"n_per_class": 40},
+                                    "split": {"train": 0.899, "val": 0.001, "test": 0.1}}))
+        out = tmp_path / "o"
+        rc = cli.main(["train", "--config", str(path), "--algo", "cf",
+                       "--epochs", "1,1", "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert "split.val = 0.001 leaves the val split empty" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_json_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import math
 import pickle
 
 import numpy as np
@@ -11,7 +12,7 @@ from memgrad.device import (DeviceState, DeviceTechParams, DriftModelParams,
                             EnduranceExceeded, LARGE_ARRAY, MAC_ARRAY,
                             NeedsReinit, ResetTrajectory,
                             SyntheticTrajectoryParams, TrajectoryBank,
-                            apply_reset_pulse,
+                            _PendingFill, apply_reset_pulse,
                             apply_retention_drift, generate_trajectory_bank,
                             load_bank_csv, pearson_coefficient, pulse_energy,
                             reinitialize, save_bank_csv)
@@ -117,7 +118,35 @@ class TestReinitialize:
         assert dev.reinit_count == 299
 
 
+def scalar_pearson(g, p_max):
+    """The coefficient of one trajectory, one scalar reduction at a time."""
+    g = np.asarray(g)[:p_max]
+    mu_g = g.mean()
+    sigma_g = math.sqrt(float(np.mean((g - mu_g) ** 2)))
+    if sigma_g == 0.0:
+        return 0.0
+    centered_i = np.arange(1, p_max + 1, dtype=float) - (p_max + 1) / 2.0
+    sigma_p = math.sqrt(float(np.mean(centered_i ** 2)))
+    rho = float(np.mean((g - mu_g) * centered_i)) / (sigma_g * sigma_p)
+    return float(min(1.0, max(-1.0, rho)))
+
+
 class TestPearson:
+    @pytest.mark.parametrize("kwargs", [{}, {"anomalous_probability": 1.0},
+                                        {"decrement_family": "lognormal"}],
+                             ids=["normal", "anomalous", "lognormal"])
+    @pytest.mark.parametrize("p_max", [2, 150, 301])
+    def test_row_blocks_match_scalar_reference(self, kwargs, p_max):
+        # one row of the block form must equal the scalar computation bit for bit
+        g = generate_trajectory_bank(SyntheticTrajectoryParams(p_max=300, **kwargs),
+                                     70, seed=3).conductances
+        block = np.vstack([g, np.full(301, 5e-6)])          # a constant row gives 0
+        rhos = pearson_coefficient(block, p_max)
+        expected = [scalar_pearson(row, p_max) for row in block]
+        assert rhos.shape == (71,) and rhos.tolist() == expected
+        assert [pearson_coefficient(row, p_max) for row in block] == expected
+        assert pearson_coefficient(block[:0], p_max).shape == (0,)
+
     def test_decreasing_line_is_minus_one(self):
         g = 100e-6 - 0.01e-6 * np.arange(5001)
         rho = pearson_coefficient(ResetTrajectory(g), 5000)
@@ -263,7 +292,7 @@ FAMILIES = [{"decrement_family": family, "anomalous_probability": anomalous}
 
 
 class TestDeferredFill:
-    """Synthetic banks turn raw draws into conductances only as far as read."""
+    """Synthetic banks draw, and turn draws into conductances, only as far as read."""
 
     @pytest.mark.parametrize("kwargs", FAMILIES, ids=lambda k: "-".join(map(str, k.values())))
     def test_any_fill_cut_points_match_one_shot(self, kwargs):
@@ -275,7 +304,7 @@ class TestDeferredFill:
             cuts = rng.choice(np.arange(2, width - 1), size=rng.integers(0, 6), replace=False)
             cuts = sorted({1, width - 1, width, *cuts.tolist()})
             bank = generate_trajectory_bank(params, 12, seed=4)
-            assert bank.filled == 1
+            assert bank.filled == 0          # nothing is drawn before the first read
             for cut in cuts:
                 bank._fill(cut)
                 assert bank.filled == cut
@@ -288,9 +317,9 @@ class TestDeferredFill:
         bank = generate_trajectory_bank(params, 6, seed=9)
         tid = np.arange(6)
         assert np.array_equal(bank.gather(tid, 0), expected[:, 0])
-        assert bank.filled == 1
-        assert np.array_equal(bank.gather(tid, np.full(6, 3)), expected[:, 3])
         assert bank.filled == 256          # the floor of a fill
+        assert np.array_equal(bank.gather(tid, np.full(6, 3)), expected[:, 3])
+        assert bank.filled == 256
         assert np.array_equal(bank.gather(tid[:, None], [[256, 300]]),
                               expected[:, [256, 300]])
         assert bank.filled == 512          # at least doubled
@@ -316,6 +345,63 @@ class TestDeferredFill:
         assert twin.filled == 512 and bank.filled == 256
         assert twin.conductances.tobytes() == expected.tobytes()
         assert bank.conductances.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kwargs", FAMILIES, ids=lambda k: "-".join(map(str, k.values())))
+    def test_fill_cut_points_across_the_drawn_frontier(self, kwargs):
+        # the first fill keeps 512 columns of raw draws; every later cut
+        # past the matrix widens it and redraws from the saved row states
+        params = SyntheticTrajectoryParams(p_max=1200, **kwargs)
+        expected = one_shot_conductances(params, 5, seed=8)
+        for cuts in ([3, 511, 512, 513, 777, 1200, 1201],
+                     [256, 600, 601, 1024], [900, 1201], [1, 2, 513, 1199]):
+            bank = generate_trajectory_bank(params, 5, seed=8)
+            for cut in cuts:
+                bank._fill(cut)
+                assert bank.filled == cut
+                assert bank._matrix.shape[1] == max(cut, 512)
+                assert np.array_equal(bank._matrix[:, :cut], expected[:, :cut])
+            assert bank.conductances.tobytes() == expected.tobytes()
+
+    def test_whole_read_first_keeps_every_column(self, monkeypatch):
+        # conductances (characterize, save_bank_csv, bank[k]) as the first
+        # read draws the whole bank in its one pass and saves no row states
+        passes = []
+        draw = _PendingFill.draw
+
+        def spy(pending, count, keep):
+            matrix = draw(pending, count, keep)
+            passes.append((keep, pending.states))
+            return matrix
+
+        monkeypatch.setattr(_PendingFill, "draw", spy)
+        monkeypatch.setattr(_PendingFill, "redraw", lambda *args: pytest.fail("redrew"))
+        params = SyntheticTrajectoryParams(p_max=1200, anomalous_probability=0.3)
+        bank = generate_trajectory_bank(params, 5, seed=3)
+        assert bank.conductances.tobytes() == one_shot_conductances(params, 5, 3).tobytes()
+        assert passes == [(1201, None)]
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda b: pickle.loads(pickle.dumps(b))],
+                             ids=["deepcopy", "pickle"])
+    @pytest.mark.parametrize("read", [None, 700], ids=["unread", "redrawn"])
+    def test_bank_copies_before_and_between_redraws(self, clone, read):
+        params = SyntheticTrajectoryParams(p_max=1200, anomalous_probability=0.5,
+                                           decrement_family="lognormal")
+        expected = one_shot_conductances(params, 4, seed=6)
+        bank = generate_trajectory_bank(params, 4, seed=6)
+        if read is not None:
+            bank.gather(np.arange(4), read)
+        twin = clone(bank)
+        assert twin.filled == bank.filled
+        assert np.array_equal(twin.gather(np.arange(4), 1100), expected[:, 1100])
+        assert twin.conductances.tobytes() == expected.tobytes()
+        assert bank.conductances.tobytes() == expected.tobytes()
+
+    def test_desk_depth_read_keeps_a_narrow_matrix(self):
+        # a training run at the desk epochs reads a few hundred samples per
+        # trajectory; the bank holds 512 columns, not all 5001
+        bank = generate_trajectory_bank(SyntheticTrajectoryParams(), 1268, seed=0)
+        bank.gather(np.arange(1268), 264)
+        assert bank._matrix.nbytes <= 1268 * 512 * 8
 
     def test_matrix_is_read_only_from_outside(self):
         bank = generate_trajectory_bank(SyntheticTrajectoryParams(p_max=300), 3, seed=0)

@@ -472,7 +472,7 @@ class TestMeasuredBank:
 class TestBankFill:
     def test_training_reads_only_the_start_of_its_bank(self):
         # a CF run at the benchmark's desk epochs keeps its cursors near the
-        # start of each trajectory, so most of its bank stays raw draws
+        # start of each trajectory, so most of its bank is never computed
         cfg = config.effective_config(None, {"algorithm": "cf",
                                              "schedule": {"epochs": [1, 1]}})
         dataset = config.build_dataset(cfg)
