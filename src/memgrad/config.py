@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -235,7 +236,8 @@ def build_training_run(cfg: dict, seed: int, dataset: data_mod.FeatureDataset,
     """Instantiate a TrainingRun for one seed from an effective config.
 
     This is the one constructor of a run: each setting goes to the object
-    that uses it.  A device run without ``bank`` draws its own.
+    that uses it.  A device run without ``bank`` draws its own.  Before the
+    first read, the bank is filled as deep as the schedule can read it.
     """
     algorithm = cfg["algorithm"]
     rule = algorithm.removeprefix("float_")
@@ -263,6 +265,12 @@ def build_training_run(cfg: dict, seed: int, dataset: data_mod.FeatureDataset,
     else:
         if bank is None:
             bank = build_bank(cfg, seed)
+        # a cursor moves at most one sample per step of its layer's one phase,
+        # and largest-remainder rounding adds at most one train sample per class
+        n_train = math.floor(dataset.n_samples * cfg["split"]["train"]) + dataset.n_classes
+        steps = max(phase.epochs for phase in schedule.phases) * math.ceil(
+            n_train / sched["batch_size"])
+        bank.fill(dev["pre_pulse_max"] + 1 + steps)
         layers = [NetworkLayer(spec, array=CrossbarArray.build(
                       spec.n_in, spec.n_out, bank, rng, TECH_PROFILES[dev["tech"]],
                       gain_kappa=dev["gain_kappa"],

@@ -229,93 +229,61 @@ class DriftModelParams:
         return float(np.interp(days, xs, ws))
 
 
-# Columns a synthetic bank turns into conductances at least, per fill.
-_FILL_FLOOR = 256
-# Columns whose raw draws the first fill keeps at least: training runs at
-# the desk epochs read fewer, so they never redraw.
-_DRAW_FLOOR = 512
-
-
 def _check_conductances(block: np.ndarray):
     if not (block.min() >= 0 and np.isfinite(block.max())):
         raise ValueError("conductances must be finite and non-negative")
 
 
 @dataclass
-class _PendingFill:
-    """What a synthetic bank still has to draw and turn into conductances.
+class _DrawSpec:
+    """How a synthetic bank draws its trajectories from its seed.
 
-    ``rng`` makes the bank's draws, row by row.  The first draw pass keeps
-    the raw decrement draws of the columns it needs only; ``states`` holds
-    each row's generator state at the drawn frontier (None when that pass
-    kept every column), and later columns are redrawn from it.  ``scale``
-    is the per-decrement sigma of the normal family (None for lognormal
-    draws, which are decrements as drawn with the per-decrement mu and
-    sigma of ``log_params``), ``carry`` each row's running decrement sum up
-    to the filled frontier, and ``signs`` the bit-packed decrement signs
-    (set bit: negative) of the anomalous rows ``sign_rows``.
+    ``scale`` is the per-decrement sigma of the normal family (None for
+    lognormal draws, which are decrements as drawn with the per-decrement
+    mu and sigma of ``log_params``).
     """
 
     params: SyntheticTrajectoryParams
-    rng: np.random.Generator
+    seed: int
     scale: np.ndarray | None
     log_params: tuple[np.ndarray, np.ndarray] | None
-    states: list[dict] | None = None
-    carry: np.ndarray | None = None
-    sign_rows: np.ndarray | None = None
-    signs: np.ndarray | None = None
 
     def draw(self, count: int, keep: int) -> np.ndarray:
-        """Make every draw of the bank; keep the first ``keep`` columns.
+        """The first ``keep`` columns of the bank's conductances.
 
-        Each row draws, in this order: its decrements, the anomalous-device
-        coin, the decrement signs (anomalous rows only) and its initial
-        conductance.  Decrements from ``keep - 1`` on are drawn past, not
-        kept: every decrement is one standard normal draw (a lognormal one
-        too), and the generator caches none, so a pass that skips them
-        consumes the stream exactly as one that keeps them.
+        One pass from the seed makes every draw of the bank.  Each row
+        draws, in this order: its decrements, the anomalous-device coin, the
+        decrement signs (anomalous rows only) and its initial conductance.
+        Decrements from ``keep - 1`` on are drawn past, not kept: every
+        decrement is one standard normal draw (a lognormal one too), and
+        the generator caches none, so the pass consumes the stream exactly
+        as one that keeps them.  Decrement j of a row sits in column j + 1,
+        and one cumsum per row turns the kept decrements into conductances.
         """
-        params, rng = self.params, self.rng
+        params, rng = self.params, np.random.default_rng(self.seed)
         matrix = np.empty((count, keep))
         rest = np.empty(params.p_max + 1 - keep)
-        self.states = [] if rest.size else None
-        sign_rows, signs = [], []
+        negative = []           # (row, decrement sign < 0) of the anomalous rows
         for k, g in enumerate(matrix):
-            self._decrements(g[1:], 0)
-            if rest.size:
-                self.states.append(rng.bit_generator.state)
-                rng.standard_normal(out=rest)
+            if self.scale is not None:
+                rng.standard_normal(out=g[1:])
+            else:
+                g[1:] = rng.lognormal(*(p[:keep - 1] for p in self.log_params))
+            rng.standard_normal(out=rest)
             if rng.random() < params.anomalous_probability:
-                sign_rows.append(k)
-                signs.append(np.packbits(rng.choice([-1.0, 1.0], size=params.p_max) < 0))
+                negative.append((k, rng.choice([-1.0, 1.0], size=params.p_max)[:keep - 1] < 0))
             g[0] = max(rng.normal(params.g0_mean, params.g0_sigma), 0.0)
-        np.clip(matrix[:, 0], 0.0, None, out=matrix[:, 0])
-        self.sign_rows = np.array(sign_rows, dtype=np.int64)
-        self.signs = np.array(signs, dtype=np.uint8).reshape(-1, (params.p_max + 7) // 8)
-        # -0.0 is the exact additive identity: the first fill's sums are cumsum's
-        self.carry = np.full(count, -0.0)
-        return matrix
-
-    def redraw(self, matrix: np.ndarray, upto: int) -> np.ndarray:
-        """``matrix`` widened to ``upto`` columns, the new ones redrawn."""
-        drawn = matrix.shape[1]
-        grown = np.empty((len(matrix), upto))
-        grown[:, :drawn] = matrix
-        bits = self.rng.bit_generator
-        for k, g in enumerate(grown):
-            bits.state = self.states[k]
-            self._decrements(g[drawn:], drawn - 1)
-            self.states[k] = bits.state
-        return grown
-
-    def _decrements(self, out: np.ndarray, first: int):
-        """Draw raw decrements ``first``, ``first + 1``, ... into ``out``."""
+        dec = matrix[:, 1:]
         if self.scale is not None:
-            # the fill computes mean + sigma * z, what rng.normal(mean, sigma) returns
-            self.rng.standard_normal(out=out)
-        else:
-            mu, sd = (p[first:first + len(out)] for p in self.log_params)
-            out[:] = self.rng.lognormal(mu, sd)
+            # mean + sigma * z is what rng.normal(mean, sigma) returns
+            dec *= self.scale[:keep - 1]
+            dec += params.decrement_mean
+            np.maximum(dec, 0.0, out=dec)
+        for k, signs in negative:
+            np.negative(dec[k], out=dec[k], where=signs)
+        np.cumsum(dec, axis=1, out=dec)
+        np.subtract(matrix[:, :1], dec, out=dec)
+        return np.clip(matrix, 0.0, None, out=matrix)
 
 
 class TrajectoryBank(Sequence):
@@ -329,33 +297,31 @@ class TrajectoryBank(Sequence):
     scalar code (the reference device model, characterization) sees one
     object per trajectory without a second copy of the conductances.
 
-    A synthetic bank draws nothing until it is first read.  Its first fill
-    makes the whole draw pass but keeps the raw draws of the columns it
-    needs only (at least 512), and a later fill past them widens the
-    matrix and redraws the next columns; so the matrix is only as wide as
-    the reads so far.  :meth:`gather` turns columns into conductances only
-    as far as its cursors reach, and ``conductances`` turns all of them,
-    keeping every column in one pass when it is the first read.  Measured
-    banks are complete.
+    A synthetic bank draws nothing until :meth:`fill` tells it how many
+    columns to keep; a training run does that before its first read, with
+    the deepest cursor its schedule can reach.  One draw pass from the
+    bank's seed then keeps that many columns, so the matrix is only as wide
+    as the run reads.  A read past the kept columns (:meth:`gather`, or
+    ``conductances`` and ``bank[k]``, which read whole rows) makes a pass
+    that keeps every column.  Measured banks are complete.
     """
 
     def __init__(self, conductances, lengths, sources: list[str], *,
-                 pending: _PendingFill | None = None):
+                 spec: _DrawSpec | None = None):
         conductances = np.ascontiguousarray(conductances, dtype=float)
         lengths = np.asarray(lengths, dtype=np.int64)
         if conductances.ndim != 2 or len(conductances) < 1:
             raise ValueError("bank needs a (count, width) conductance matrix")
         if lengths.shape != (len(conductances),) or len(sources) != len(conductances):
             raise ValueError("need one length and one source per trajectory")
-        self.width = conductances.shape[1] if pending is None else pending.params.p_max + 1
+        self.width = conductances.shape[1] if spec is None else spec.params.p_max + 1
         if lengths.min() < 2 or lengths.max() > self.width:
             raise ValueError("trajectory lengths must be in [2, width]")
-        if pending is None:
+        if spec is None:
             _check_conductances(conductances)
             conductances.flags.writeable = False
-        self.filled = 0 if pending is not None else self.width
         self._matrix = conductances
-        self._pending = pending
+        self._spec = spec
         self.lengths = lengths
         self.sources = list(sources)
         self._rows: list[ResetTrajectory | None] = [None] * len(lengths)
@@ -370,9 +336,14 @@ class TrajectoryBank(Sequence):
         return cls(matrix, lengths, sources)
 
     @property
+    def filled(self) -> int:
+        """Columns kept so far: the width of the matrix."""
+        return self._matrix.shape[1]
+
+    @property
     def conductances(self) -> np.ndarray:
         """The whole (count, width) matrix, read-only."""
-        self._fill(self.width)
+        self.fill(self.width)
         view = self._matrix.view()
         view.flags.writeable = False
         return view
@@ -380,59 +351,27 @@ class TrajectoryBank(Sequence):
     def gather(self, tid, cursor) -> np.ndarray:
         """Samples ``conductances[tid, cursor]``, indices broadcast together.
 
-        Columns are filled up to the largest cursor first, and the frontier
-        at least doubles per fill, so a bank read to its end takes a few
-        fills and one read near the start takes one.
+        A cursor past the kept columns keeps every column first.
         """
         cursor = np.asarray(cursor)
-        need = int(cursor.max()) + 1 if cursor.size else 0
-        if need > self.filled:
-            self._fill(min(self.width, max(need, 2 * self.filled, _FILL_FLOOR)))
+        if cursor.size and int(cursor.max()) >= self.filled:
+            self.fill(self.width)
         return self._matrix[tid, cursor]
 
-    def _fill(self, upto: int):
-        """Turn columns [filled, upto) into conductances, drawing them first.
+    def fill(self, upto: int):
+        """Keep the first ``min(upto, width)`` columns.
 
-        The first fill makes the draw pass, which sets column 0; a fill past
-        the drawn columns redraws the missing ones.  Decrement j of a row
-        sits in column j + 1.  The running decrement sum continues from the
-        carry of the previous fill; it is a sequential left fold, so any
-        split into fills gives the values of one cumsum over the whole row.
+        Does nothing when that many are kept already, and so nothing on a
+        measured bank.  Otherwise one draw pass from the seed keeps them; a
+        pass whose conductances fail the check keeps nothing, so every later
+        read fails the same way.
         """
-        lo = self.filled
-        if upto <= lo:
+        keep = min(upto, self.width)
+        if keep <= self.filled:
             return
-        if self._pending is None:
-            # an earlier fill failed its check and left these columns unusable
-            raise ValueError("conductances must be finite and non-negative")
-        pending, self._pending = self._pending, None
-        if lo == 0:
-            self._matrix = pending.draw(len(self), min(self.width, max(upto, _DRAW_FLOOR)))
-            _check_conductances(self._matrix[:, :1])
-            self.filled = lo = 1
-        elif upto > self._matrix.shape[1]:
-            self._matrix = pending.redraw(self._matrix, upto)
-        if upto > lo:
-            block = self._matrix[:, lo:upto]
-            if pending.scale is not None:
-                block *= pending.scale[lo - 1:upto - 1]
-                block += pending.params.decrement_mean
-                np.maximum(block, 0.0, out=block)
-            # decrements lo-1 .. upto-2, unpacked from whole bytes; row by row,
-            # so no copy of the signed rows is made
-            skip, whole = (lo - 1) % 8, slice((lo - 1) // 8, (upto + 6) // 8)
-            for row, packed in zip(pending.sign_rows, pending.signs):
-                bits = np.unpackbits(packed[whole])[skip:skip + upto - lo]
-                block[row] *= np.where(bits, -1.0, 1.0)
-            block[:, 0] += pending.carry
-            np.cumsum(block, axis=1, out=block)
-            pending.carry[:] = block[:, -1]
-            np.subtract(self._matrix[:, :1], block, out=block)
-            np.clip(block, 0.0, None, out=block)
-            _check_conductances(block)
-            self.filled = upto
-        if upto < self.width:
-            self._pending = pending
+        matrix = self._spec.draw(len(self), keep)
+        _check_conductances(matrix)
+        self._matrix = matrix
 
     def __len__(self):
         return len(self.lengths)
@@ -451,9 +390,9 @@ def generate_trajectory_bank(params: SyntheticTrajectoryParams, count: int,
                              seed: int) -> TrajectoryBank:
     """``count`` synthetic trajectories, deterministically per seed.
 
-    The bank owns the generator and makes its draws when it is first read
-    (see :meth:`_PendingFill.draw` for their order); reading a bank, in
-    whole or in part, gives the same values whenever it happens.
+    The bank keeps the seed and makes its draws when it is first filled or
+    read (see :meth:`_DrawSpec.draw` for their order); a column has the
+    same value however many columns a pass keeps.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -466,11 +405,10 @@ def generate_trajectory_bank(params: SyntheticTrajectoryParams, count: int,
         # mapping; sigma varies along the trajectory (late-stage amplification)
         var_ln = np.log1p((sigma / params.decrement_mean) ** 2)
         log_params = (np.log(params.decrement_mean) - var_ln / 2.0, np.sqrt(var_ln))
-    pending = _PendingFill(params, np.random.default_rng(seed),
-                           sigma if log_params is None else None, log_params)
+    spec = _DrawSpec(params, seed, sigma if log_params is None else None, log_params)
     return TrajectoryBank(np.empty((count, 0)), np.full(count, params.p_max + 1),
                           [f"synthetic(seed={seed},idx={k})" for k in range(count)],
-                          pending=pending)
+                          spec=spec)
 
 
 def apply_reset_pulse(device: DeviceState, endurance_budget: int | None = None) -> float:

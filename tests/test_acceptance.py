@@ -67,9 +67,11 @@ def desk_runs():
         # a run's bank depends on its seed alone, and training only reads
         # it, so one bank per seed serves the three methods
         bank = build_bank(cfg, seed)
+        deepest = 0
         for algo, algo_cfg in algo_cfgs.items():
             run = build_training_run(algo_cfg, seed, dataset, bank)
             train(run, train_ds)
+            deepest = max(deepest, *(int(layer.array.cursors.max()) for layer in run.layers))
             accs[algo].append(evaluate(run, test_ds))
             pulses[algo].append(pulse_statistics(run))
             if algo == "cf" and seed == 0:
@@ -78,6 +80,9 @@ def desk_runs():
                     run, [0.0, 90.0], build_drift_params(algo_cfg), rng,
                     n_repeats=20, test_ds=test_ds)
             del run
+        # bp reads deepest and is built first, so its fill is the bank's one
+        # draw pass; a read past it would have kept every column
+        assert deepest + 1 <= bank.filled < bank.width
         del bank
         gc.collect()
     return {"a_star": a_star, "accs": accs, "pulses": pulses,

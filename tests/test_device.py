@@ -7,12 +7,13 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from memgrad.device import (DeviceState, DeviceTechParams, DriftModelParams,
                             EnduranceExceeded, LARGE_ARRAY, MAC_ARRAY,
                             NeedsReinit, ResetTrajectory,
                             SyntheticTrajectoryParams, TrajectoryBank,
-                            _PendingFill, apply_reset_pulse,
+                            _DrawSpec, apply_reset_pulse,
                             apply_retention_drift, generate_trajectory_bank,
                             load_bank_csv, pearson_coefficient, pulse_energy,
                             reinitialize, save_bank_csv)
@@ -287,48 +288,86 @@ def one_shot_conductances(params, count, seed):
     return matrix
 
 
+def spy_on_draws(monkeypatch):
+    """The ``keep`` of every draw pass a synthetic bank makes from now on."""
+    passes, draw = [], _DrawSpec.draw
+
+    def spy(spec, count, keep):
+        passes.append(keep)
+        return draw(spec, count, keep)
+
+    monkeypatch.setattr(_DrawSpec, "draw", spy)
+    return passes
+
+
 FAMILIES = [{"decrement_family": family, "anomalous_probability": anomalous}
             for family in ("normal", "lognormal") for anomalous in (0.0, 0.3, 1.0)]
 
 
+def bank_reads(count, width):
+    """Sequences of fills, reads and copies of a ``count``-row bank."""
+    return st.lists(st.one_of(
+        st.tuples(st.just("fill"), st.integers(0, width + 2)),
+        st.tuples(st.just("gather"), st.lists(st.integers(0, width - 1), max_size=4)),
+        st.tuples(st.just("conductances")),
+        st.tuples(st.just("item"), st.integers(0, count - 1)),
+        st.tuples(st.just("deepcopy")),
+        st.tuples(st.just("pickle"))), max_size=6)
+
+
 class TestDeferredFill:
-    """Synthetic banks draw, and turn draws into conductances, only as far as read."""
+    """Synthetic banks draw in one pass from their seed, keeping the columns asked for."""
 
     @pytest.mark.parametrize("kwargs", FAMILIES, ids=lambda k: "-".join(map(str, k.values())))
-    def test_any_fill_cut_points_match_one_shot(self, kwargs):
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(reads=bank_reads(12, 78))
+    def test_any_fill_cut_points_match_one_shot(self, kwargs, reads):
         params = SyntheticTrajectoryParams(p_max=77, late_onset_fraction=0.5, **kwargs)
         expected = one_shot_conductances(params, 12, seed=4)
-        width = params.p_max + 1
-        rng = np.random.default_rng(0)
-        for trial in range(20):
-            cuts = rng.choice(np.arange(2, width - 1), size=rng.integers(0, 6), replace=False)
-            cuts = sorted({1, width - 1, width, *cuts.tolist()})
-            bank = generate_trajectory_bank(params, 12, seed=4)
-            assert bank.filled == 0          # nothing is drawn before the first read
-            for cut in cuts:
-                bank._fill(cut)
-                assert bank.filled == cut
-                assert np.array_equal(bank._matrix[:, :cut], expected[:, :cut])
-            assert bank.conductances.tobytes() == expected.tobytes()
+        bank = generate_trajectory_bank(params, 12, seed=4)
+        assert bank.filled == 0          # nothing is drawn before the first fill
+        for op, *args in reads:
+            before, matrix = bank.filled, bank._matrix
+            if op == "fill":
+                bank.fill(args[0])
+                assert bank.filled == max(before, min(args[0], bank.width))
+            elif op == "gather":
+                cursor = np.array(args[0], dtype=np.int64)
+                tid = np.arange(len(cursor)) % len(bank)
+                assert bank.gather(tid, cursor).tobytes() == expected[tid, cursor].tobytes()
+                inside = cursor.size == 0 or cursor.max() < before
+                assert bank.filled == (before if inside else bank.width)
+            elif op == "conductances":
+                assert bank.conductances.tobytes() == expected.tobytes()
+            elif op == "item":
+                assert bank[args[0]].conductances.tobytes() == expected[args[0]].tobytes()
+            else:
+                bank = (copy.deepcopy(bank) if op == "deepcopy"
+                        else pickle.loads(pickle.dumps(bank)))
+                matrix = bank._matrix
+            if bank.filled == before:
+                assert bank._matrix is matrix      # and so no pass was made
+            assert bank._matrix.tobytes() == expected[:, :bank.filled].tobytes()
+        assert bank.conductances.tobytes() == expected.tobytes()
 
-    def test_gather_fills_only_as_far_as_its_cursors(self):
+    def test_gather_past_the_kept_columns_keeps_every_column(self, monkeypatch):
+        passes = spy_on_draws(monkeypatch)
         params = SyntheticTrajectoryParams(p_max=2000, anomalous_probability=0.5)
         expected = one_shot_conductances(params, 6, seed=9)
         bank = generate_trajectory_bank(params, 6, seed=9)
         tid = np.arange(6)
+        bank.fill(400)
         assert np.array_equal(bank.gather(tid, 0), expected[:, 0])
-        assert bank.filled == 256          # the floor of a fill
-        assert np.array_equal(bank.gather(tid, np.full(6, 3)), expected[:, 3])
-        assert bank.filled == 256
+        assert np.array_equal(bank.gather(tid, np.full(6, 399)), expected[:, 399])
         assert np.array_equal(bank.gather(tid[:, None], [[256, 300]]),
                               expected[:, [256, 300]])
-        assert bank.filled == 512          # at least doubled
-        assert np.array_equal(bank.gather(2, 1500), expected[2, 1500])
-        assert bank.filled == 1500 + 1
         assert bank.gather(tid[:0], np.zeros((2, 0), int)).shape == (2, 0)
-        assert bank.filled == 1501
-        assert np.array_equal(bank.gather(tid, 2000), expected[:, 2000])
+        assert passes == [400]             # reads inside the kept columns make no pass
+        assert np.array_equal(bank.gather(2, 1500), expected[2, 1500])
+        assert passes == [400, 2001]
         assert bank.filled == bank.width == 2001
+        assert np.array_equal(bank.gather(tid, 2000), expected[:, 2000])
+        assert passes == [400, 2001]
         with pytest.raises(IndexError):
             bank.gather(0, 2001)
 
@@ -338,47 +377,57 @@ class TestDeferredFill:
         params = SyntheticTrajectoryParams(p_max=600, anomalous_probability=0.5)
         expected = one_shot_conductances(params, 10, seed=2)
         bank = generate_trajectory_bank(params, 10, seed=2)
+        bank.fill(300)
         bank.gather(np.arange(10), 100)
         twin = clone(bank)
-        assert twin.filled == bank.filled == 256
+        assert twin.filled == bank.filled == 300
         assert np.array_equal(twin.gather(np.arange(10), 400), expected[:, 400])
-        assert twin.filled == 512 and bank.filled == 256
+        assert twin.filled == twin.width and bank.filled == 300
         assert twin.conductances.tobytes() == expected.tobytes()
         assert bank.conductances.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("kwargs", FAMILIES, ids=lambda k: "-".join(map(str, k.values())))
     def test_fill_cut_points_across_the_drawn_frontier(self, kwargs):
-        # the first fill keeps 512 columns of raw draws; every later cut
-        # past the matrix widens it and redraws from the saved row states
+        # the late-stage regime starts at decrement 960: cuts on both sides
         params = SyntheticTrajectoryParams(p_max=1200, **kwargs)
         expected = one_shot_conductances(params, 5, seed=8)
-        for cuts in ([3, 511, 512, 513, 777, 1200, 1201],
-                     [256, 600, 601, 1024], [900, 1201], [1, 2, 513, 1199]):
+        for cut in (1, 2, 3, 511, 960, 961, 962, 1200, 1201, 1300):
+            bank = generate_trajectory_bank(params, 5, seed=8)
+            bank.fill(cut)
+            assert bank.filled == min(cut, bank.width)
+            assert bank._matrix.tobytes() == expected[:, :cut].tobytes()
+        for cuts in ([3, 511, 512, 513, 777, 1200, 1201], [900, 1201], [1, 2, 513, 1199]):
             bank = generate_trajectory_bank(params, 5, seed=8)
             for cut in cuts:
-                bank._fill(cut)
+                bank.fill(cut)
                 assert bank.filled == cut
-                assert bank._matrix.shape[1] == max(cut, 512)
-                assert np.array_equal(bank._matrix[:, :cut], expected[:, :cut])
+                assert bank._matrix.tobytes() == expected[:, :cut].tobytes()
             assert bank.conductances.tobytes() == expected.tobytes()
 
     def test_whole_read_first_keeps_every_column(self, monkeypatch):
         # conductances (characterize, save_bank_csv, bank[k]) as the first
-        # read draws the whole bank in its one pass and saves no row states
-        passes = []
-        draw = _PendingFill.draw
-
-        def spy(pending, count, keep):
-            matrix = draw(pending, count, keep)
-            passes.append((keep, pending.states))
-            return matrix
-
-        monkeypatch.setattr(_PendingFill, "draw", spy)
-        monkeypatch.setattr(_PendingFill, "redraw", lambda *args: pytest.fail("redrew"))
+        # read draws the whole bank in its one pass
+        passes = spy_on_draws(monkeypatch)
         params = SyntheticTrajectoryParams(p_max=1200, anomalous_probability=0.3)
         bank = generate_trajectory_bank(params, 5, seed=3)
         assert bank.conductances.tobytes() == one_shot_conductances(params, 5, 3).tobytes()
-        assert passes == [(1201, None)]
+        assert passes == [1201]
+
+    def test_fill_past_the_width_or_on_a_measured_bank_does_nothing(self, monkeypatch):
+        passes = spy_on_draws(monkeypatch)
+        params = SyntheticTrajectoryParams(p_max=300)
+        bank = generate_trajectory_bank(params, 3, seed=1)
+        bank.fill(10_000)
+        matrix = bank._matrix
+        for upto in (10_000, 301, 12, 0):
+            bank.fill(upto)
+        assert passes == [301] and bank._matrix is matrix
+        assert bank._matrix.tobytes() == one_shot_conductances(params, 3, 1).tobytes()
+        measured = TrajectoryBank(np.full((2, 4), 1e-6), [4, 3], ["a", "b"])
+        for upto in (0, 2, 4, 100):
+            measured.fill(upto)
+            assert measured.filled == measured.width == 4
+        assert passes == [301]
 
     @pytest.mark.parametrize("clone", [copy.deepcopy, lambda b: pickle.loads(pickle.dumps(b))],
                              ids=["deepcopy", "pickle"])
@@ -389,7 +438,7 @@ class TestDeferredFill:
         expected = one_shot_conductances(params, 4, seed=6)
         bank = generate_trajectory_bank(params, 4, seed=6)
         if read is not None:
-            bank.gather(np.arange(4), read)
+            bank.fill(read)
         twin = clone(bank)
         assert twin.filled == bank.filled
         assert np.array_equal(twin.gather(np.arange(4), 1100), expected[:, 1100])
@@ -398,10 +447,12 @@ class TestDeferredFill:
 
     def test_desk_depth_read_keeps_a_narrow_matrix(self):
         # a training run at the desk epochs reads a few hundred samples per
-        # trajectory; the bank holds 512 columns, not all 5001
+        # trajectory; the bank holds that many columns, not all 5001
         bank = generate_trajectory_bank(SyntheticTrajectoryParams(), 1268, seed=0)
+        bank.fill(265)
+        matrix = bank._matrix
         bank.gather(np.arange(1268), 264)
-        assert bank._matrix.nbytes <= 1268 * 512 * 8
+        assert bank._matrix is matrix and matrix.shape == (1268, 265)
 
     def test_matrix_is_read_only_from_outside(self):
         bank = generate_trajectory_bank(SyntheticTrajectoryParams(p_max=300), 3, seed=0)
@@ -426,16 +477,18 @@ class TestDeferredFill:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_failed_fill_keeps_failing(self):
         # finite but huge decrements of both signs overflow the running sum
-        # to inf - inf; the fill that meets them refuses, and so does every
-        # later read of those columns
+        # to inf - inf; the pass that meets them keeps nothing, and every
+        # later read makes the same pass and refuses again
         params = SyntheticTrajectoryParams(p_max=300, decrement_mean=1e307,
                                            decrement_sigma=0.0,
                                            anomalous_probability=1.0)
         bank = generate_trajectory_bank(params, 4, seed=0)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            bank.fill(200)
         for _ in range(2):
             with pytest.raises(ValueError, match="finite and non-negative"):
                 bank.gather(np.arange(4), 299)
-        assert bank.filled == 1
+        assert bank.filled == 0
         with pytest.raises(ValueError, match="finite and non-negative"):
             bank.conductances
 

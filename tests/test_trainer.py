@@ -1,10 +1,13 @@
 """Trainer orchestration: schedules, determinism, logging, evaluation, aging."""
 
+import math
+
 import numpy as np
 import pytest
 
 from memgrad import config
-from memgrad.data import FeatureDataset, SplitSpec, make_cluster_task, split
+from memgrad.data import (FeatureDataset, SplitSpec, make_cluster_task, split,
+                          split_indices)
 from memgrad.crossbar import OnExhaustion
 from memgrad.device import (LARGE_ARRAY, MAC_ARRAY, DriftModelParams,
                             SyntheticTrajectoryParams, generate_trajectory_bank)
@@ -486,6 +489,39 @@ class TestBankFill:
         # characterization reads every trajectory whole
         assert len(bank[0]) == bank.width
         assert bank.filled == bank.width
+
+    @pytest.mark.parametrize("stratified", [True, False], ids=["stratified", "pooled"])
+    @pytest.mark.parametrize("n_per_class", [3, 5, 17, 40])
+    def test_fill_depth_covers_the_train_split(self, stratified, n_per_class):
+        # every grid split keeps its train samples within the bound the run
+        # fills its bank for, so no run reads past its kept columns
+        dataset = make_cluster_task(n_classes=4, n_features=3, n_per_class=n_per_class,
+                                    seed=2)
+        for train_frac, val_frac in ((0.6, 0.3), (0.5, 0.25), (1 / 3, 1 / 3), (0.7, 0.2),
+                                     (0.34, 0.33), (0.15, 0.7), (0.8, 0.1), (0.9, 0.05)):
+            split_cfg = {"train": train_frac, "val": val_frac,
+                         "test": 1.0 - train_frac - val_frac, "stratified": stratified}
+            train_idx = split_indices(dataset, SplitSpec(**split_cfg))["train"]
+            n_train = math.floor(dataset.n_samples * train_frac) + dataset.n_classes
+            assert n_train >= len(train_idx)
+            cfg = config.effective_config(None, {"split": split_cfg, "schedule": {
+                "epochs": [2, 3], "batch_size": 4}})
+            bank = generate_trajectory_bank(SyntheticTrajectoryParams(), 2, seed=0)
+            config.build_training_run(cfg, 0, dataset, bank)
+            assert bank.filled >= 50 + 1 + 3 * math.ceil(len(train_idx) / 4)
+
+    @pytest.mark.parametrize("pre_pulse_max", [50, 0])
+    def test_default_depths(self, pre_pulse_max):
+        # 4 000 samples give at most 2 400 + 4 train samples, 151 batches of
+        # 16 per epoch; CF and SFF train 15 epochs per layer, BP up to 20:
+        # 50 + 1 + 15 * 151 and 50 + 1 + 20 * 151 columns
+        dataset = config.build_dataset(config.effective_config())
+        for algorithm, depth in (("cf", 2316), ("sff", 2316), ("bp", 3071)):
+            cfg = config.effective_config(None, {
+                "algorithm": algorithm, "device": {"pre_pulse_max": pre_pulse_max}})
+            bank = generate_trajectory_bank(SyntheticTrajectoryParams(), 2, seed=0)
+            config.build_training_run(cfg, 0, dataset, bank)
+            assert bank.filled == depth - 50 + pre_pulse_max
 
 
 class TestNetworkLayer:
