@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -286,6 +286,37 @@ class _DrawSpec:
         return np.clip(matrix, 0.0, None, out=matrix)
 
 
+# The matrices of the last two draw passes, least recently used first, keyed
+# by what decides a pass: the generator params (by repr, so that -0.0 and 0.0
+# stay apart), the seed and the row count.  Runs of every rule on one run
+# seed draw the same bank, so two entries serve a caller that builds them on
+# two seeds in turn.  memgrad fills banks from one thread (its pool uses
+# processes), so the cache takes no lock.
+_DRAWN: dict[tuple, np.ndarray] = {}
+_DRAWN_SIZE = 2
+
+
+def _drawn(spec: _DrawSpec, count: int, keep: int) -> np.ndarray:
+    """A read-only matrix of at least ``keep`` columns of ``spec``'s bank.
+
+    Reuses the matrix of an earlier pass when it is wide enough.  Otherwise
+    it evicts first, so that the cache and the pass hold at most two
+    matrices, and caches the new one only if it passes the check.
+    """
+    key = (repr(astuple(spec.params)), spec.seed, count)
+    if key in _DRAWN and _DRAWN[key].shape[1] >= keep:
+        _DRAWN[key] = _DRAWN.pop(key)          # now the most recently used
+        return _DRAWN[key]
+    _DRAWN.pop(key, None)
+    while len(_DRAWN) >= _DRAWN_SIZE:
+        del _DRAWN[next(iter(_DRAWN))]
+    matrix = spec.draw(count, keep)
+    _check_conductances(matrix)
+    matrix.flags.writeable = False
+    _DRAWN[key] = matrix
+    return matrix
+
+
 class TrajectoryBank(Sequence):
     """A cohort of trajectories stored as the rows of one matrix.
 
@@ -304,6 +335,10 @@ class TrajectoryBank(Sequence):
     as the run reads.  A read past the kept columns (:meth:`gather`, or
     ``conductances`` and ``bank[k]``, which read whole rows) makes a pass
     that keeps every column.  Measured banks are complete.
+
+    Synthetic banks of the same params, seed and count share their draws
+    within a process: a fill reuses the read-only matrix of one of the last
+    two passes when it is wide enough (see :meth:`fill`).
     """
 
     def __init__(self, conductances, lengths, sources: list[str], *,
@@ -362,16 +397,18 @@ class TrajectoryBank(Sequence):
         """Keep the first ``min(upto, width)`` columns.
 
         Does nothing when that many are kept already, and so nothing on a
-        measured bank.  Otherwise one draw pass from the seed keeps them; a
-        pass whose conductances fail the check keeps nothing, so every later
-        read fails the same way.
+        measured bank.  Otherwise the bank keeps a read-only view of the
+        first ``keep`` columns of a matrix of the same params, seed and
+        count that one of the last two passes in this process drew, or else
+        of one new draw pass from the seed.  A column has the same value
+        however many columns a pass keeps, so reuse changes no read.  A pass
+        whose conductances fail the check keeps and caches nothing, so every
+        later read fails the same way.
         """
         keep = min(upto, self.width)
         if keep <= self.filled:
             return
-        matrix = self._spec.draw(len(self), keep)
-        _check_conductances(matrix)
-        self._matrix = matrix
+        self._matrix = _drawn(self._spec, len(self), keep)[:, :keep]
 
     def __len__(self):
         return len(self.lengths)

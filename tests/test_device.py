@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from memgrad import config, device
 from memgrad.device import (DeviceState, DeviceTechParams, DriftModelParams,
                             EnduranceExceeded, LARGE_ARRAY, MAC_ARRAY,
                             NeedsReinit, ResetTrajectory,
@@ -289,7 +290,12 @@ def one_shot_conductances(params, count, seed):
 
 
 def spy_on_draws(monkeypatch):
-    """The ``keep`` of every draw pass a synthetic bank makes from now on."""
+    """The ``keep`` of every draw pass a synthetic bank makes from now on.
+
+    The reuse cache starts empty, so that the passes do not depend on what
+    earlier tests drew.
+    """
+    monkeypatch.setattr(device, "_DRAWN", {})
     passes, draw = [], _DrawSpec.draw
 
     def spy(spec, count, keep):
@@ -475,10 +481,12 @@ class TestDeferredFill:
             SyntheticTrajectoryParams(**{field: value})
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_failed_fill_keeps_failing(self):
+    def test_failed_fill_keeps_failing(self, monkeypatch):
         # finite but huge decrements of both signs overflow the running sum
         # to inf - inf; the pass that meets them keeps nothing, and every
         # later read makes the same pass and refuses again
+        passes = spy_on_draws(monkeypatch)
+        generate_trajectory_bank(SyntheticTrajectoryParams(p_max=300), 4, seed=0).fill(50)
         params = SyntheticTrajectoryParams(p_max=300, decrement_mean=1e307,
                                            decrement_sigma=0.0,
                                            anomalous_probability=1.0)
@@ -491,6 +499,122 @@ class TestDeferredFill:
         assert bank.filled == 0
         with pytest.raises(ValueError, match="finite and non-negative"):
             bank.conductances
+        # no failed pass was cached: only the good bank's matrix is
+        assert passes == [50, 200, 301, 301, 301]
+        assert [m.shape for m in device._DRAWN.values()] == [(4, 50)]
+
+
+REUSE_WIDTH = 61
+# four specs, each differing from the first in one part of the reuse key:
+# the seed, the row count or the generator params
+REUSE_SPECS = [(SyntheticTrajectoryParams(p_max=60, anomalous_probability=0.3), 6, 4),
+               (SyntheticTrajectoryParams(p_max=60, anomalous_probability=0.3), 6, 5),
+               (SyntheticTrajectoryParams(p_max=60, anomalous_probability=0.3), 5, 4),
+               (SyntheticTrajectoryParams(p_max=60, anomalous_probability=0.3,
+                                          decrement_family="lognormal"), 6, 4)]
+REUSE_EXPECTED = [one_shot_conductances(*spec) for spec in REUSE_SPECS]
+
+
+def reuse_steps():
+    """Interleaved steps on banks of the ``REUSE_SPECS``; a bank is picked
+    by its index modulo the number of live banks."""
+    bank = st.integers(0, 99)
+    return st.lists(st.one_of(
+        st.tuples(st.just("generate"), st.integers(0, len(REUSE_SPECS) - 1)),
+        st.tuples(st.just("fill"), bank, st.integers(0, REUSE_WIDTH + 2)),
+        st.tuples(st.just("gather"), bank,
+                  st.lists(st.integers(0, REUSE_WIDTH - 1), max_size=3)),
+        st.tuples(st.just("conductances"), bank),
+        st.tuples(st.just("item"), bank, st.integers(0, 4)),
+        st.tuples(st.just("deepcopy"), bank),
+        st.tuples(st.just("pickle"), bank)), max_size=14)
+
+
+class TestDrawReuse:
+    """Banks of one params, seed and count share the matrix of one pass."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(steps=reuse_steps())
+    def test_reuse_is_invisible(self, steps):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(device, "_DRAWN", {})
+            # two banks per spec from the start, so that one can reuse the other's pass
+            banks = [(k, generate_trajectory_bank(*REUSE_SPECS[k]))
+                     for k in [*range(len(REUSE_SPECS))] * 2]
+            for op, *args in steps:
+                if op == "generate":
+                    banks.append((args[0], generate_trajectory_bank(*REUSE_SPECS[args[0]])))
+                    continue
+                k, bank = banks[args[0] % len(banks)]
+                expected, before = REUSE_EXPECTED[k], bank.filled
+                if op == "fill":
+                    bank.fill(args[1])
+                    assert bank.filled == max(before, min(args[1], bank.width))
+                elif op == "gather":
+                    cursor = np.array(args[1], dtype=np.int64)
+                    tid = np.arange(len(cursor)) % len(bank)
+                    assert bank.gather(tid, cursor).tobytes() == expected[tid, cursor].tobytes()
+                    inside = cursor.size == 0 or cursor.max() < before
+                    assert bank.filled == (before if inside else bank.width)
+                elif op == "conductances":
+                    assert bank.conductances.tobytes() == expected.tobytes()
+                elif op == "item":
+                    row = args[1] % len(bank)
+                    assert bank[row].conductances.tobytes() == expected[row].tobytes()
+                else:
+                    twin = (copy.deepcopy(bank) if op == "deepcopy"
+                            else pickle.loads(pickle.dumps(bank)))
+                    assert twin.filled == before
+                    banks.append((k, twin))
+                for j, other in banks:
+                    assert other._matrix.tobytes() == \
+                        REUSE_EXPECTED[j][:, :other.filled].tobytes()
+                assert len(device._DRAWN) <= 2
+                assert not any(m.flags.writeable for m in device._DRAWN.values())
+
+    def test_a_hit_becomes_the_most_recently_used(self, monkeypatch):
+        passes = spy_on_draws(monkeypatch)
+        params = SyntheticTrajectoryParams(p_max=40)
+        banks = [generate_trajectory_bank(params, 3, seed) for seed in (0, 1, 0, 2, 0, 1)]
+        for bank in banks:
+            bank.fill(41)
+        # seed 0 is read again before seed 2 is drawn, so 2 evicts 1, not 0
+        assert passes == [41, 41, 41, 41]
+        assert np.shares_memory(banks[0]._matrix, banks[4]._matrix)
+        assert not np.shares_memory(banks[1]._matrix, banks[5]._matrix)
+
+    def test_params_equal_only_in_value_are_not_shared(self, monkeypatch):
+        # -0.0 == 0.0, yet numpy refuses a normal scale of -0.0: a bank with
+        # it fails after a 0.0 bank was drawn as it fails alone
+        spy_on_draws(monkeypatch)
+        generate_trajectory_bank(SyntheticTrajectoryParams(p_max=10, g0_sigma=0.0), 2, 1).fill(11)
+        bank = generate_trajectory_bank(SyntheticTrajectoryParams(p_max=10, g0_sigma=-0.0), 2, 1)
+        with pytest.raises(ValueError, match="scale"):
+            bank.fill(11)
+
+    def test_desk_build_order_draws_three_banks_each_time(self, monkeypatch):
+        # the benchmark's desk pass at its shortened epochs: float bp, then
+        # bp, sff and cf on seeds w and w + 1, then cf on a 300-pulse bank
+        passes = spy_on_draws(monkeypatch)
+        cfgs = {algo: config.effective_config(
+            None, {"algorithm": algo, "schedule": {"epochs": epochs}})
+            for algo, epochs in [("float_bp", [1, 2]), ("bp", [1, 2]), ("sff", [1, 1]),
+                                 ("cf", [1, 1])]}
+        cfgs["cf_narrow"] = config.effective_config(None, {
+            "algorithm": "cf", "schedule": {"epochs": [3, 1]},
+            "bank": {"params": {"p_max": 300}}, "device": {"on_exhaustion": "skip"}})
+        dataset = config.build_dataset(cfgs["cf"])
+        replays = []
+        for _ in range(2):
+            del passes[:]
+            for algo, seed in [("float_bp", 7), ("bp", 7), ("bp", 8), ("sff", 7), ("sff", 8),
+                               ("cf", 7), ("cf", 8), ("cf_narrow", 7)]:
+                config.build_training_run(cfgs[algo], seed, dataset)
+            replays.append(list(passes))
+        # two banks at bp depth, which sff and cf reuse, and the narrow one;
+        # nothing drawn in one replay is still cached for the next
+        depth = replays[0][0]
+        assert replays == [[depth, depth, 301]] * 2 and depth > 301
 
 
 class TestRetentionDrift:
