@@ -131,11 +131,10 @@ def _train_one(cfg, seed, dataset, splits, outdir: Path, bank=None):
 def _train_runs(cfg, dataset, indices, seeds, out: Path) -> dict:
     """Train and write the runs of ``seeds``; one call per process."""
     splits = split(dataset, indices)
-    # a bank loaded from a file or drawn from a pinned seed is the same
-    # for every repeat, so it is built once
+    # a measured bank is the same for every repeat, so it is parsed once;
+    # runs on a pinned bank.seed share their draw through device's cache
     bank = None
-    if not cfg["algorithm"].startswith("float_") and (
-            cfg["bank"].get("path") or cfg["bank"]["seed"] is not None):
+    if not cfg["algorithm"].startswith("float_") and cfg["bank"].get("path"):
         bank = build_bank(cfg, seeds[0])
     return {seed: _train_one(cfg, seed, dataset, splits, out / f"run_{seed}", bank)
             for seed in seeds}

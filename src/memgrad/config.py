@@ -236,8 +236,11 @@ def build_training_run(cfg: dict, seed: int, dataset: data_mod.FeatureDataset,
     """Instantiate a TrainingRun for one seed from an effective config.
 
     This is the one constructor of a run: each setting goes to the object
-    that uses it.  A device run without ``bank`` draws its own.  Before the
-    first read, the bank is filled as deep as the schedule can read it.
+    that uses it.  A device run without ``bank`` builds its own; synthetic
+    banks of one params, seed and count share their draws within a process,
+    so ``bank`` serves to parse a measured bank once for several runs.
+    Before the first read, the bank is filled as deep as the schedule can
+    read it.
     """
     algorithm = cfg["algorithm"]
     rule = algorithm.removeprefix("float_")

@@ -69,7 +69,6 @@ class ResetTrajectory:
     """
 
     conductances: np.ndarray
-    source: str = "synthetic"
 
     def __post_init__(self):
         self.conductances = np.asarray(self.conductances, dtype=float)
@@ -175,6 +174,9 @@ class SyntheticTrajectoryParams:
             raise ValueError("decrement_mean must be positive")
         if self.decrement_sigma < 0 or self.g0_sigma < 0:
             raise ValueError("sigmas must be non-negative")
+        # -0.0 passes that check, but numpy refuses it as a normal scale
+        self.decrement_sigma += 0.0
+        self.g0_sigma += 0.0
         if not 0.0 <= self.anomalous_probability <= 1.0:
             raise ValueError("anomalous_probability must be in [0, 1]")
         if not 0.0 <= self.late_onset_fraction <= 1.0:
@@ -201,6 +203,9 @@ class DriftModelParams:
     def __post_init__(self):
         if self.sigma_core < 0 or self.sigma_tail < 0:
             raise ValueError("sigmas must be non-negative")
+        # -0.0 passes that check, but numpy refuses it as a normal scale
+        self.sigma_core += 0.0
+        self.sigma_tail += 0.0
         for days, bound, frac in self.targets:
             if days <= 0 or bound <= 0:
                 raise ValueError("target days and bounds must be positive")
@@ -234,83 +239,80 @@ def _check_conductances(block: np.ndarray):
         raise ValueError("conductances must be finite and non-negative")
 
 
-@dataclass
-class _DrawSpec:
-    """How a synthetic bank draws its trajectories from its seed.
+def _draw(params: SyntheticTrajectoryParams, seed: int, count: int,
+          keep: int) -> np.ndarray:
+    """The first ``keep`` columns of the conductances of a synthetic bank.
 
-    ``scale`` is the per-decrement sigma of the normal family (None for
-    lognormal draws, which are decrements as drawn with the per-decrement
-    mu and sigma of ``log_params``).
+    One pass from the seed makes every draw of the bank.  Each row draws,
+    in this order: its decrements, the anomalous-device coin, the decrement
+    signs (anomalous rows only) and its initial conductance.  Decrements
+    from ``keep - 1`` on are drawn past, not kept: every decrement is one
+    standard normal draw (a lognormal one too), and the generator caches
+    none, so the pass consumes the stream exactly as one that keeps them.
+    Decrement j of a row sits in column j + 1, and one cumsum per row turns
+    the kept decrements into conductances.
     """
-
-    params: SyntheticTrajectoryParams
-    seed: int
-    scale: np.ndarray | None
-    log_params: tuple[np.ndarray, np.ndarray] | None
-
-    def draw(self, count: int, keep: int) -> np.ndarray:
-        """The first ``keep`` columns of the bank's conductances.
-
-        One pass from the seed makes every draw of the bank.  Each row
-        draws, in this order: its decrements, the anomalous-device coin, the
-        decrement signs (anomalous rows only) and its initial conductance.
-        Decrements from ``keep - 1`` on are drawn past, not kept: every
-        decrement is one standard normal draw (a lognormal one too), and
-        the generator caches none, so the pass consumes the stream exactly
-        as one that keeps them.  Decrement j of a row sits in column j + 1,
-        and one cumsum per row turns the kept decrements into conductances.
-        """
-        params, rng = self.params, np.random.default_rng(self.seed)
-        matrix = np.empty((count, keep))
-        rest = np.empty(params.p_max + 1 - keep)
-        negative = []           # (row, decrement sign < 0) of the anomalous rows
-        for k, g in enumerate(matrix):
-            if self.scale is not None:
-                rng.standard_normal(out=g[1:])
-            else:
-                g[1:] = rng.lognormal(*(p[:keep - 1] for p in self.log_params))
-            rng.standard_normal(out=rest)
-            if rng.random() < params.anomalous_probability:
-                negative.append((k, rng.choice([-1.0, 1.0], size=params.p_max)[:keep - 1] < 0))
-            g[0] = max(rng.normal(params.g0_mean, params.g0_sigma), 0.0)
-        dec = matrix[:, 1:]
-        if self.scale is not None:
-            # mean + sigma * z is what rng.normal(mean, sigma) returns
-            dec *= self.scale[:keep - 1]
-            dec += params.decrement_mean
-            np.maximum(dec, 0.0, out=dec)
-        for k, signs in negative:
-            np.negative(dec[k], out=dec[k], where=signs)
-        np.cumsum(dec, axis=1, out=dec)
-        np.subtract(matrix[:, :1], dec, out=dec)
-        return np.clip(matrix, 0.0, None, out=matrix)
+    onset = int(round(params.p_max * params.late_onset_fraction))
+    sigma = np.full(keep - 1, params.decrement_sigma, dtype=float)
+    sigma[onset:] *= params.late_sigma_factor
+    lognormal = params.decrement_family == "lognormal"
+    if lognormal:
+        # match the requested per-pulse mean/sigma via the usual moment
+        # mapping; sigma varies along the trajectory (late-stage amplification)
+        var_ln = np.log1p((sigma / params.decrement_mean) ** 2)
+        log_mu, log_sigma = np.log(params.decrement_mean) - var_ln / 2.0, np.sqrt(var_ln)
+    rng = np.random.default_rng(seed)
+    matrix = np.empty((count, keep))
+    rest = np.empty(params.p_max + 1 - keep)
+    negative = []           # (row, decrement sign < 0) of the anomalous rows
+    for k, g in enumerate(matrix):
+        if lognormal:
+            g[1:] = rng.lognormal(log_mu, log_sigma)
+        else:
+            rng.standard_normal(out=g[1:])
+        rng.standard_normal(out=rest)
+        if rng.random() < params.anomalous_probability:
+            negative.append((k, rng.choice([-1.0, 1.0], size=params.p_max)[:keep - 1] < 0))
+        g[0] = max(rng.normal(params.g0_mean, params.g0_sigma), 0.0)
+    dec = matrix[:, 1:]
+    if not lognormal:
+        # mean + sigma * z is what rng.normal(mean, sigma) returns
+        dec *= sigma
+        dec += params.decrement_mean
+        np.maximum(dec, 0.0, out=dec)
+    for k, signs in negative:
+        np.negative(dec[k], out=dec[k], where=signs)
+    np.cumsum(dec, axis=1, out=dec)
+    np.subtract(matrix[:, :1], dec, out=dec)
+    return np.clip(matrix, 0.0, None, out=matrix)
 
 
 # The matrices of the last two draw passes, least recently used first, keyed
-# by what decides a pass: the generator params (by repr, so that -0.0 and 0.0
-# stay apart), the seed and the row count.  Runs of every rule on one run
-# seed draw the same bank, so two entries serve a caller that builds them on
-# two seeds in turn.  memgrad fills banks from one thread (its pool uses
+# by what decides a pass: the generator params (by repr, which never joins
+# values that compare equal yet may draw apart, such as -0.0 and 0.0), the
+# seed and the row count.  Runs of every rule on one run seed draw the same
+# bank, so two entries serve a caller that builds them on two seeds in turn.  memgrad fills banks from one thread (its pool uses
 # processes), so the cache takes no lock.
 _DRAWN: dict[tuple, np.ndarray] = {}
 _DRAWN_SIZE = 2
 
 
-def _drawn(spec: _DrawSpec, count: int, keep: int) -> np.ndarray:
-    """A read-only matrix of at least ``keep`` columns of ``spec``'s bank.
+def _drawn(params: SyntheticTrajectoryParams, seed: int, count: int,
+           keep: int) -> np.ndarray:
+    """A read-only matrix of at least ``keep`` columns of a synthetic bank.
 
     Reuses the matrix of an earlier pass when it is wide enough.  Otherwise
     it evicts first, so that the cache and the pass hold at most two
     matrices, and caches the new one only if it passes the check.
     """
-    key = (repr(astuple(spec.params)), spec.seed, count)
+    key = (repr(astuple(params)), seed, count)
     if key in _DRAWN and _DRAWN[key].shape[1] >= keep:
         _DRAWN[key] = _DRAWN.pop(key)          # now the most recently used
         return _DRAWN[key]
     _DRAWN.pop(key, None)
     while len(_DRAWN) >= _DRAWN_SIZE:
         del _DRAWN[next(iter(_DRAWN))]
-    matrix = spec.draw(count, keep)
+    matrix = _draw(params, seed, count, keep)
     _check_conductances(matrix)
     matrix.flags.writeable = False
     _DRAWN[key] = matrix
@@ -328,28 +330,31 @@ class TrajectoryBank(Sequence):
     scalar code (the reference device model, characterization) sees one
     object per trajectory without a second copy of the conductances.
 
-    A synthetic bank draws nothing until :meth:`fill` tells it how many
-    columns to keep; a training run does that before its first read, with
-    the deepest cursor its schedule can reach.  One draw pass from the
-    bank's seed then keeps that many columns, so the matrix is only as wide
-    as the run reads.  A read past the kept columns (:meth:`gather`, or
-    ``conductances`` and ``bank[k]``, which read whole rows) makes a pass
-    that keeps every column.  Measured banks are complete.
+    A synthetic bank keeps its generator params and seed (``spec``) and
+    draws nothing until :meth:`fill` tells it how many columns to keep; a
+    training run does that before its first read, with the deepest cursor
+    its schedule can reach.  One draw pass from the seed then keeps that
+    many columns, so the matrix is only as wide as the run reads.  A read
+    past the kept columns (:meth:`gather`, or ``conductances`` and
+    ``bank[k]``, which read whole rows) makes a pass that keeps every
+    column.  Measured banks are complete.
 
     Synthetic banks of the same params, seed and count share their draws
     within a process: a fill reuses the read-only matrix of one of the last
-    two passes when it is wide enough (see :meth:`fill`).
+    two passes when it is wide enough (see :meth:`fill`).  So each run
+    makes its own synthetic bank, and only a measured bank, parsed from a
+    file, is worth handing to several runs.
     """
 
-    def __init__(self, conductances, lengths, sources: list[str], *,
-                 spec: _DrawSpec | None = None):
+    def __init__(self, conductances, lengths, *,
+                 spec: tuple[SyntheticTrajectoryParams, int] | None = None):
         conductances = np.ascontiguousarray(conductances, dtype=float)
         lengths = np.asarray(lengths, dtype=np.int64)
         if conductances.ndim != 2 or len(conductances) < 1:
             raise ValueError("bank needs a (count, width) conductance matrix")
-        if lengths.shape != (len(conductances),) or len(sources) != len(conductances):
-            raise ValueError("need one length and one source per trajectory")
-        self.width = conductances.shape[1] if spec is None else spec.params.p_max + 1
+        if lengths.shape != (len(conductances),):
+            raise ValueError("need one length per trajectory")
+        self.width = conductances.shape[1] if spec is None else spec[0].p_max + 1
         if lengths.min() < 2 or lengths.max() > self.width:
             raise ValueError("trajectory lengths must be in [2, width]")
         if spec is None:
@@ -358,17 +363,16 @@ class TrajectoryBank(Sequence):
         self._matrix = conductances
         self._spec = spec
         self.lengths = lengths
-        self.sources = list(sources)
         self._rows: list[ResetTrajectory | None] = [None] * len(lengths)
 
     @classmethod
-    def from_rows(cls, rows, sources: list[str]) -> "TrajectoryBank":
+    def from_rows(cls, rows) -> "TrajectoryBank":
         """Stack 1-D trajectories of possibly different lengths, zero-padded."""
         lengths = [len(r) for r in rows]
         matrix = np.zeros((len(rows), max(lengths, default=0)))
         for k, r in enumerate(rows):
             matrix[k, :len(r)] = r
-        return cls(matrix, lengths, sources)
+        return cls(matrix, lengths)
 
     @property
     def filled(self) -> int:
@@ -400,15 +404,16 @@ class TrajectoryBank(Sequence):
         measured bank.  Otherwise the bank keeps a read-only view of the
         first ``keep`` columns of a matrix of the same params, seed and
         count that one of the last two passes in this process drew, or else
-        of one new draw pass from the seed.  A column has the same value
-        however many columns a pass keeps, so reuse changes no read.  A pass
+        of one new draw pass from the seed; that is how the runs on one
+        seed share a bank.  A column has the same value however many columns
+        a pass keeps, so reuse changes no read.  A pass
         whose conductances fail the check keeps and caches nothing, so every
         later read fails the same way.
         """
         keep = min(upto, self.width)
         if keep <= self.filled:
             return
-        self._matrix = _drawn(self._spec, len(self), keep)[:, :keep]
+        self._matrix = _drawn(*self._spec, len(self), keep)[:, :keep]
 
     def __len__(self):
         return len(self.lengths)
@@ -418,7 +423,7 @@ class TrajectoryBank(Sequence):
             return [self[i] for i in range(*k.indices(len(self)))]
         traj = self._rows[k]
         if traj is None:
-            traj = ResetTrajectory(self.conductances[k, :self.lengths[k]], self.sources[k])
+            traj = ResetTrajectory(self.conductances[k, :self.lengths[k]])
             self._rows[k] = traj
         return traj
 
@@ -427,25 +432,16 @@ def generate_trajectory_bank(params: SyntheticTrajectoryParams, count: int,
                              seed: int) -> TrajectoryBank:
     """``count`` synthetic trajectories, deterministically per seed.
 
-    The bank keeps the seed and makes its draws when it is first filled or
-    read (see :meth:`_DrawSpec.draw` for their order); a column has the
-    same value however many columns a pass keeps.
+    The bank keeps ``(params, seed)`` and draws when it is first filled or
+    read (see :func:`_draw` for the order of the draws); a column has the
+    same value however many columns a pass keeps.  Banks made from the same
+    params, seed and count share their draw passes (see
+    :meth:`TrajectoryBank.fill`), so making one per run costs no extra pass.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    onset = int(round(params.p_max * params.late_onset_fraction))
-    sigma = np.full(params.p_max, params.decrement_sigma, dtype=float)
-    sigma[onset:] *= params.late_sigma_factor
-    log_params = None
-    if params.decrement_family == "lognormal":
-        # match the requested per-pulse mean/sigma via the usual moment
-        # mapping; sigma varies along the trajectory (late-stage amplification)
-        var_ln = np.log1p((sigma / params.decrement_mean) ** 2)
-        log_params = (np.log(params.decrement_mean) - var_ln / 2.0, np.sqrt(var_ln))
-    spec = _DrawSpec(params, seed, sigma if log_params is None else None, log_params)
     return TrajectoryBank(np.empty((count, 0)), np.full(count, params.p_max + 1),
-                          [f"synthetic(seed={seed},idx={k})" for k in range(count)],
-                          spec=spec)
+                          spec=(params, seed))
 
 
 def apply_reset_pulse(device: DeviceState, endurance_budget: int | None = None) -> float:
@@ -467,20 +463,17 @@ def apply_reset_pulse(device: DeviceState, endurance_budget: int | None = None) 
 
 
 def reinitialize(device: DeviceState, bank: Sequence[ResetTrajectory],
-                 rng: np.random.Generator, ledger=None, energy_cost: float = 0.0):
+                 rng: np.random.Generator):
     """Full reset/set cycle: rewind to pulse 0 on a freshly drawn trajectory.
 
     Drawing a new trajectory (rather than rewinding the old one) models
-    cycle-to-cycle variation.  The event can be logged to an energy ledger
-    with a configurable cost (default 0, reported separately).
+    cycle-to-cycle variation.
     """
     if not bank:
         raise ValueError("trajectory bank is empty")
     device.trajectory = bank[int(rng.integers(0, len(bank)))]
     device.pulse_index = 0
     device.reinit_count += 1
-    if ledger is not None:
-        ledger.record_reinit(energy_cost)
 
 
 @dataclass(frozen=True)
@@ -631,6 +624,4 @@ def load_bank_csv(path) -> TrajectoryBank:
                          f"pulse_index not dense from 0")
     if lengths.min() < 2:
         raise ParseError(f"{path}: device {devices[np.argmin(lengths)]}: fewer than 2 samples")
-    return TrajectoryBank.from_rows(np.split(g_us * 1e-6, first[1:]),
-                                    [f"measured(file={path},device={dev})"
-                                     for dev in devices.tolist()])
+    return TrajectoryBank.from_rows(np.split(g_us * 1e-6, first[1:]))

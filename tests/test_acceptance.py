@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from memgrad import cli, gradcheck
-from memgrad.config import (build_bank, build_dataset, build_drift_params,
-                            build_splits, build_training_run, effective_config)
+from memgrad.config import (build_dataset, build_drift_params, build_splits,
+                            build_training_run, effective_config)
 from memgrad.device import (DeviceState, DriftModelParams, LARGE_ARRAY, MAC_ARRAY,
                             NeedsReinit, ResetTrajectory,
                             SyntheticTrajectoryParams, apply_reset_pulse,
@@ -64,14 +64,16 @@ def desk_runs():
     pulses: dict[str, list[dict]] = {algo: [] for algo in algos}
     aging_points = None
     for seed in range(N_SEEDS):
-        # a run's bank depends on its seed alone, and training only reads
-        # it, so one bank per seed serves the three methods
-        bank = build_bank(cfg, seed)
-        deepest = 0
+        # a run's bank depends on its seed alone, so the three methods on one
+        # seed share its draw pass through the draw cache (bp, built first,
+        # reads deepest)
         for algo, algo_cfg in algo_cfgs.items():
-            run = build_training_run(algo_cfg, seed, dataset, bank)
+            run = build_training_run(algo_cfg, seed, dataset)
             train(run, train_ds)
-            deepest = max(deepest, *(int(layer.array.cursors.max()) for layer in run.layers))
+            # the fill kept every column the run read, and not the whole width
+            bank = run.layers[0].array.bank
+            deepest = max(int(layer.array.cursors.max()) for layer in run.layers)
+            assert deepest + 1 <= bank.filled < bank.width
             accs[algo].append(evaluate(run, test_ds))
             pulses[algo].append(pulse_statistics(run))
             if algo == "cf" and seed == 0:
@@ -79,11 +81,7 @@ def desk_runs():
                 aging_points = simulate_aging(
                     run, [0.0, 90.0], build_drift_params(algo_cfg), rng,
                     n_repeats=20, test_ds=test_ds)
-            del run
-        # bp reads deepest and is built first, so its fill is the bank's one
-        # draw pass; a read past it would have kept every column
-        assert deepest + 1 <= bank.filled < bank.width
-        del bank
+            del run, bank
         gc.collect()
     return {"a_star": a_star, "accs": accs, "pulses": pulses,
             "aging": aging_points, "elapsed": time.time() - t0}

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import referencing
 
-from memgrad import cli, config
+from memgrad import cli, config, device
 from memgrad.device import (DeviceState, EnduranceExceeded, NeedsReinit,
                             SyntheticTrajectoryParams, TrajectoryBank,
                             apply_reset_pulse, generate_trajectory_bank,
@@ -219,8 +219,7 @@ class TestCharacterizeCommand:
         lengths = np.random.default_rng(0).permutation([40] * 5 + [57] * 20 + [300] * 150)
         full = generate_trajectory_bank(SyntheticTrajectoryParams(
             p_max=299, anomalous_probability=0.3), len(lengths), seed=2).conductances
-        bank = TrajectoryBank.from_rows([row[:n] for row, n in zip(full, lengths)],
-                                        ["m"] * len(lengths))
+        bank = TrajectoryBank.from_rows([row[:n] for row, n in zip(full, lengths)])
         bank_path = tmp_path / "bank.csv"
         save_bank_csv(bank, bank_path)
         out = tmp_path / "o"
@@ -233,7 +232,7 @@ class TestCharacterizeCommand:
         # a measured bank named in the config file, not a synthetic one
         rows = [np.linspace(90e-6, 60e-6, 6 + k) for k in range(3)]
         bank_path = tmp_path / "bank.csv"
-        save_bank_csv(TrajectoryBank.from_rows(rows, ["m"] * 3), bank_path)
+        save_bank_csv(TrajectoryBank.from_rows(rows), bank_path)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"bank": {"path": str(bank_path)}}))
         out = tmp_path / "o"
@@ -317,7 +316,7 @@ class TestEnduranceMatchesScalarReplay:
         lengths = np.where(np.arange(30) % 6 == 5, 25, 60)
         rows = [np.sort(rng.uniform(20e-6, 100e-6, n))[::-1] for n in lengths]
         path = tmp_path / "bank.csv"
-        save_bank_csv(TrajectoryBank.from_rows(rows, ["m"] * 30), path)
+        save_bank_csv(TrajectoryBank.from_rows(rows), path)
         error, completed = self.check(tmp_path, capsys, ["--bank", str(path)],
                                       load_bank_csv(path), 4, 4, 5, 40,
                                       config.LARGE_ARRAY.endurance_budget)
@@ -369,7 +368,7 @@ class TestEnduranceMatchesScalarReplay:
     def bank_of_31_samples(tmp_path):
         rows = [np.linspace(90e-6, 60e-6 - k * 1e-6, 31) for k in range(8)]
         path = tmp_path / "bank.csv"
-        save_bank_csv(TrajectoryBank.from_rows(rows, ["m"] * 8), path)
+        save_bank_csv(TrajectoryBank.from_rows(rows), path)
         return path
 
 
@@ -517,8 +516,25 @@ def test_out_of_range_flag_is_a_config_error(tmp_path, monkeypatch, capsys, argv
     assert not any(tmp_path.iterdir())
 
 
+def count_draws(monkeypatch, log=None):
+    """The ``keep`` of every synthetic draw pass from now on, from an empty
+    draw cache; with ``log``, each pass also appends its process id there."""
+    monkeypatch.setattr(device, "_DRAWN", {})
+    passes, draw = [], device._draw
+
+    def counted(params, seed, count, keep):
+        passes.append(keep)
+        if log is not None:
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+        return draw(params, seed, count, keep)
+
+    monkeypatch.setattr(device, "_draw", counted)
+    return passes
+
+
 class TestSharedBank:
-    """A bank that no run seed changes is built once per memgrad train."""
+    """A bank that no run seed changes is read or drawn once per memgrad train."""
 
     @staticmethod
     def count_calls(monkeypatch, name):
@@ -541,14 +557,23 @@ class TestSharedBank:
     def test_built_once_and_runs_unchanged(self, tmp_path, monkeypatch, capsys, source):
         args = ["train", "--config", bank_config_path(tmp_path, source), "--algo", "cf",
                 "--repeat", "3"]
-        generated = self.count_calls(monkeypatch, "generate_trajectory_bank")
+        passes = count_draws(monkeypatch)
         loaded = self.count_calls(monkeypatch, "load_bank_csv")
         assert cli.main([*args, "--out", str(tmp_path / "shared")]) == 0
-        assert (len(generated), len(loaded)) == ((1, 0) if source == "seed" else (0, 1))
-        # the same command with every run building its own bank
-        monkeypatch.setattr(cli, "build_bank", lambda cfg, seed: None)
+        assert (len(passes), len(loaded)) == ((1, 0) if source == "seed" else (0, 1))
+        # the same command with every run drawing or reading its own bank
+        if source == "seed":
+            drawn = device._drawn
+
+            def uncached(*args):
+                device._DRAWN.clear()
+                return drawn(*args)
+
+            monkeypatch.setattr(device, "_drawn", uncached)
+        else:
+            monkeypatch.setattr(cli, "build_bank", lambda cfg, seed: None)
         assert cli.main([*args, "--out", str(tmp_path / "own")]) == 0
-        assert (len(generated), len(loaded)) == ((4, 0) if source == "seed" else (0, 4))
+        assert (len(passes), len(loaded)) == ((4, 0) if source == "seed" else (0, 4))
         shared = self.run_files(tmp_path / "shared", [0, 1, 2])
         assert len(shared) == 3 * 7
         assert shared == self.run_files(tmp_path / "own", [0, 1, 2])
@@ -596,6 +621,27 @@ class TestRunPipeline:
         with open(run_dir / "aging.csv") as f:
             day0 = [float(r["accuracy"]) for r in csv.DictReader(f)]
         assert day0 == pytest.approx([metrics["final_test_accuracy"]] * 2)
+
+    def test_negative_zero_sigmas_run_as_zero(self, tmp_path, capsys):
+        # -0.0 passes the schema's minimum of 0, and numpy refuses it as a
+        # normal scale: train and age run it as 0.0
+        outputs = []
+        for zero in ("0.0", "-0.0"):
+            cfg = json.loads(json.dumps(TINY_CONFIG))
+            cfg["bank"]["params"]["g0_sigma"] = float(zero)
+            cfg["drift"] = {"sigma_core": float(zero), "sigma_tail": float(zero)}
+            path = tmp_path / f"{zero}.json"
+            path.write_text(json.dumps(cfg))
+            assert zero in path.read_text()
+            out = tmp_path / zero
+            assert cli.main(["train", "--config", str(path), "--algo", "cf",
+                             "--out", str(out)]) == 0
+            assert cli.main(["age", "--run", str(out / "run_0"), "--days", "0,90",
+                             "--repeats", "2"]) == 0
+            outputs.append({name: (out / "run_0" / name).read_bytes()
+                            for name in ("pulses.csv", "snapshot_layer0.csv",
+                                         "snapshot_layer1.csv", "aging.csv")})
+        assert outputs[0] == outputs[1]
 
     def test_unsorted_days_are_a_config_error(self, device_run_dir, capsys):
         rc = cli.main(["age", "--run", str(device_run_dir), "--days", "8,0"])
@@ -857,20 +903,12 @@ class TestRepeatFanOut:
         assert files[0] == files[1]
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="workers see the patched build_bank only when forked")
+                        reason="workers see the patched draw only when forked")
     def test_each_worker_builds_a_shared_bank_once(self, tiny_config_path, tmp_path,
                                                    monkeypatch, capsys):
+        # the pinned bank.seed of the tiny config: one draw pass per worker
         log = tmp_path / "pids.txt"
-        real = config.build_bank
-
-        def logged(cfg, seed):
-            with open(log, "a") as f:
-                f.write(f"{os.getpid()}\n")
-            return real(cfg, seed)
-
-        # both names: a run builds its own bank through config.build_bank
-        monkeypatch.setattr(cli, "build_bank", logged)
-        monkeypatch.setattr(config, "build_bank", logged)
+        count_draws(monkeypatch, log)
         assert cli.main(["train", "--config", tiny_config_path, "--algo", "cf",
                          "--repeat", "4", "--workers", "2",
                          "--out", str(tmp_path / "o")]) == 0

@@ -54,8 +54,7 @@ def make_array(n_in=4, n_out=3, seed=0, pre_pulse_max=10, **kw):
 def array_from_us(g_plus, g_minus, n_out=1, n_in=1):
     """Every pair at (g_plus, g_minus) uS, on two-sample trajectories."""
     bank = TrajectoryBank.from_rows([np.array([g_plus, g_plus * 0.9]) * 1e-6,
-                                     np.array([g_minus, g_minus * 0.9]) * 1e-6],
-                                    ["plus", "minus"])
+                                     np.array([g_minus, g_minus * 0.9]) * 1e-6])
     ids = np.broadcast_to([0, 1], (n_out, n_in, 2))
     return CrossbarArray(bank, ids, np.zeros_like(ids), LARGE_ARRAY, gain_kappa=5e4)
 
@@ -389,7 +388,7 @@ class TestBuildStream:
     def test_ragged_bank_clamps_pre_pulses(self):
         gen = np.random.default_rng(4)
         rows = [np.linspace(100e-6, 60e-6, gen.choice([2, 3, 80])) for _ in range(12)]
-        bank = TrajectoryBank.from_rows(rows, ["measured"] * len(rows))
+        bank = TrajectoryBank.from_rows(rows)
         arr = self.assert_matches_scalar(6, 4, bank, pre_pulse_max=50)
         short = bank.lengths[arr.traj_ids] == 2
         assert short.any() and np.all(arr.cursors[short] <= 1)

@@ -14,7 +14,7 @@ from memgrad.device import (DeviceState, DeviceTechParams, DriftModelParams,
                             EnduranceExceeded, LARGE_ARRAY, MAC_ARRAY,
                             NeedsReinit, ResetTrajectory,
                             SyntheticTrajectoryParams, TrajectoryBank,
-                            _DrawSpec, apply_reset_pulse,
+                            apply_reset_pulse,
                             apply_retention_drift, generate_trajectory_bank,
                             load_bank_csv, pearson_coefficient, pulse_energy,
                             reinitialize, save_bank_csv)
@@ -237,8 +237,6 @@ class TestTrajectoryBank:
             assert np.shares_memory(traj.conductances, bank.conductances)
             assert np.array_equal(traj.conductances, bank.conductances[k])
             assert bank[k] is traj
-        assert [t.source for t in bank[1:3]] == ["synthetic(seed=1,idx=1)",
-                                                 "synthetic(seed=1,idx=2)"]
 
     @pytest.mark.parametrize("kwargs,digest", [
         ({}, "7ac59ae28c2cf0770e10df3fd3eb492f42905b760ae2328bd2254bd31b3ce954"),
@@ -296,13 +294,13 @@ def spy_on_draws(monkeypatch):
     earlier tests drew.
     """
     monkeypatch.setattr(device, "_DRAWN", {})
-    passes, draw = [], _DrawSpec.draw
+    passes, draw = [], device._draw
 
-    def spy(spec, count, keep):
+    def spy(params, seed, count, keep):
         passes.append(keep)
-        return draw(spec, count, keep)
+        return draw(params, seed, count, keep)
 
-    monkeypatch.setattr(_DrawSpec, "draw", spy)
+    monkeypatch.setattr(device, "_draw", spy)
     return passes
 
 
@@ -429,7 +427,7 @@ class TestDeferredFill:
             bank.fill(upto)
         assert passes == [301] and bank._matrix is matrix
         assert bank._matrix.tobytes() == one_shot_conductances(params, 3, 1).tobytes()
-        measured = TrajectoryBank(np.full((2, 4), 1e-6), [4, 3], ["a", "b"])
+        measured = TrajectoryBank(np.full((2, 4), 1e-6), [4, 3])
         for upto in (0, 2, 4, 100):
             measured.fill(upto)
             assert measured.filled == measured.width == 4
@@ -467,7 +465,7 @@ class TestDeferredFill:
             bank.conductances[0, 0] = 1.0
         assert bank.filled == bank.width
         matrix = np.full((2, 4), 1e-6)
-        measured = TrajectoryBank(matrix, [4, 3], ["a", "b"])
+        measured = TrajectoryBank(matrix, [4, 3])
         assert measured.filled == 4
         with pytest.raises(ValueError):
             matrix[0, 0] = 0.0
@@ -584,18 +582,24 @@ class TestDrawReuse:
         assert not np.shares_memory(banks[1]._matrix, banks[5]._matrix)
 
     def test_params_equal_only_in_value_are_not_shared(self, monkeypatch):
-        # -0.0 == 0.0, yet numpy refuses a normal scale of -0.0: a bank with
-        # it fails after a 0.0 bank was drawn as it fails alone
-        spy_on_draws(monkeypatch)
-        generate_trajectory_bank(SyntheticTrajectoryParams(p_max=10, g0_sigma=0.0), 2, 1).fill(11)
-        bank = generate_trajectory_bank(SyntheticTrajectoryParams(p_max=10, g0_sigma=-0.0), 2, 1)
-        with pytest.raises(ValueError, match="scale"):
-            bank.fill(11)
-
-    def test_desk_build_order_draws_three_banks_each_time(self, monkeypatch):
-        # the benchmark's desk pass at its shortened epochs: float bp, then
-        # bp, sff and cf on seeds w and w + 1, then cf on a 300-pulse bank
+        # numpy refuses a normal scale of -0.0, so the params store a sigma
+        # of -0.0 as 0.0 and its bank is the 0.0 bank; a g0_mean of -0.0
+        # stays -0.0 and gets a pass of its own
         passes = spy_on_draws(monkeypatch)
+        banks = [generate_trajectory_bank(SyntheticTrajectoryParams(p_max=10, **kwargs), 2, 1)
+                 for kwargs in [{"g0_sigma": 0.0}, {"g0_sigma": -0.0},
+                                {"g0_mean": 0.0}, {"g0_mean": -0.0}]]
+        for bank in banks:
+            bank.fill(11)
+        assert passes == [11, 11, 11]
+        assert np.shares_memory(banks[0]._matrix, banks[1]._matrix)
+        assert not np.shares_memory(banks[2]._matrix, banks[3]._matrix)
+        expected = one_shot_conductances(SyntheticTrajectoryParams(p_max=10, g0_sigma=0.0), 2, 1)
+        assert banks[1]._matrix.tobytes() == expected.tobytes()
+
+    @staticmethod
+    def desk_configs():
+        """The benchmark's desk configs, at its shortened epochs."""
         cfgs = {algo: config.effective_config(
             None, {"algorithm": algo, "schedule": {"epochs": epochs}})
             for algo, epochs in [("float_bp", [1, 2]), ("bp", [1, 2]), ("sff", [1, 1]),
@@ -603,7 +607,13 @@ class TestDrawReuse:
         cfgs["cf_narrow"] = config.effective_config(None, {
             "algorithm": "cf", "schedule": {"epochs": [3, 1]},
             "bank": {"params": {"p_max": 300}}, "device": {"on_exhaustion": "skip"}})
-        dataset = config.build_dataset(cfgs["cf"])
+        return cfgs, config.build_dataset(cfgs["cf"])
+
+    def test_desk_build_order_draws_three_banks_each_time(self, monkeypatch):
+        # the benchmark's desk pass: float bp, then bp, sff and cf on seeds
+        # w and w + 1, then cf on a 300-pulse bank
+        passes = spy_on_draws(monkeypatch)
+        cfgs, dataset = self.desk_configs()
         replays = []
         for _ in range(2):
             del passes[:]
@@ -615,6 +625,17 @@ class TestDrawReuse:
         # nothing drawn in one replay is still cached for the next
         depth = replays[0][0]
         assert replays == [[depth, depth, 301]] * 2 and depth > 301
+
+    def test_acceptance_build_order_draws_one_bank_per_seed(self, monkeypatch):
+        # the acceptance fixture's order: bp, sff and cf on each of seeds
+        # 0-4, every run building its own bank; bp reads deepest, so its
+        # pass serves sff and cf
+        passes = spy_on_draws(monkeypatch)
+        cfgs, dataset = self.desk_configs()
+        for seed in range(5):
+            for algo in ("bp", "sff", "cf"):
+                config.build_training_run(cfgs[algo], seed, dataset)
+        assert passes == [passes[0]] * 5
 
 
 class TestRetentionDrift:
