@@ -19,7 +19,9 @@ applied as one vectorized step; the scalar
 Training reads an array only through :meth:`CrossbarArray.read`, which
 multiplies a batch by W and logs one read event (the driven conductance
 weighted by x^2, which prices read energy) and the batch's MACs.
-``map_weights`` returns W without logging a read.
+``map_weights`` returns W without logging a read.  Between pulses an array
+reads from a cache of W and of the column sums of G+ + G-, which the pulse
+step drops.
 """
 
 from __future__ import annotations
@@ -41,10 +43,6 @@ __all__ = [
     "save_snapshot_csv",
     "load_snapshot_csv",
 ]
-
-
-# a pulse reads its device's sample at the cursor (G_pre) and the next one
-_PRE_POST = np.array([[0], [1]])
 
 
 class OnExhaustion(enum.Enum):
@@ -96,8 +94,14 @@ class CrossbarArray:
         # applied pulses; pre-pulses are not counted, so this is also each
         # device's lifetime pulse count for the endurance budget
         self.pulse_counts = np.zeros_like(traj_ids)
-        # G+ and G- are sliced from _g on use, so a copy or pickle stays whole
+        # G+ and G- are sliced from _g on use, so a copy or pickle stays whole;
+        # _g[..., s] always equals bank[traj_ids[..., s], cursors[..., s]]
         self._g = bank.gather(traj_ids, cursors)
+        self._read_cache = None     # (W, column sums of G+ + G-) until a pulse
+
+    def __getstate__(self):
+        # a copy or pickle recomputes the cache, so its W is read-only too
+        return {**self.__dict__, "_read_cache": None}
 
     @property
     def scale_s(self) -> float:
@@ -133,83 +137,107 @@ class CrossbarArray:
         """Current (G+, G-) matrices, shape (n_out, n_in) each."""
         return self._g[..., 0].copy(), self._g[..., 1].copy()
 
+    def _cached(self):
+        """(W, column sums of G+ + G-), computed once after each pulse step."""
+        if self._read_cache is None:
+            g_plus, g_minus = self._g[..., 0], self._g[..., 1]
+            weights = self.scale_s * (g_plus - g_minus)
+            weights.flags.writeable = False
+            self._read_cache = weights, (g_plus + g_minus).sum(axis=0)
+        return self._read_cache
+
     def map_weights(self) -> np.ndarray:
-        """W = s * (G+ - G-); pure read, (n_out, n_in)."""
-        return self.scale_s * (self._g[..., 0] - self._g[..., 1])
+        """W = s * (G+ - G-); pure read, (n_out, n_in).
+
+        Returns the array's cached W, which is read-only: copy it to change
+        it.  Repeated calls between pulses return the same object.
+        """
+        return self._cached()[0]
 
     def read(self, x) -> np.ndarray:
         """Analog MAC of a batch (N, n_in): y = kappa * I = x @ W.T.
 
         Column currents are I_i = sum_j (G+_ij - G-_ij) x_j V_read.  Logs one
-        read event and N * n_in * n_out MACs.
+        read event and N * n_in * n_out MACs.  W and the column sums of
+        G+ + G- come from the cache, so reads between pulses compute neither.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.n_in:
             raise ValueError(f"input must have shape (N, {self.n_in}), got {x.shape}")
+        weights, g_cols = self._cached()
         if self.ledger is not None:
             # every driven device contributes G * (x_j V_read)^2 * t_read
-            g_cols = (self._g[..., 0] + self._g[..., 1]).sum(axis=0)
             self.ledger.record_read(float(g_cols @ (x ** 2).sum(axis=0)),
                                     self.tech.v_read, self.tech.t_read)
             self.ledger.record_macs(x.shape[0] * self.n_in * self.n_out)
-        return x @ self.map_weights().T
+        return x @ weights.T
 
     def apply_update_plan(self, plan, policy: OnExhaustion = OnExhaustion.SKIP,
                           rng: np.random.Generator | None = None) -> PulseResult:
         """Apply one reset pulse per planned weight, as one array step.
 
-        ``plan`` is ``(mask, side)`` as returned by ``threshold_sign_plan``.
+        ``plan`` is ``(mask, side)`` as returned by ``threshold_sign_plan``:
+        a boolean mask and an integer or boolean side array of 0 (G+) and
+        1 (G-), both (n_out, n_in); any other plan raises ``ValueError``.
         Pulses are taken in sorted (i, j) order, which fixes the order of
         the ledger's pre-pulse conductances (the G entering the pulse-energy
         formula) and of the REINIT trajectory draws.  Exhausted devices are
-        skipped or reinitialized per policy; reinit draws need an rng.  A
-        pulse beyond the endurance budget raises :class:`EnduranceExceeded`
-        before any state changes.
+        skipped or reinitialized per policy; reinit draws need an rng, and
+        a reinitialized device pulses from sample 0 of its new trajectory.
+        A pulse beyond the endurance budget raises
+        :class:`EnduranceExceeded`; every refusal comes before any state
+        changes.
         """
         mask, side = np.asarray(plan[0]), np.asarray(plan[1])
         if mask.dtype != bool or mask.shape != (self.n_out, self.n_in) \
-                or side.shape != mask.shape:
-            raise ValueError(f"plan needs a boolean mask and a side array, "
-                             f"each {self.n_out}x{self.n_in}")
+                or side.shape != mask.shape or side.dtype.kind not in "biu":
+            raise ValueError(f"plan needs a boolean mask and an integer side "
+                             f"array, each {self.n_out}x{self.n_in}")
         # gathers and scatters go through 1-D views of the (contiguous) state:
         # device (i, j, side) sits at (i * n_in + j) * 2 + side
-        flat_tid, flat_cur, flat_pulses = (
-            a.reshape(-1) for a in (self.traj_ids, self.cursors, self.pulse_counts))
-        weight = np.flatnonzero(mask)
-        ss = side.reshape(-1)[weight]
-        if np.any((ss != 0) & (ss != 1)):
+        flat_tid, flat_cur, flat_pulses, flat_g = (
+            a.reshape(-1) for a in (self.traj_ids, self.cursors, self.pulse_counts,
+                                    self._g))
+        weight = mask.reshape(-1).nonzero()[0]
+        ss = side.reshape(-1)[weight].astype(np.int64)
+        if np.count_nonzero(ss >> 1):     # a side other than 0 or 1
             raise ValueError("plan side must be 0 (G+) or 1 (G-)")
         pos = weight * 2 + ss
-        tid, cur = flat_tid[pos], flat_cur[pos]
-        exhausted = cur + 1 >= self.bank.lengths[tid]
+        tid, nxt = flat_tid[pos], flat_cur[pos] + 1     # nxt: cursor after the pulse
+        exhausted = nxt >= self.bank.lengths[tid]
         n_exhausted = int(np.count_nonzero(exhausted))
         skipped = reinits = 0
         if n_exhausted and policy is OnExhaustion.SKIP:
             live = ~exhausted
-            pos, tid, cur = pos[live], tid[live], cur[live]
+            pos, tid, nxt = pos[live], tid[live], nxt[live]
             skipped = n_exhausted
         elif n_exhausted:
             if rng is None:
                 raise ValueError("REINIT policy needs an rng")
             reinits = n_exhausted
         lifetime = flat_pulses[pos]
-        over = lifetime >= self.tech.endurance_budget
-        if np.any(over):
-            k = int(np.argmax(over))
+        budget = self.tech.endurance_budget
+        if len(pos) and lifetime.max() >= budget:
+            k = int(np.argmax(lifetime >= budget))
             i, j, s = np.unravel_index(pos[k], self.traj_ids.shape)
             raise EnduranceExceeded(
                 f"device ({i}, {j}, side {s}) at {lifetime[k]} lifetime "
-                f"pulses (budget {self.tech.endurance_budget})")
+                f"pulses (budget {budget})")
+        # _g holds each device's G_pre; a reinitialized device pulses from
+        # sample 0 of its new trajectory
+        g_pre = flat_g[pos]
         if reinits:
             tid[exhausted] = rng.integers(0, len(self.bank), size=reinits)
-            cur[exhausted] = 0
+            nxt[exhausted] = 1
+            g_pre[exhausted] = self.bank.gather(tid[exhausted], 0)
             if self.ledger is not None:
                 self.ledger.record_reinit(count=reinits)
-        g_pre, g_post = self.bank.gather(tid, cur + _PRE_POST)
-        flat_tid[pos] = tid
-        flat_cur[pos] = cur + 1
-        self._g.reshape(-1)[pos] = g_post
+        flat_g[pos] = self.bank.gather(tid, nxt)
+        if reinits:
+            flat_tid[pos] = tid
+        flat_cur[pos] = nxt
         flat_pulses[pos] = lifetime + 1
+        self._read_cache = None
         if self.ledger is not None:
             self.ledger.record_pulses(g_pre, self.tech.name)
         return PulseResult(applied=len(pos), skipped=skipped, reinits=reinits)

@@ -5,7 +5,10 @@ G_driven * V_read^2 * t_read are linear in their events, so the ledger keeps
 aggregates instead of event lists: per recording tech, a compensated sum of
 the conductances measured immediately before each pulse and a pulse count;
 per read condition (v_read, t_read), a compensated sum of driven conductance
-and a read count; and MAC and reinit counters.
+and a read count; and MAC and reinit counters.  A batch of pulses enters its
+sum as one float, the batch's correctly rounded sum (see
+:meth:`RunningSum.add_batch`), so the pulse total is correctly rounded per
+batch and compensated across batches.
 That is enough to re-cost a recorded run under a different device technology
 (same pulses, substituted pulse parameters) or different read conditions.
 MACs are projected through a TOPS/W efficiency figure (one MAC = two ops).
@@ -41,8 +44,18 @@ PV_UPDATE_ENERGY_J = 387e-12
 DEFAULT_TOPS_PER_WATT = 57.5e12
 
 
+# The exact batch sum splits each value into limbs of 2^-45 and 2^-80: a value
+# in [2^-28, 2^-12) is a multiple of 2^-80 and below 2^33 units of 2^-45, so
+# fewer than 2^18 of them sum in float64 without rounding, limb by limb.
+_LIMB_LO, _LIMB_HI, _LIMB_COUNT = 2.0 ** -28, 2.0 ** -12, 1 << 18
+
+
 class RunningSum:
-    """Count and Neumaier-compensated sum of a stream of floats."""
+    """Count and Neumaier-compensated sum of a stream of floats.
+
+    Batches enter through :meth:`add_batch` as their correctly rounded sum,
+    single values through :meth:`add`.
+    """
 
     __slots__ = ("count", "_hi", "_lo")
 
@@ -61,8 +74,23 @@ class RunningSum:
         self.count += count
 
     def add_batch(self, values: np.ndarray):
-        """Add a batch through its correctly rounded sum."""
-        self.add(math.fsum(values.tolist()), len(values))
+        """Add a batch through its correctly rounded sum, as ``math.fsum``.
+
+        A batch of fewer than 2^18 values, each 0 or in [2^-28, 2^-12) and
+        not all 0 (pre-pulse conductances in siemens are), is summed exactly
+        as two integer limbs, in units of 2^-45 and 2^-80, and rounded once;
+        any other batch goes through ``math.fsum``.  Both give the same float.
+        """
+        values = np.asarray(values, dtype=float)
+        if 0 < len(values) < _LIMB_COUNT and _LIMB_LO <= values.max() < _LIMB_HI and (
+                values.min() >= _LIMB_LO
+                or np.all((values >= _LIMB_LO) | (values == 0.0))):
+            scaled = values * 2.0 ** 45
+            whole = np.floor(scaled)
+            exact = (int(whole.sum()) << 35) + int((scaled - whole).sum() * 2.0 ** 35)
+            self.add(math.ldexp(float(exact), -80), len(values))
+        else:
+            self.add(math.fsum(values.tolist()), len(values))
 
     @property
     def total(self) -> float:

@@ -2,11 +2,13 @@
 
 import copy
 import dataclasses
+import math
 import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from memgrad.crossbar import (CrossbarArray, OnExhaustion, PulseResult,
                               load_snapshot_csv, save_snapshot_csv)
@@ -14,7 +16,7 @@ from memgrad.device import (DeviceState, EnduranceExceeded, LARGE_ARRAY,
                             SyntheticTrajectoryParams, TrajectoryBank,
                             apply_reset_pulse, generate_trajectory_bank,
                             reinitialize)
-from memgrad.energy import EnergyLedger
+from memgrad.energy import EnergyLedger, RunningSum
 from memgrad.errors import ParseError
 
 PLUS, MINUS = 0, 1    # plan sides: the device of the pair that is pulsed
@@ -172,10 +174,35 @@ class TestUpdatePlan:
 
     def test_empty_plan_is_noop(self):
         arr = make_array()
-        before = arr.map_weights()
+        # a copy: map_weights returns the array's cached W itself
+        before = arr.map_weights().copy()
         result = arr.apply_update_plan(plan_at(arr, {}))
         assert result == PulseResult(applied=0, skipped=0, reinits=0)
         assert np.array_equal(arr.map_weights(), before)
+
+    @pytest.mark.parametrize("side", [np.zeros((3, 4)), np.ones((3, 4)),
+                                      np.zeros((3, 4), dtype=complex)],
+                             ids=["float0", "float1", "complex"])
+    def test_non_integer_side_refused(self, side):
+        # 0.0 and 1.0 would pass the value check; the dtype is refused first
+        ledger = RecordingLedger()
+        arr = make_array(ledger=ledger)
+        state = [a.copy() for a in (arr.traj_ids, arr.cursors, arr.pulse_counts,
+                                    *arr.conductances())]
+        mask, _ = plan_at(arr, {(0, 0): PLUS, (2, 3): MINUS})
+        with pytest.raises(ValueError, match="integer side array"):
+            arr.apply_update_plan((mask, side))
+        after = (arr.traj_ids, arr.cursors, arr.pulse_counts, *arr.conductances())
+        assert all(np.array_equal(a, b) for a, b in zip(state, after))
+        assert ledger.pulse_count == 0 and ledger.g_pre == {}
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint8, np.int64, np.uint64])
+    def test_integer_and_bool_sides(self, dtype):
+        arr = make_array()
+        mask, side = plan_at(arr, {(0, 0): PLUS, (2, 3): MINUS})
+        assert arr.apply_update_plan((mask, side.astype(dtype))).applied == 2
+        assert arr.pulse_counts[0, 0].tolist() == [1, 0]
+        assert arr.pulse_counts[2, 3].tolist() == [0, 1]
 
     def test_pulse_follows_trajectory(self):
         # a fresh monotone device must step exactly to trajectory[1]
@@ -305,6 +332,71 @@ def scalar_build(n_in, n_out, bank, rng, pre_pulse_max):
     return grid
 
 
+class TestReadCache:
+    """Reads between pulses come from a cache that each pulse step drops."""
+
+    @staticmethod
+    def fresh_weights(arr):
+        g_plus, g_minus = arr.conductances()
+        return arr.scale_s * (g_plus - g_minus)
+
+    def test_reads_follow_pulses(self):
+        arr = make_array(n_in=5, n_out=4, seed=2)
+        x = np.random.default_rng(3).normal(0, 1, (3, 5))
+        plans = np.random.default_rng(4)
+        for _ in range(6):
+            w = self.fresh_weights(arr)
+            assert np.array_equal(arr.map_weights(), w)
+            assert np.array_equal(arr.read(x), x @ w.T)
+            arr.apply_update_plan((plans.random((4, 5)) < 0.6,
+                                   plans.integers(0, 2, (4, 5))))
+        assert np.array_equal(arr.map_weights(), self.fresh_weights(arr))
+
+    def test_weights_are_read_only(self):
+        arr = make_array()
+        w = arr.map_weights()
+        with pytest.raises(ValueError, match="read-only"):
+            w[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            arr.map_weights()[...] = 0.0
+        assert arr.map_weights() is w
+
+    def test_read_sums_match_uncached_formula(self):
+        # repeated reads between pulses log what the formula gives on the
+        # current conductances, read after read
+        ledger = EnergyLedger()
+        arr = make_array(n_in=6, n_out=3, seed=6, ledger=ledger)
+        gen = np.random.default_rng(7)
+        expected = RunningSum()
+        for _ in range(5):
+            for _ in range(3):
+                x = gen.normal(0, 1, (4, 6))
+                arr.read(x)
+                g_plus, g_minus = arr.conductances()
+                expected.add(float((g_plus + g_minus).sum(axis=0) @ (x ** 2).sum(axis=0)))
+            arr.apply_update_plan((gen.random((3, 6)) < 0.5, gen.integers(0, 2, (3, 6))))
+        (got,) = ledger.read_sums.values()
+        assert got.total.hex() == expected.total.hex()
+        assert got.count == expected.count == 15
+
+
+@st.composite
+def step_cases(draw):
+    """A small array on a ragged bank, a policy, a budget and a run of plans."""
+    n_out, n_in = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    conductance = st.one_of(st.floats(20e-6, 200e-6), st.just(0.0), st.floats(0.0, 1e-3))
+    rows = draw(st.lists(st.lists(conductance, min_size=2, max_size=8),
+                         min_size=1, max_size=6))
+    cells = n_out * n_in
+    plans = draw(st.lists(st.tuples(
+        st.lists(st.booleans(), min_size=cells, max_size=cells),
+        st.lists(st.integers(0, 1), min_size=cells, max_size=cells)), max_size=12))
+    return (n_out, n_in, rows, draw(st.integers(0, 8)), draw(st.integers(1, 12)),
+            draw(st.sampled_from([OnExhaustion.SKIP, OnExhaustion.REINIT])),
+            [(np.reshape(m, (n_out, n_in)), np.reshape(s, (n_out, n_in)).astype(np.int8))
+             for m, s in plans])
+
+
 class TestScalarReferenceModel:
     """The array step against per-device DeviceState replay."""
 
@@ -344,6 +436,64 @@ class TestScalarReferenceModel:
         assert ledger.g_pre[LARGE_ARRAY.name] == ref_g_pre
         assert ledger.pulse_count == len(ref_g_pre)
         assert ledger.reinit_count == int(field("reinit_count").sum())
+
+    @settings(max_examples=80)
+    @given(case=step_cases())
+    def test_any_plans_match_scalar_reference_model(self, case):
+        n_out, n_in, rows, pre_pulse_max, budget, policy, plans = case
+        bank = TrajectoryBank.from_rows(rows)
+        tech = dataclasses.replace(LARGE_ARRAY, endurance_budget=budget)
+        ledger = RecordingLedger()
+        arr = CrossbarArray.build(n_in, n_out, bank, np.random.default_rng(0), tech,
+                                  pre_pulse_max=pre_pulse_max, ledger=ledger)
+        grid = scalar_build(n_in, n_out, bank, np.random.default_rng(0), pre_pulse_max)
+        rng_array, rng_ref = np.random.default_rng(1), np.random.default_rng(1)
+        ref_g_pre, ref_total = [], RunningSum()
+        for mask, side in plans:
+            devices = [grid[i, j, side[i, j]] for i, j in zip(*np.nonzero(mask))]
+            pulsed = [dev for dev in devices
+                      if not (dev.exhausted and policy is OnExhaustion.SKIP)]
+            if any(dev.lifetime_pulses >= budget for dev in pulsed):
+                # the scalar model would refuse mid-plan; the array refuses
+                # the whole plan before touching anything
+                state = [a.copy() for a in (arr.traj_ids, arr.cursors,
+                                            arr.pulse_counts, arr._g)]
+                total = ledger.pulse_sums.get(tech.name, RunningSum()).total
+                rng_state = copy.deepcopy(rng_array.bit_generator.state)
+                with pytest.raises(EnduranceExceeded):
+                    arr.apply_update_plan((mask, side), policy, rng_array)
+                after = (arr.traj_ids, arr.cursors, arr.pulse_counts, arr._g)
+                assert all(np.array_equal(a, b) for a, b in zip(state, after))
+                assert ledger.pulse_sums.get(tech.name, RunningSum()).total == total
+                assert ledger.g_pre.get(tech.name, []) == ref_g_pre
+                assert rng_array.bit_generator.state == rng_state
+                break
+            step_g_pre, reinits = [], 0
+            for dev in pulsed:
+                if dev.exhausted:
+                    reinitialize(dev, bank, rng_ref)
+                    reinits += 1
+                step_g_pre.append(dev.conductance)
+                apply_reset_pulse(dev, budget)
+            result = arr.apply_update_plan((mask, side), policy, rng_array)
+            assert result == PulseResult(applied=len(pulsed), reinits=reinits,
+                                         skipped=len(devices) - len(pulsed))
+            ref_g_pre += step_g_pre
+            if step_g_pre:
+                ref_total.add(math.fsum(step_g_pre), len(step_g_pre))
+
+        def field(name):
+            return np.vectorize(lambda dev: getattr(dev, name))(grid)
+
+        assert np.array_equal(np.stack(arr.conductances(), axis=-1), field("conductance"))
+        assert np.array_equal(arr.cursors, field("pulse_index"))
+        assert np.array_equal(arr.pulse_counts, field("lifetime_pulses"))
+        assert all(bank[t] is d.trajectory for t, d in zip(arr.traj_ids.flat, grid.flat))
+        assert ledger.g_pre.get(tech.name, []) == ref_g_pre
+        assert ledger.reinit_count == int(field("reinit_count").sum())
+        sums = ledger.pulse_sums.get(tech.name, RunningSum())
+        assert sums.total.hex() == ref_total.total.hex()
+        assert sums.count == len(ref_g_pre)
 
     def test_batched_reinit_draws_match_scalar_draws(self):
         # REINIT (and endurance cycling) draws k trajectories at once; the
@@ -405,7 +555,9 @@ class TestCopies:
     def test_copy_reads_its_own_pulses(self, clone):
         arr = make_array(n_in=4, n_out=3, seed=5, ledger=EnergyLedger())
         g_plus0, g_minus0 = arr.conductances()
+        w0 = arr.map_weights()      # warms the original's read cache (W and g_cols)
         twin = clone(arr)
+        assert not twin.map_weights().flags.writeable
         mask = np.ones((3, 4), dtype=bool)
         assert twin.apply_update_plan((mask, np.zeros((3, 4), np.int8))).applied == 12
         assert np.array_equal(twin.cursors[..., 0], arr.cursors[..., 0] + 1)
@@ -421,8 +573,9 @@ class TestCopies:
         g_sum = (g_plus + g_minus).sum(axis=0) @ (x ** 2).sum(axis=0)
         read_sums = twin.ledger.read_sums[(twin.tech.v_read, twin.tech.t_read)]
         assert read_sums.total == pytest.approx(g_sum, rel=1e-15)
-        # the original keeps its own state
+        # the original keeps its own state and its cache
         assert np.array_equal(arr.conductances()[0], g_plus0)
+        assert arr.map_weights() is w0
 
 
 class TestSnapshot:

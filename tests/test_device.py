@@ -323,7 +323,7 @@ class TestDeferredFill:
     """Synthetic banks draw in one pass from their seed, keeping the columns asked for."""
 
     @pytest.mark.parametrize("kwargs", FAMILIES, ids=lambda k: "-".join(map(str, k.values())))
-    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(reads=bank_reads(12, 78))
     def test_any_fill_cut_points_match_one_shot(self, kwargs, reads):
         params = SyntheticTrajectoryParams(p_max=77, late_onset_fraction=0.5, **kwargs)
@@ -531,7 +531,7 @@ def reuse_steps():
 class TestDrawReuse:
     """Banks of one params, seed and count share the matrix of one pass."""
 
-    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(steps=reuse_steps())
     def test_reuse_is_invisible(self, steps):
         with pytest.MonkeyPatch.context() as patch:

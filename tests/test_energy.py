@@ -2,11 +2,13 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from memgrad import cli
+from memgrad import cli, energy
 from memgrad.device import LARGE_ARRAY, MAC_ARRAY
 from memgrad.energy import (DEFAULT_TOPS_PER_WATT, EnergyLedger,
                             PV_UPDATE_ENERGY_J, RunningSum,
@@ -186,6 +188,99 @@ class TestAggregates:
             150e-6 * 0.04 * 15e-6 + 10e-6 * 0.01 * 1e-6)
         assert read_energy(ledger, v_read=0.3, t_read=2e-6) == pytest.approx(
             160e-6 * 0.09 * 2e-6)
+
+
+def fsum_path(values: np.ndarray) -> RunningSum:
+    """The batch sum that ``add_batch`` must equal: one ``math.fsum`` call."""
+    sums = RunningSum()
+    sums.add(math.fsum(values.tolist()), len(values))
+    return sums
+
+
+def in_limb_domain(values) -> bool:
+    """The batches ``add_batch`` sums as limbs: fewer than 2^18 values, each
+    0 or in [2^-28, 2^-12), not all 0."""
+    return (0 < len(values) < 2 ** 18 and any(v != 0 for v in values)
+            and all(v == 0 or 2 ** -28 <= v < 2 ** -12 for v in values))
+
+
+LIMB_EDGES = [2.0 ** -28, math.nextafter(2.0 ** -12, 0.0)]
+# each of these sends its batch to the fallback
+OUT_OF_RANGE = st.one_of(
+    st.floats(min_value=5e-324, max_value=2.0 ** -1022, exclude_max=True),  # subnormal
+    st.sampled_from([1e-9, math.nextafter(2.0 ** -28, 0.0), 2.0 ** -12,
+                     math.nan, math.inf]),
+    st.floats(min_value=2.0 ** -12, max_value=1e3),
+    st.floats(min_value=-1e3, max_value=-5e-324))
+IN_RANGE = st.one_of(st.floats(min_value=2.0 ** -28, max_value=2.0 ** -12,
+                               exclude_max=True),
+                     st.sampled_from(LIMB_EDGES), st.just(0.0))
+BATCHES = st.one_of(
+    st.lists(IN_RANGE, max_size=80),
+    st.lists(st.one_of(IN_RANGE, OUT_OF_RANGE), max_size=80),
+    st.lists(st.just(0.0), max_size=5))
+
+
+def spy_fsum(patch) -> list:
+    """Route ``energy``'s ``math.fsum`` through a spy; returns its call log."""
+    calls = []
+
+    def fsum(values):
+        calls.append(len(values))
+        return math.fsum(values)
+
+    patch.setattr(energy, "math", SimpleNamespace(fsum=fsum, ldexp=math.ldexp))
+    return calls
+
+
+class TestBatchSum:
+    """``add_batch`` adds the correctly rounded sum of a batch, as ``math.fsum``
+    does, summing exactly in integer limbs where the values allow it."""
+
+    @settings(max_examples=200)
+    @given(values=BATCHES)
+    def test_equals_fsum(self, values):
+        values = np.array(values, dtype=float)
+        expected = fsum_path(values)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = spy_fsum(patch)
+            got = RunningSum()
+            got.add_batch(values)
+        assert got.total.hex() == expected.total.hex()
+        assert got.count == len(values)
+        # only batches outside the limb domain take the fallback
+        assert calls == ([] if in_limb_domain(values.tolist()) else [len(values)])
+
+    @settings(max_examples=60)
+    @given(batches=st.lists(BATCHES, max_size=12))
+    def test_sequence_equals_per_batch_fsum(self, batches):
+        got, expected = RunningSum(), RunningSum()
+        for values in batches:
+            values = np.array(values, dtype=float)
+            got.add_batch(values)
+            expected.add(math.fsum(values.tolist()), len(values))
+        assert got.total.hex() == expected.total.hex()
+        assert got.count == expected.count
+
+    @pytest.mark.parametrize("count, limbs", [(2 ** 18 - 1, True), (2 ** 18, False)])
+    def test_batch_size_bound(self, count, limbs):
+        # the largest values a batch can hold: every partial sum of whole
+        # units of 2^-45 stays exact in float64
+        gen = np.random.default_rng(count)
+        values = gen.uniform(2.0 ** -13, 2.0 ** -12, count)
+        values[:2] = LIMB_EDGES
+        expected = fsum_path(values)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = spy_fsum(patch)
+            got = RunningSum()
+            got.add_batch(values)
+        assert got.total.hex() == expected.total.hex()
+        assert calls == ([] if limbs else [count])
+
+    def test_empty_batch(self):
+        sums = RunningSum()
+        sums.add_batch(np.zeros(0))
+        assert sums.total.hex() == (0.0).hex() and sums.count == 0
 
 
 class TestLegacyLedger:
