@@ -10,9 +10,9 @@ Re-running this script reproduces the numbers behind those choices:
            reference lands in the low-90s test-accuracy band
   stage 2  rule thresholds: coarse theta grid on the float model of the
            synthetic task (fast proxy), for SFF and CF
-  stage 3  device validation: the frozen (theta, tau) set replayed on the
-           device model over a few seeds, with pulse budgets and pairwise
-           Welch p-values
+  stage 3  device validation: the acceptance experiment (config.reproduce)
+           on a few seeds, with pulse budgets, pairwise Welch p-values and
+           the aging of CF
   stage 4  drift tail: verify the core/tail mixture hits the retention
            anchors and report the aging drop of a trained CF network
 
@@ -21,32 +21,25 @@ few minutes.  Select with --stage (default: 1 2).
 """
 
 import argparse
-import itertools
 import time
 
 import numpy as np
 
 from memgrad.config import (build_dataset, build_drift_params, build_splits,
-                            build_training_run, effective_config)
+                            build_training_run, effective_config, reproduce)
 from memgrad.device import DriftModelParams, apply_retention_drift
-from memgrad.stats import welch_t_test
-from memgrad.trainer import evaluate, pulse_statistics, simulate_aging, train
+from memgrad.trainer import evaluate, simulate_aging, train
 
 
 def stage1_task_difficulty():
     print("== stage 1: float-BP oracle vs task noise (target band 0.90-0.96)")
     for noise in (0.8, 1.0, 1.1, 1.2, 1.4):
-        cfg = effective_config(None, {"algorithm": "float_bp",
-                                      "task": {"noise_sigma": noise}})
-        dataset = build_dataset(cfg)
-        train_ds, _, test_ds = build_splits(cfg, dataset)
-        run = build_training_run(cfg, 0, dataset)
-        train(run, train_ds)
-        print(f"  noise_sigma={noise}: test accuracy {evaluate(run, test_ds):.4f}")
+        acc = _float_accuracy("float_bp", {"task": {"noise_sigma": noise}})
+        print(f"  noise_sigma={noise}: test accuracy {acc:.4f}")
     print("  frozen: noise_sigma = 1.1")
 
 
-def _float_forward_accuracy(algorithm, overrides):
+def _float_accuracy(algorithm, overrides):
     cfg = effective_config(None, {"algorithm": algorithm, **overrides})
     dataset = build_dataset(cfg)
     train_ds, _, test_ds = build_splits(cfg, dataset)
@@ -59,14 +52,14 @@ def stage2_theta_grid():
     print("== stage 2: coarse theta grids on the float model")
     print("  SFF layer thresholds (theta+, theta-), float_sff, sign updates:")
     for tp, tm in [(1.0, 1.0), (1.5, 0.75), (2.0, 1.0), (2.0, 2.0), (3.0, 1.5)]:
-        acc = _float_forward_accuracy("float_sff", {
+        acc = _float_accuracy("float_sff", {
             "rules": {"sff": {"theta_plus": tp, "theta_minus": tm}},
             "schedule": {"float_update": "sign", "learning_rate": 1.5e-4,
                          "tau": 1e-3}})
         print(f"    theta+={tp}, theta-={tm}: {acc:.4f}")
     print("  CF temperature scales (same value both layers), float_cf:")
     for theta in (0.05, 0.1, 0.15, 0.3, 0.6):
-        acc = _float_forward_accuracy("float_cf", {
+        acc = _float_accuracy("float_cf", {
             "rules": {"cf_first": {"theta_plus": theta, "theta_minus": theta},
                       "cf_last": {"theta_plus": theta, "theta_minus": theta}},
             "schedule": {"float_update": "sign", "learning_rate": 1.5e-4,
@@ -78,33 +71,19 @@ def stage2_theta_grid():
 
 def stage3_device_validation(seeds=3):
     print("== stage 3: device-mode validation of the frozen defaults")
-    cfg = effective_config()
-    dataset = build_dataset(cfg)
-    train_ds, _, test_ds = build_splits(cfg, dataset)
-    float_cfg = effective_config(None, {"algorithm": "float_bp"})
-    frun = build_training_run(float_cfg, 0, dataset)
-    train(frun, train_ds)
-    a_star = evaluate(frun, test_ds)
-    print(f"  float-BP oracle A* = {a_star:.4f}")
-    accs = {}
-    for algo in ("bp", "sff", "cf"):
-        algo_cfg = effective_config(None, {"algorithm": algo})
-        accs[algo] = []
-        for seed in range(seeds):
-            t0 = time.time()
-            run = build_training_run(algo_cfg, seed, dataset)
-            train(run, train_ds)
-            acc = evaluate(run, test_ds)
-            stats = pulse_statistics(run)
-            accs[algo].append(acc)
-            layers = "/".join(f"{e['mean_per_device']:.0f}"
-                              for e in stats["per_layer"])
+    t0 = time.time()
+    record = reproduce(effective_config(), range(seeds))
+    print(f"  float-BP oracle A* = {record['a_star']:.4f}")
+    for algo, accs in record["test_accuracy"].items():
+        for seed, acc, stats in zip(record["seeds"], accs, record["pulse_statistics"][algo]):
+            layers = "/".join(f"{e['mean_per_device']:.0f}" for e in stats["per_layer"])
             print(f"  {algo} seed {seed}: {acc:.4f}, pulses/device "
-                  f"{stats['mean_per_device']:.0f} (layers {layers}), "
-                  f"{time.time() - t0:.0f}s")
-            del run
-    for a, b in itertools.combinations(accs, 2):
-        print(f"  Welch {a}-{b}: p = {welch_t_test(accs[a], accs[b]):.3f}")
+                  f"{stats['mean_per_device']:.0f} (layers {layers})")
+    for pair, p in record["p_values"].items():
+        print(f"  Welch {pair}: p = {p:.3f}")
+    day0, day90 = (np.mean(point["accuracies"]) for point in record["aging"])
+    print(f"  CF seed {record['seeds'][0]}: day-0 {day0:.4f} -> day-90 {day90:.4f}, "
+          f"{time.time() - t0:.0f}s in all")
 
 
 def stage4_drift(seeds=1):

@@ -200,8 +200,6 @@ def _phases(rule: str, n_layers: int, epochs: list[int] | None) -> list[Phase]:
         default = DEFAULT_EPOCHS["forward"]
     if epochs is None:
         epochs = default
-    elif len(epochs) != n_layers:
-        raise ValueError("need one epoch count per layer")
     return [Phase(layer, count) for layer, count in zip(order, epochs)]
 
 

@@ -1,11 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 The desk-scale training runs (criteria 6, 7, 9) share one module fixture so
-the five-seed-per-method experiment executes once.  Every tolerance is fixed
-here, not computed.
+the five-seed-per-method experiment, ``config.reproduce``, executes once.
+Every tolerance is fixed here, not computed.
 """
 
-import gc
 import itertools
 import json
 import time
@@ -14,16 +13,14 @@ import numpy as np
 import pytest
 
 from memgrad import cli, gradcheck
-from memgrad.config import (build_dataset, build_drift_params, build_splits,
-                            build_training_run, effective_config)
+from memgrad.config import effective_config, reproduce
 from memgrad.device import (DeviceState, DriftModelParams, LARGE_ARRAY, MAC_ARRAY,
                             NeedsReinit, ResetTrajectory,
                             SyntheticTrajectoryParams, apply_reset_pulse,
                             apply_retention_drift, generate_trajectory_bank,
                             pearson_coefficient, pulse_energy, reinitialize)
 from memgrad.energy import EnergyLedger, programming_energy, PV_UPDATE_ENERGY_J
-from memgrad.stats import welch_t_test
-from memgrad.trainer import evaluate, pulse_statistics, simulate_aging, train
+from memgrad.trainer import AgingPoint
 
 PAPER_LISTS = {
     "bp": [90.62, 91.18, 89.89, 87.87, 90.44],
@@ -46,45 +43,14 @@ def report(criterion: int, ok: bool, detail: str):
 
 @pytest.fixture(scope="module")
 def desk_runs():
-    """Float oracle plus five seeds of each device-mode method."""
+    """The desk-scale experiment on five seeds, and its wall time."""
     t0 = time.time()
-    cfg = effective_config()
-    dataset = build_dataset(cfg)
-    train_ds, val_ds, test_ds = build_splits(cfg, dataset)
-
-    float_cfg = effective_config(None, {"algorithm": "float_bp"})
-    float_run = build_training_run(float_cfg, 0, dataset)
-    train(float_run, train_ds)
-    a_star = evaluate(float_run, test_ds)
-    del float_run
-
-    algos = ("bp", "sff", "cf")
-    algo_cfgs = {algo: effective_config(None, {"algorithm": algo}) for algo in algos}
-    accs: dict[str, list[float]] = {algo: [] for algo in algos}
-    pulses: dict[str, list[dict]] = {algo: [] for algo in algos}
-    aging_points = None
-    for seed in range(N_SEEDS):
-        # a run's bank depends on its seed alone, so the three methods on one
-        # seed share its draw pass through the draw cache (bp, built first,
-        # reads deepest)
-        for algo, algo_cfg in algo_cfgs.items():
-            run = build_training_run(algo_cfg, seed, dataset)
-            train(run, train_ds)
-            # the fill kept every column the run read, and not the whole width
-            bank = run.layers[0].array.bank
-            deepest = max(int(layer.array.cursors.max()) for layer in run.layers)
-            assert deepest + 1 <= bank.filled < bank.width
-            accs[algo].append(evaluate(run, test_ds))
-            pulses[algo].append(pulse_statistics(run))
-            if algo == "cf" and seed == 0:
-                rng = np.random.default_rng(77)
-                aging_points = simulate_aging(
-                    run, [0.0, 90.0], build_drift_params(algo_cfg), rng,
-                    n_repeats=20, test_ds=test_ds)
-            del run, bank
-        gc.collect()
-    return {"a_star": a_star, "accs": accs, "pulses": pulses,
-            "aging": aging_points, "elapsed": time.time() - t0}
+    record = reproduce(effective_config(), range(N_SEEDS))
+    record["elapsed"] = time.time() - t0
+    # each run's fill kept every column it read, and not the whole width
+    for window in itertools.chain(*record["window"].values()):
+        assert window["deepest_cursor"] + 1 <= window["kept_columns"] < window["bank_width"]
+    return record
 
 
 def test_criterion_1_statistical_reproduction(tmp_path, capsys):
@@ -201,14 +167,11 @@ def test_criterion_6_desk_scale_training_parity(desk_runs, capsys):
     detail = [f"A*={a_star:.4f}"]
     bar = a_star - ACCURACY_SLACK
     for algo in ("bp", "sff", "cf"):
-        mean = float(np.mean(desk_runs["accs"][algo]))
+        mean = float(np.mean(desk_runs["test_accuracy"][algo]))
         ok = ok and mean >= bar
         detail.append(f"{algo}={mean:.4f}")
-    p_values = {}
-    for a, b in itertools.combinations(("bp", "sff", "cf"), 2):
-        p = welch_t_test(desk_runs["accs"][a], desk_runs["accs"][b])
-        p_values[f"{a}-{b}"] = p
-        ok = ok and p > ALPHA
+    p_values = desk_runs["p_values"]
+    ok = ok and all(p > ALPHA for p in p_values.values())
     ok = ok and desk_runs["elapsed"] < 600.0
     detail.append("p=" + ",".join(f"{k}:{v:.3f}" for k, v in p_values.items()))
     detail.append(f"bar={bar:.4f}, {desk_runs['elapsed']:.0f}s")
@@ -222,7 +185,7 @@ def test_criterion_7_pulse_budget_and_ordering(desk_runs, capsys):
     first_trained = {"bp": 1, "sff": 0, "cf": 0}
     ok = True
     detail = []
-    for algo, stats_list in desk_runs["pulses"].items():
+    for algo, stats_list in desk_runs["pulse_statistics"].items():
         overall = float(np.mean([s["mean_per_device"] for s in stats_list]))
         layer_means = [float(np.mean([s["per_layer"][k]["mean_per_device"]
                                       for s in stats_list])) for k in (0, 1)]
@@ -258,7 +221,7 @@ def test_criterion_8_energy_arithmetic(capsys):
 
 
 def test_criterion_9_aging_stability(desk_runs, capsys):
-    points = {p.day: p for p in desk_runs["aging"]}
+    points = {p["day"]: AgingPoint(**p) for p in desk_runs["aging"]}
     drop = points[0.0].mean - points[90.0].mean
     ok = drop <= AGING_DROP_LIMIT
     with capsys.disabled():

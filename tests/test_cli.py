@@ -421,6 +421,20 @@ class TestTrainCommand:
         assert "split.val = 0.001 leaves the val split empty" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("user_cfg, flags", [
+        ({}, ["--algo", "cf", "--epochs", "1"]),
+        ({"schedule": {"epochs": []}}, ["--algo", "cf"]),
+        ({}, ["--algo", "bp", "--arch", "perceptron", "--epochs", "1,1"])],
+        ids=["cf-one", "cf-none", "perceptron-two"])
+    def test_wrong_epoch_count_is_a_config_error(self, tmp_path, capsys, user_cfg, flags):
+        path = tmp_path / "epochs.json"
+        path.write_text(json.dumps({"task": {"n_per_class": 40}, **user_cfg}))
+        out = tmp_path / "o"
+        rc = cli.main(["train", "--config", str(path), *flags, "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert "config error: schedule.epochs = " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_json_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{oops")

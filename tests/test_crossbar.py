@@ -15,7 +15,7 @@ from memgrad.crossbar import (CrossbarArray, OnExhaustion, PulseResult,
 from memgrad.device import (DeviceState, EnduranceExceeded, LARGE_ARRAY,
                             SyntheticTrajectoryParams, TrajectoryBank,
                             apply_reset_pulse, generate_trajectory_bank,
-                            reinitialize)
+                            load_bank_csv, reinitialize, save_bank_csv)
 from memgrad.energy import EnergyLedger, RunningSum
 from memgrad.errors import ParseError
 
@@ -634,3 +634,42 @@ class TestSnapshot:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="snap.csv:3: negative row or col"):
             load_snapshot_csv(path)
+
+
+def nine_digits(values):
+    """What a CSV file keeps of conductances: 9 significant digits in uS."""
+    return [float(f"{g * 1e6:.9g}") * 1e-6 for g in values]
+
+
+# ragged rows of finite non-negative conductances, with zeros and values
+# below 1e-12 S
+ragged_rows = st.lists(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e-12),
+                                          st.floats(0.0, 1e-3)), min_size=2, max_size=8),
+                       min_size=1, max_size=6)
+
+
+class TestCsvRoundTrip:
+    @settings(max_examples=100)
+    @given(rows=ragged_rows)
+    def test_any_bank(self, tmp_path_factory, rows):
+        bank = TrajectoryBank.from_rows(rows)
+        path = tmp_path_factory.mktemp("bank") / "bank.csv"
+        save_bank_csv(bank, path)
+        loaded = load_bank_csv(path)
+        assert loaded.lengths.tolist() == bank.lengths.tolist()
+        assert [traj.conductances.tolist() for traj in loaded] == \
+            [nine_digits(row) for row in rows]
+
+    @settings(max_examples=100)
+    @given(rows=ragged_rows, n_out=st.integers(1, 5), n_in=st.integers(1, 5),
+           pre_pulse_max=st.integers(0, 8), seed=st.integers(0, 2 ** 32 - 1))
+    def test_any_snapshot(self, tmp_path_factory, rows, n_out, n_in, pre_pulse_max, seed):
+        arr = CrossbarArray.build(n_in, n_out, TrajectoryBank.from_rows(rows),
+                                  np.random.default_rng(seed), LARGE_ARRAY,
+                                  pre_pulse_max=pre_pulse_max)
+        path = tmp_path_factory.mktemp("snapshot") / "snap.csv"
+        save_snapshot_csv(arr, path)
+        snap = load_snapshot_csv(path)
+        for side, (name, g) in enumerate(zip(("plus", "minus"), arr.conductances())):
+            assert snap[f"g_{name}"].tolist() == [nine_digits(row) for row in g.tolist()]
+            assert snap[f"pulse_index_{name}"].tolist() == arr.cursors[..., side].tolist()

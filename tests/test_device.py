@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import json
 import math
 import pickle
 
@@ -18,6 +19,8 @@ from memgrad.device import (DeviceState, DeviceTechParams, DriftModelParams,
                             apply_retention_drift, generate_trajectory_bank,
                             load_bank_csv, pearson_coefficient, pulse_energy,
                             reinitialize, save_bank_csv)
+from memgrad.stats import welch_t_test
+from memgrad.trainer import evaluate, pulse_statistics, simulate_aging, train
 
 
 def us(values):
@@ -597,9 +600,10 @@ class TestDrawReuse:
         expected = one_shot_conductances(SyntheticTrajectoryParams(p_max=10, g0_sigma=0.0), 2, 1)
         assert banks[1]._matrix.tobytes() == expected.tobytes()
 
-    @staticmethod
-    def desk_configs():
-        """The benchmark's desk configs, at its shortened epochs."""
+    def test_desk_build_order_draws_three_banks_each_time(self, monkeypatch):
+        # the benchmark's desk pass at its shortened epochs: float bp, then
+        # bp, sff and cf on seeds w and w + 1, then cf on a 300-pulse bank
+        passes = spy_on_draws(monkeypatch)
         cfgs = {algo: config.effective_config(
             None, {"algorithm": algo, "schedule": {"epochs": epochs}})
             for algo, epochs in [("float_bp", [1, 2]), ("bp", [1, 2]), ("sff", [1, 1]),
@@ -607,13 +611,7 @@ class TestDrawReuse:
         cfgs["cf_narrow"] = config.effective_config(None, {
             "algorithm": "cf", "schedule": {"epochs": [3, 1]},
             "bank": {"params": {"p_max": 300}}, "device": {"on_exhaustion": "skip"}})
-        return cfgs, config.build_dataset(cfgs["cf"])
-
-    def test_desk_build_order_draws_three_banks_each_time(self, monkeypatch):
-        # the benchmark's desk pass: float bp, then bp, sff and cf on seeds
-        # w and w + 1, then cf on a 300-pulse bank
-        passes = spy_on_draws(monkeypatch)
-        cfgs, dataset = self.desk_configs()
+        dataset = config.build_dataset(cfgs["cf"])
         replays = []
         for _ in range(2):
             del passes[:]
@@ -626,16 +624,40 @@ class TestDrawReuse:
         depth = replays[0][0]
         assert replays == [[depth, depth, 301]] * 2 and depth > 301
 
-    def test_acceptance_build_order_draws_one_bank_per_seed(self, monkeypatch):
-        # the acceptance fixture's order: bp, sff and cf on each of seeds
-        # 0-4, every run building its own bank; bp reads deepest, so its
-        # pass serves sff and cf
+    def test_reproduce_matches_runs_built_by_hand(self, monkeypatch):
+        # the acceptance experiment on a small task against its runs built
+        # in its order: the oracle on seed 0, then bp, sff and cf on each
+        # seed, each seed's three runs served by one draw pass (three seeds
+        # overflow the two-entry cache unless the runs go seed by seed)
         passes = spy_on_draws(monkeypatch)
-        cfgs, dataset = self.desk_configs()
-        for seed in range(5):
+        cfg = config.effective_config(None, {"task": {"n_per_class": 60},
+                                             "schedule": {"epochs": [1, 1]}})
+        record = config.reproduce(cfg, [0, 1, 2])
+        assert len(passes) == 3
+        assert json.loads(json.dumps(record)) == record
+        dataset = config.build_dataset(cfg)
+        train_ds, _, test_ds = config.build_splits(cfg, dataset)
+
+        def trained(algorithm, seed):
+            run = config.build_training_run({**cfg, "algorithm": algorithm}, seed, dataset)
+            train(run, train_ds)
+            return run
+
+        assert record["a_star"] == evaluate(trained("float_bp", 0), test_ds)
+        accs, stats = {}, {}
+        for seed in (0, 1, 2):
             for algo in ("bp", "sff", "cf"):
-                config.build_training_run(cfgs[algo], seed, dataset)
-        assert passes == [passes[0]] * 5
+                run = trained(algo, seed)
+                accs.setdefault(algo, []).append(evaluate(run, test_ds))
+                stats.setdefault(algo, []).append(pulse_statistics(run))
+                if (algo, seed) == ("cf", 0):
+                    aging = simulate_aging(run, [0.0, 90.0], config.build_drift_params(cfg),
+                                           np.random.default_rng(77), 20, test_ds)
+        assert record["test_accuracy"] == accs
+        assert record["pulse_statistics"] == stats
+        assert record["aging"] == [{"day": p.day, "accuracies": p.accuracies} for p in aging]
+        assert record["p_values"] == {f"{a}-{b}": welch_t_test(accs[a], accs[b])
+                                      for a, b in [("bp", "sff"), ("bp", "cf"), ("sff", "cf")]}
 
 
 class TestRetentionDrift:

@@ -141,8 +141,9 @@ class TestBuildTrainingRun:
         assert _cursors_max(run) > 0
 
     def test_epoch_count_per_layer(self, tiny_task, tiny_bank):
-        cfg = config.effective_config(None, {"schedule": {"epochs": [1]}})
-        with pytest.raises(ValueError, match="one epoch count per layer"):
+        cfg = config.effective_config()
+        cfg["schedule"]["epochs"] = [1]
+        with pytest.raises(config.ConfigError, match=r"schedule.epochs = \[1\] needs one"):
             config.build_training_run(cfg, 0, tiny_task[0], tiny_bank)
 
 
