@@ -331,8 +331,7 @@ def cmd_energy(args) -> int:
         if p not in TECH_PROFILES:
             raise ConfigError(f"unknown tech profile {p!r}")
 
-    native = sum(programming_energy(ledger, TECH_PROFILES[name], recorded_as=name)
-                 for name in ledger.pulse_sums)
+    native = programming_energy(ledger, ledger.tech)
     recost = {name: programming_energy(ledger, TECH_PROFILES[name])
               for name in profiles}
     ratios = {}
@@ -461,11 +460,14 @@ def _print_artifact(name: str, payload: dict):
 
 def cmd_report(args) -> int:
     run_dir = Path(args.run)
+    schemas = {"manifest.json": None, "metrics.json": "metrics.schema.json",
+               "energy.json": "energy_report.schema.json",
+               "summary.json": "run_summary.schema.json"}
+    names = [*schemas, "aging.csv"]
+    if not run_dir.is_dir() or not any((run_dir / name).exists() for name in names):
+        raise ParseError(f"{run_dir}: not a run directory (no {', '.join(names)})")
     print(f"run directory: {run_dir}")
-    for name, schema in (("manifest.json", None),
-                         ("metrics.json", "metrics.schema.json"),
-                         ("energy.json", "energy_report.schema.json"),
-                         ("summary.json", "run_summary.schema.json")):
+    for name, schema in schemas.items():
         path = run_dir / name
         if path.exists():
             _print_artifact(name, read_json(path, schema) if schema
@@ -563,7 +565,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ParseError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ParseError, FileNotFoundError, IsADirectoryError, FileExistsError,
+            NotADirectoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import data as data_mod
 from .artifacts import invalid_at
-from .device import (DriftModelParams, LARGE_ARRAY, MAC_ARRAY,
+from .device import (DriftModelParams, LARGE_ARRAY, TECH_PROFILES,
                      SyntheticTrajectoryParams, generate_trajectory_bank,
                      load_bank_csv)
 from .crossbar import CrossbarArray, OnExhaustion
@@ -48,8 +48,6 @@ __all__ = [
     "reproduce",
     "TECH_PROFILES",
 ]
-
-TECH_PROFILES = {"large_array": LARGE_ARRAY, "mac_array": MAC_ARRAY}
 
 DEFAULT_CONFIG: dict = {
     "seed": 0,
@@ -279,7 +277,8 @@ def build_training_run(cfg: dict, seed: int, dataset: data_mod.FeatureDataset,
                         plan_mode=sched["plan_mode"],
                         float_update=sched["float_update"])
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA11]))
-    ledger = EnergyLedger()
+    tech = TECH_PROFILES[dev["tech"]]
+    ledger = EnergyLedger(tech)
     if is_float:
         layers = [NetworkLayer(spec, weights=rng.normal(
                       0.0, FLOAT_INIT_SIGMA, (spec.n_out, spec.n_in)))
@@ -294,7 +293,7 @@ def build_training_run(cfg: dict, seed: int, dataset: data_mod.FeatureDataset,
             n_train / sched["batch_size"])
         bank.fill(dev["pre_pulse_max"] + 1 + steps)
         layers = [NetworkLayer(spec, array=CrossbarArray.build(
-                      spec.n_in, spec.n_out, bank, rng, TECH_PROFILES[dev["tech"]],
+                      spec.n_in, spec.n_out, bank, rng, tech,
                       gain_kappa=dev["gain_kappa"],
                       pre_pulse_max=dev["pre_pulse_max"], ledger=ledger))
                   for spec in specs]

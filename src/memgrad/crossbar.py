@@ -84,6 +84,8 @@ class CrossbarArray:
             raise ValueError("trajectory id outside the bank")
         if np.any(cursors < 0) or np.any(cursors >= bank.lengths[traj_ids]):
             raise ValueError("cursor outside its trajectory")
+        if ledger is not None and ledger.tech != tech:
+            raise ValueError(f"ledger records {ledger.tech.name}, array is {tech.name}")
         self.n_out, self.n_in = traj_ids.shape[:2]
         self.bank = bank
         self.tech = tech
@@ -167,8 +169,7 @@ class CrossbarArray:
         weights, g_cols = self._cached()
         if self.ledger is not None:
             # every driven device contributes G * (x_j V_read)^2 * t_read
-            self.ledger.record_read(float(g_cols @ (x ** 2).sum(axis=0)),
-                                    self.tech.v_read, self.tech.t_read)
+            self.ledger.record_read(float(g_cols @ (x ** 2).sum(axis=0)))
             self.ledger.record_macs(x.shape[0] * self.n_in * self.n_out)
         return x @ weights.T
 
@@ -239,7 +240,7 @@ class CrossbarArray:
         flat_pulses[pos] = lifetime + 1
         self._read_cache = None
         if self.ledger is not None:
-            self.ledger.record_pulses(g_pre, self.tech.name)
+            self.ledger.record_pulses(g_pre)
         return PulseResult(applied=len(pos), skipped=skipped, reinits=reinits)
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "DriftModelParams",
     "LARGE_ARRAY",
     "MAC_ARRAY",
+    "TECH_PROFILES",
     "generate_trajectory_bank",
     "apply_reset_pulse",
     "reinitialize",
@@ -140,6 +141,7 @@ class DeviceTechParams:
 # low-voltage MAC-capable array.
 LARGE_ARRAY = DeviceTechParams(name="large_array", v_reset=0.9, t_reset=600e-9)
 MAC_ARRAY = DeviceTechParams(name="mac_array", v_reset=0.62, t_reset=30e-9)
+TECH_PROFILES = {"large_array": LARGE_ARRAY, "mac_array": MAC_ARRAY}
 
 
 @dataclass

@@ -1,16 +1,14 @@
 """Energy accounting for programming pulses, array reads, and projected MACs.
 
 Pulse energy G_pre * V_reset^2 * t_reset and read energy
-G_driven * V_read^2 * t_read are linear in their events, so the ledger keeps
-aggregates instead of event lists: per recording tech, a compensated sum of
-the conductances measured immediately before each pulse and a pulse count;
-per read condition (v_read, t_read), a compensated sum of driven conductance
-and a read count; and MAC and reinit counters.  A batch of pulses enters its
-sum as one float, the batch's correctly rounded sum (see
+G_driven * V_read^2 * t_read are linear in their events, and a run programs
+and reads all its arrays on one device technology, so the ledger keeps that
+tech and totals instead of event lists: compensated sums of pre-pulse and of
+driven read conductance with their counts, and MAC and reinit counters.  A
+batch of pulses enters its sum as the batch's correctly rounded sum (see
 :meth:`RunningSum.add_batch`), so the pulse total is correctly rounded per
-batch and compensated across batches.
-That is enough to re-cost a recorded run under a different device technology
-(same pulses, substituted pulse parameters) or different read conditions.
+batch and compensated across batches.  Pricing the same pulses under another
+tech re-costs the run on that platform; reads are priced on the run's tech.
 MACs are projected through a TOPS/W efficiency figure (one MAC = two ops).
 """
 
@@ -22,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import read_json, write_json
-from .device import DeviceTechParams
+from .device import TECH_PROFILES, DeviceTechParams
 
 __all__ = [
     "EnergyLedger",
@@ -99,26 +97,21 @@ class RunningSum:
 
 @dataclass(eq=False)
 class EnergyLedger:
-    """Aggregate totals of a run's pulses, reads, MACs and reinits."""
+    """Aggregate totals of a run's pulses, reads, MACs and reinits on ``tech``."""
 
-    pulse_sums: dict[str, RunningSum] = field(default_factory=dict)
-    read_sums: dict[tuple[float, float], RunningSum] = field(default_factory=dict)
+    tech: DeviceTechParams
+    pulses: RunningSum = field(default_factory=RunningSum)    # G_pre, siemens
+    reads: RunningSum = field(default_factory=RunningSum)     # driven G, siemens
     mac_count: int = 0                 # MACs; one MAC = two ops
     reinit_count: int = 0
     reinit_energy_j: float = 0.0
 
-    def record_pulses(self, g_pre, tech_name: str):
-        """Add a batch of pulses, given their pre-pulse conductances.
+    def record_pulses(self, g_pre):
+        """Add a batch of pulses, given their pre-pulse conductances."""
+        self.pulses.add_batch(np.ravel(g_pre))
 
-        An empty batch adds nothing, not even an empty entry for the tech.
-        """
-        g_pre = np.asarray(g_pre, dtype=float).ravel()
-        if g_pre.size:
-            self.pulse_sums.setdefault(tech_name, RunningSum()).add_batch(g_pre)
-
-    def record_read(self, g_sum: float, v_read: float, t_read: float):
-        key = (float(v_read), float(t_read))
-        self.read_sums.setdefault(key, RunningSum()).add(float(g_sum))
+    def record_read(self, g_sum: float):
+        self.reads.add(float(g_sum))
 
     def record_macs(self, n_macs: int):
         self.mac_count += int(n_macs)
@@ -130,19 +123,19 @@ class EnergyLedger:
 
     @property
     def pulse_count(self) -> int:
-        return sum(s.count for s in self.pulse_sums.values())
+        return self.pulses.count
 
     @property
     def read_count(self) -> int:
-        return sum(s.count for s in self.read_sums.values())
+        return self.reads.count
 
     def to_json(self) -> dict:
         return {
-            "pulse_totals": {tech: {"g_pre_sum_S": sums.total, "count": sums.count}
-                             for tech, sums in self.pulse_sums.items()},
-            "read_totals": [{"v_read": v, "t_read": t, "g_sum_S": sums.total,
-                             "count": sums.count}
-                            for (v, t), sums in self.read_sums.items()],
+            "tech": self.tech.name,
+            "g_pre_sum_S": self.pulses.total,
+            "pulse_count": self.pulses.count,
+            "g_read_sum_S": self.reads.total,
+            "read_count": self.reads.count,
             "mac_count": self.mac_count,
             "reinit_count": self.reinit_count,
             "reinit_energy_j": self.reinit_energy_j,
@@ -155,40 +148,23 @@ class EnergyLedger:
     def load(cls, path) -> "EnergyLedger":
         """Read a ledger file; one that is not a ledger raises ParseError."""
         payload = read_json(path, "ledger.schema.json")
-        ledger = cls()
-        for tech, entry in payload["pulse_totals"].items():
-            ledger.pulse_sums[tech] = RunningSum(entry["g_pre_sum_S"], entry["count"])
-        for entry in payload["read_totals"]:
-            ledger.read_sums[(entry["v_read"], entry["t_read"])] = RunningSum(
-                entry["g_sum_S"], entry["count"])
-        ledger.mac_count = int(payload["mac_count"])
-        ledger.reinit_count = int(payload["reinit_count"])
-        ledger.reinit_energy_j = float(payload["reinit_energy_j"])
-        return ledger
+        return cls(TECH_PROFILES[payload["tech"]],
+                   pulses=RunningSum(payload["g_pre_sum_S"], payload["pulse_count"]),
+                   reads=RunningSum(payload["g_read_sum_S"], payload["read_count"]),
+                   mac_count=int(payload["mac_count"]),
+                   reinit_count=int(payload["reinit_count"]),
+                   reinit_energy_j=float(payload["reinit_energy_j"]))
 
 
-def programming_energy(ledger: EnergyLedger, tech: DeviceTechParams,
-                       recorded_as: str | None = None) -> float:
-    """Total pulse energy of the recorded pulses under the given tech.
-
-    sum over pulses of G_pre * V_reset^2 * t_reset.  By default every pulse
-    counts whatever tech it was recorded under, so a sequence recorded on
-    one platform can be re-costed on another; ``recorded_as`` restricts the
-    sum to the pulses recorded under that tech name.
-    """
-    factor = tech.v_reset ** 2 * tech.t_reset
-    sums = [s for name, s in ledger.pulse_sums.items()
-            if recorded_as is None or name == recorded_as]
-    return factor * math.fsum(s.total for s in sums)
+def programming_energy(ledger: EnergyLedger, tech: DeviceTechParams) -> float:
+    """Sum over pulses of G_pre * V_reset^2 * t_reset on ``tech``; a tech
+    other than ``ledger.tech`` re-costs the run's pulses on that platform."""
+    return tech.v_reset ** 2 * tech.t_reset * ledger.pulses.total
 
 
-def read_energy(ledger: EnergyLedger, v_read: float | None = None,
-                t_read: float | None = None) -> float:
-    """Total read energy; optionally re-cost under different read conditions."""
-    return math.fsum(
-        sums.total * (v_read if v_read is not None else v) ** 2
-        * (t_read if t_read is not None else t)
-        for (v, t), sums in ledger.read_sums.items())
+def read_energy(ledger: EnergyLedger) -> float:
+    """Total read energy at the read conditions of the ledger's tech."""
+    return ledger.reads.total * ledger.tech.v_read ** 2 * ledger.tech.t_read
 
 
 def pv_baseline_energy(update_count: int,

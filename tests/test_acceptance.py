@@ -201,8 +201,8 @@ def test_criterion_7_pulse_budget_and_ordering(desk_runs, capsys):
 
 def test_criterion_8_energy_arithmetic(capsys):
     rng = np.random.default_rng(37)
-    ledger = EnergyLedger()
-    ledger.record_pulses(rng.uniform(20e-6, 90e-6, 1000), LARGE_ARRAY.name)
+    ledger = EnergyLedger(LARGE_ARRAY)
+    ledger.record_pulses(rng.uniform(20e-6, 90e-6, 1000))
     ratio = (programming_energy(ledger, LARGE_ARRAY)
              / programming_energy(ledger, MAC_ARRAY))
     forced = (0.9 ** 2 * 600e-9) / (0.62 ** 2 * 30e-9)

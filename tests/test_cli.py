@@ -530,6 +530,21 @@ def test_out_of_range_flag_is_a_config_error(tmp_path, monkeypatch, capsys, argv
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["train", "characterize"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+def test_out_that_is_a_file_is_a_data_error(tiny_config_path, tmp_path, capsys,
+                                            command, under):
+    # an --out that exists as a file, or lies below one
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "sub" if under else taken
+    argv = [command, "--config", tiny_config_path, "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(taken) in err
+    assert taken.read_text() == ""
+
+
 def count_draws(monkeypatch, log=None):
     """The ``keep`` of every synthetic draw pass from now on, from an empty
     draw cache; with ``log``, each pass also appends its process id there."""
@@ -723,45 +738,61 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize("case, message", [
         ("not_json", "not valid JSON"),
-        ("no_count", "invalid at pulse_totals/large_array: 'count' is a required"),
+        ("no_count", "invalid at <root>: 'pulse_count' is a required"),
         ("event_list", "invalid at <root>: Additional properties are not allowed"),
-        ("empty", "invalid at <root>: 'pulse_totals' is a required property"),
-        ("unknown_tech", "invalid at pulse_totals: 'foo' is not one of"),
-        ("negative_count", "invalid at pulse_totals/large_array/count: -5 is less"),
-        ("fractional_count", "invalid at pulse_totals/large_array/count: 1.5 is not "
-                             "of type 'integer'"),
-        ("nan_sum", "invalid at pulse_totals/large_array/g_pre_sum_S: nan is not "
-                    "of type 'number'"),
-    ], ids=["not_json", "no_count", "event_list", "empty", "unknown_tech",
-            "negative_count", "fractional_count", "nan_sum"])
+        ("nested", "invalid at <root>: Additional properties are not allowed "
+                   "('pulse_totals', 'read_totals' were unexpected)"),
+        ("histogram", "invalid at <root>: Additional properties are not allowed "
+                      "('g_pre_hist_bin_uS', 'pulse_totals', 'read_totals' were "
+                      "unexpected)"),
+        ("empty", "invalid at <root>: 'tech' is a required property"),
+        ("unknown_tech", "invalid at tech: 'foo' is not one of"),
+        ("negative_count", "invalid at pulse_count: -5 is less"),
+        ("fractional_count", "invalid at pulse_count: 1.5 is not of type 'integer'"),
+        ("nan_sum", "invalid at g_pre_sum_S: nan is not of type 'number'"),
+    ], ids=["not_json", "no_count", "event_list", "nested", "histogram", "empty",
+            "unknown_tech", "negative_count", "fractional_count", "nan_sum"])
     def test_malformed_ledger_is_data_error(self, device_run_dir, capsys, case,
                                             message):
         path = device_run_dir / "ledger.json"
         payload = json.loads(path.read_text())
-        pulses = payload["pulse_totals"]["large_array"]
+        # the layout before the flat one: a sum per tech, a sum per read condition
+        nested = {"pulse_totals": {payload["tech"]: {
+                      "g_pre_sum_S": payload["g_pre_sum_S"],
+                      "count": payload["pulse_count"]}},
+                  "read_totals": [{"v_read": 0.2, "t_read": 15e-6,
+                                   "g_sum_S": payload["g_read_sum_S"],
+                                   "count": payload["read_count"]}],
+                  **{key: payload[key] for key in ("mac_count", "reinit_count",
+                                                   "reinit_energy_j")}}
         if case == "not_json":
-            path.write_text('{"pulse_totals": ')
+            path.write_text('{"tech": ')
         elif case == "no_count":
-            for entry in payload["pulse_totals"].values():
-                del entry["count"]
+            del payload["pulse_count"]
             path.write_text(json.dumps(payload))
         elif case in ("negative_count", "fractional_count", "nan_sum"):
             if case == "nan_sum":
-                pulses["g_pre_sum_S"] = float("nan")
+                payload["g_pre_sum_S"] = float("nan")
             else:
-                pulses["count"] = -5 if case == "negative_count" else 1.5
+                payload["pulse_count"] = -5 if case == "negative_count" else 1.5
             path.write_text(json.dumps(payload))
         elif case == "event_list":
-            # the older layout: one pre-pulse conductance per pulse, one
+            # the oldest layout: one pre-pulse conductance per pulse, one
             # [g_sum_uS, v_read, t_read] per read, in microsiemens
             path.write_text(json.dumps({
                 "pulse_g_pre_uS": {"large_array": [80.0, 75.5]},
                 "reads": [[500.0, 0.2, 15e-6]], "mac_count": 4,
                 "reinit_count": 0, "reinit_energy_j": 0.0}))
+        elif case == "nested":
+            path.write_text(json.dumps(nested))
+        elif case == "histogram":
+            # the nested layout that also carried a G_pre histogram
+            nested["pulse_totals"][payload["tech"]]["g_pre_hist"] = [0, 3, 1]
+            path.write_text(json.dumps({**nested, "g_pre_hist_bin_uS": 2.0}))
         elif case == "empty":
             path.write_text("{}")
         else:
-            payload["pulse_totals"] = {"foo": pulses}
+            payload["tech"] = "foo"
             path.write_text(json.dumps(payload))
         rc = cli.main(["energy", "--run", str(device_run_dir)])
         assert rc == cli.EXIT_DATA
@@ -875,6 +906,40 @@ class TestRunPipeline:
             f"run directory: {out}",
             f"  repeat summary: {acc['mean']:.4f} +/- {acc['std']:.4f}"]
 
+    @pytest.mark.parametrize("kind", ["missing", "file", "no_artifacts"])
+    def test_report_needs_a_run_directory(self, tmp_path, capsys, kind):
+        path = tmp_path / "run"
+        if kind == "file":
+            path.write_text("{}")
+        elif kind == "no_artifacts":
+            path.mkdir()
+            (path / "ledger.json").write_text("{}")
+        assert cli.main(["report", "--run", str(path)]) == cli.EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"data error: {path}: not a run directory (no manifest.json, ")
+
+    def test_zero_pulse_run(self, tiny_config_path, tmp_path, capsys):
+        # a threshold no gradient reaches: the device run applies no pulse
+        out = tmp_path / "still"
+        assert cli.main(["train", "--config", tiny_config_path, "--algo", "cf",
+                         "--epochs", "1,1", "--tau", "1e9", "--out", str(out)]) == 0
+        run_dir = out / "run_0"
+        ledger = json.loads((run_dir / "ledger.json").read_text())
+        assert ledger["tech"] == "large_array"
+        assert ledger["pulse_count"] == 0 and ledger["g_pre_sum_S"] == 0.0
+        assert ledger["read_count"] > 0
+        assert cli.main(["energy", "--run", str(run_dir)]) == 0
+        text = (run_dir / "energy.json").read_text()
+        assert '"programming_j": 0.0,' in text
+        report = json.loads(text)
+        assert report["pulse_count"] == 0 and report["read_j"] > 0
+        assert report["recosting_j"] == {"large_array": 0.0, "mac_array": 0.0}
+        capsys.readouterr()
+        assert cli.main(["report", "--run", str(run_dir)]) == 0
+        assert "  programming energy: 0.000e+00 J (0 pulses)" in (
+            capsys.readouterr().out.splitlines())
+
     def test_missing_run_dir_is_data_error(self, tmp_path, capsys):
         rc = cli.main(["age", "--run", str(tmp_path / "nope"), "--days", "0"])
         assert rc == cli.EXIT_DATA
@@ -959,9 +1024,9 @@ class TestOutputSchemas:
         jsonschema.Draft202012Validator.check_schema(self.SCHEMAS[name])
 
     def test_tech_enums_are_the_tech_profiles(self):
-        ledger = self.SCHEMAS["ledger.schema.json"]["properties"]["pulse_totals"]
+        ledger = self.SCHEMAS["ledger.schema.json"]["properties"]
         device = self.SCHEMAS["run_config.schema.json"]["properties"]["device"]
-        assert ledger["propertyNames"]["enum"] == list(config.TECH_PROFILES)
+        assert ledger["tech"]["enum"] == list(config.TECH_PROFILES)
         assert device["properties"]["tech"]["enum"] == list(config.TECH_PROFILES)
 
     def test_emitted_json_validates(self, paper_files, tiny_config_path, tmp_path,
@@ -993,7 +1058,7 @@ class TestEmptyLedgerEnergy:
         from memgrad.energy import EnergyLedger
         run_dir = tmp_path / "empty"
         run_dir.mkdir()
-        EnergyLedger().save(run_dir / "ledger.json")
+        EnergyLedger(config.LARGE_ARRAY).save(run_dir / "ledger.json")
         rc = cli.main(["energy", "--run", str(run_dir)])
         assert rc == 0
         payload = json.loads((run_dir / "energy.json").read_text())

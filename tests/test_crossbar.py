@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from memgrad.crossbar import (CrossbarArray, OnExhaustion, PulseResult,
                               load_snapshot_csv, save_snapshot_csv)
-from memgrad.device import (DeviceState, EnduranceExceeded, LARGE_ARRAY,
+from memgrad.device import (DeviceState, EnduranceExceeded, LARGE_ARRAY, MAC_ARRAY,
                             SyntheticTrajectoryParams, TrajectoryBank,
                             apply_reset_pulse, generate_trajectory_bank,
                             load_bank_csv, reinitialize, save_bank_csv)
@@ -29,15 +29,13 @@ class RecordingLedger(EnergyLedger):
     step records go through this list.
     """
 
-    def __init__(self):
-        super().__init__()
-        self.g_pre: dict[str, list[float]] = {}
+    def __init__(self, tech=LARGE_ARRAY):
+        super().__init__(tech)
+        self.g_pre: list[float] = []
 
-    def record_pulses(self, g_pre, tech_name):
-        super().record_pulses(g_pre, tech_name)
-        g_pre = np.asarray(g_pre, dtype=float)
-        if g_pre.size:
-            self.g_pre.setdefault(tech_name, []).extend(g_pre.tolist())
+    def record_pulses(self, g_pre):
+        super().record_pulses(g_pre)
+        self.g_pre.extend(np.ravel(g_pre).tolist())
 
 
 def make_bank(p_max=200, count=64, seed=0, **kw):
@@ -141,7 +139,7 @@ class TestMac:
             arr.read(np.zeros((1, arr.n_in + 1)))
 
     def test_read_event_logged(self):
-        ledger = EnergyLedger()
+        ledger = EnergyLedger(LARGE_ARRAY)
         arr = make_array(ledger=ledger)
         read_one(arr, np.ones(arr.n_in))
         assert ledger.read_count == 1
@@ -150,7 +148,7 @@ class TestMac:
     def test_batch_read(self):
         # a batch is one read event: the rows match single reads, MACs add
         # up, and the logged sum is sum_n sum_ij (G+_ij + G-_ij) x_nj^2
-        ledger = EnergyLedger()
+        ledger = EnergyLedger(LARGE_ARRAY)
         arr = make_array(n_in=6, n_out=4, seed=7, ledger=ledger)
         x = np.random.default_rng(8).normal(0, 1, (5, 6))
         y = arr.read(x)
@@ -159,8 +157,13 @@ class TestMac:
             assert np.allclose(y[n], arr.map_weights() @ x[n], rtol=1e-12, atol=1e-15)
         g_plus, g_minus = arr.conductances()
         expected = sum(float(((g_plus + g_minus) @ x[n] ** 2).sum()) for n in range(5))
-        (got,) = [s.total for s in ledger.read_sums.values()]
-        assert got == pytest.approx(expected, rel=1e-12)
+        assert ledger.reads.total == pytest.approx(expected, rel=1e-12)
+
+    def test_ledger_on_other_tech_refused(self):
+        # a ledger prices every event on its one tech
+        with pytest.raises(ValueError, match="ledger records mac_array, array is large_array"):
+            make_array(ledger=EnergyLedger(MAC_ARRAY))
+        make_array(ledger=EnergyLedger(dataclasses.replace(LARGE_ARRAY)))
 
 
 class TestUpdatePlan:
@@ -194,7 +197,7 @@ class TestUpdatePlan:
             arr.apply_update_plan((mask, side))
         after = (arr.traj_ids, arr.cursors, arr.pulse_counts, *arr.conductances())
         assert all(np.array_equal(a, b) for a, b in zip(state, after))
-        assert ledger.pulse_count == 0 and ledger.g_pre == {}
+        assert ledger.pulse_count == 0 and ledger.g_pre == []
 
     @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint8, np.int64, np.uint64])
     def test_integer_and_bool_sides(self, dtype):
@@ -220,7 +223,7 @@ class TestUpdatePlan:
         arr = make_array(ledger=ledger)
         g_before = arr.conductances()[0][0, 1]
         arr.apply_update_plan(plan_at(arr, {(0, 1): PLUS}))
-        assert ledger.g_pre[LARGE_ARRAY.name] == [g_before]
+        assert ledger.g_pre == [g_before]
         assert arr.conductances()[0][0, 1] != g_before
 
     def test_skip_policy_on_exhausted(self):
@@ -284,13 +287,13 @@ class TestUpdatePlan:
         arr = make_array(ledger=ledger)
         g_before = arr.conductances()[0][0, 0]
         arr.apply_update_plan(plan_at(arr, {(0, 0): PLUS}))
-        assert ledger.g_pre[LARGE_ARRAY.name] == [g_before]
+        assert ledger.g_pre == [g_before]
 
     def test_endurance_failure_is_atomic(self):
         # (1, 1) reaches the budget; a plan that also reinitializes and
         # pulses (0, 0) must raise before touching any state, ledger or rng
         tech = dataclasses.replace(LARGE_ARRAY, endurance_budget=3)
-        ledger = RecordingLedger()
+        ledger = RecordingLedger(tech)
         arr = CrossbarArray.build(2, 2, make_bank(p_max=2), np.random.default_rng(0),
                                   tech, pre_pulse_max=0, ledger=ledger)
         rng = np.random.default_rng(5)
@@ -299,7 +302,7 @@ class TestUpdatePlan:
         arr.apply_update_plan(plan_at(arr, {(1, 1): PLUS}), OnExhaustion.REINIT, rng)
         state = [a.copy() for a in (arr.traj_ids, arr.cursors, arr.pulse_counts,
                                     *arr.conductances())]
-        events, pulses = copy.deepcopy(ledger.g_pre), ledger.pulse_count
+        events, pulses = list(ledger.g_pre), ledger.pulse_count
         reinits, rng_state = ledger.reinit_count, copy.deepcopy(rng.bit_generator.state)
         with pytest.raises(EnduranceExceeded,
                            match=r"device \(1, 1, side 0\) at 3 lifetime pulses \(budget 3\)"):
@@ -364,7 +367,7 @@ class TestReadCache:
     def test_read_sums_match_uncached_formula(self):
         # repeated reads between pulses log what the formula gives on the
         # current conductances, read after read
-        ledger = EnergyLedger()
+        ledger = EnergyLedger(LARGE_ARRAY)
         arr = make_array(n_in=6, n_out=3, seed=6, ledger=ledger)
         gen = np.random.default_rng(7)
         expected = RunningSum()
@@ -375,9 +378,8 @@ class TestReadCache:
                 g_plus, g_minus = arr.conductances()
                 expected.add(float((g_plus + g_minus).sum(axis=0) @ (x ** 2).sum(axis=0)))
             arr.apply_update_plan((gen.random((3, 6)) < 0.5, gen.integers(0, 2, (3, 6))))
-        (got,) = ledger.read_sums.values()
-        assert got.total.hex() == expected.total.hex()
-        assert got.count == expected.count == 15
+        assert ledger.reads.total.hex() == expected.total.hex()
+        assert ledger.read_count == expected.count == 15
 
 
 @st.composite
@@ -433,7 +435,7 @@ class TestScalarReferenceModel:
         assert np.array_equal(arr.cursors, field("pulse_index"))
         assert np.array_equal(arr.pulse_counts, field("lifetime_pulses"))
         assert all(bank[t] is d.trajectory for t, d in zip(arr.traj_ids.flat, grid.flat))
-        assert ledger.g_pre[LARGE_ARRAY.name] == ref_g_pre
+        assert ledger.g_pre == ref_g_pre
         assert ledger.pulse_count == len(ref_g_pre)
         assert ledger.reinit_count == int(field("reinit_count").sum())
 
@@ -443,7 +445,7 @@ class TestScalarReferenceModel:
         n_out, n_in, rows, pre_pulse_max, budget, policy, plans = case
         bank = TrajectoryBank.from_rows(rows)
         tech = dataclasses.replace(LARGE_ARRAY, endurance_budget=budget)
-        ledger = RecordingLedger()
+        ledger = RecordingLedger(tech)
         arr = CrossbarArray.build(n_in, n_out, bank, np.random.default_rng(0), tech,
                                   pre_pulse_max=pre_pulse_max, ledger=ledger)
         grid = scalar_build(n_in, n_out, bank, np.random.default_rng(0), pre_pulse_max)
@@ -458,14 +460,14 @@ class TestScalarReferenceModel:
                 # the whole plan before touching anything
                 state = [a.copy() for a in (arr.traj_ids, arr.cursors,
                                             arr.pulse_counts, arr._g)]
-                total = ledger.pulse_sums.get(tech.name, RunningSum()).total
+                total = ledger.pulses.total
                 rng_state = copy.deepcopy(rng_array.bit_generator.state)
                 with pytest.raises(EnduranceExceeded):
                     arr.apply_update_plan((mask, side), policy, rng_array)
                 after = (arr.traj_ids, arr.cursors, arr.pulse_counts, arr._g)
                 assert all(np.array_equal(a, b) for a, b in zip(state, after))
-                assert ledger.pulse_sums.get(tech.name, RunningSum()).total == total
-                assert ledger.g_pre.get(tech.name, []) == ref_g_pre
+                assert ledger.pulses.total == total
+                assert ledger.g_pre == ref_g_pre
                 assert rng_array.bit_generator.state == rng_state
                 break
             step_g_pre, reinits = [], 0
@@ -489,11 +491,10 @@ class TestScalarReferenceModel:
         assert np.array_equal(arr.cursors, field("pulse_index"))
         assert np.array_equal(arr.pulse_counts, field("lifetime_pulses"))
         assert all(bank[t] is d.trajectory for t, d in zip(arr.traj_ids.flat, grid.flat))
-        assert ledger.g_pre.get(tech.name, []) == ref_g_pre
+        assert ledger.g_pre == ref_g_pre
         assert ledger.reinit_count == int(field("reinit_count").sum())
-        sums = ledger.pulse_sums.get(tech.name, RunningSum())
-        assert sums.total.hex() == ref_total.total.hex()
-        assert sums.count == len(ref_g_pre)
+        assert ledger.pulses.total.hex() == ref_total.total.hex()
+        assert ledger.pulse_count == len(ref_g_pre)
 
     def test_batched_reinit_draws_match_scalar_draws(self):
         # REINIT (and endurance cycling) draws k trajectories at once; the
@@ -553,7 +554,7 @@ class TestCopies:
     @pytest.mark.parametrize("clone", [copy.deepcopy, pickle_round_trip],
                              ids=["deepcopy", "pickle"])
     def test_copy_reads_its_own_pulses(self, clone):
-        arr = make_array(n_in=4, n_out=3, seed=5, ledger=EnergyLedger())
+        arr = make_array(n_in=4, n_out=3, seed=5, ledger=EnergyLedger(LARGE_ARRAY))
         g_plus0, g_minus0 = arr.conductances()
         w0 = arr.map_weights()      # warms the original's read cache (W and g_cols)
         twin = clone(arr)
@@ -571,8 +572,7 @@ class TestCopies:
         x = np.random.default_rng(1).normal(0, 1, (2, 4))
         assert np.array_equal(twin.read(x), x @ weights.T)
         g_sum = (g_plus + g_minus).sum(axis=0) @ (x ** 2).sum(axis=0)
-        read_sums = twin.ledger.read_sums[(twin.tech.v_read, twin.tech.t_read)]
-        assert read_sums.total == pytest.approx(g_sum, rel=1e-15)
+        assert twin.ledger.reads.total == pytest.approx(g_sum, rel=1e-15)
         # the original keeps its own state and its cache
         assert np.array_equal(arr.conductances()[0], g_plus0)
         assert arr.map_weights() is w0

@@ -1,7 +1,11 @@
 """Energy ledger arithmetic and cross-technology re-costing."""
 
-import json
+import contextlib
+import dataclasses
+import io
 import math
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from memgrad import cli, energy
-from memgrad.device import LARGE_ARRAY, MAC_ARRAY
+from memgrad.device import LARGE_ARRAY, MAC_ARRAY, TECH_PROFILES
 from memgrad.energy import (DEFAULT_TOPS_PER_WATT, EnergyLedger,
                             PV_UPDATE_ENERGY_J, RunningSum,
                             mac_energy_projection, programming_energy,
@@ -18,21 +22,21 @@ from memgrad.energy import (DEFAULT_TOPS_PER_WATT, EnergyLedger,
 
 class TestProgrammingEnergy:
     def test_empty_ledger(self):
-        ledger = EnergyLedger()
-        ledger.record_pulses([], LARGE_ARRAY.name)
-        assert ledger.pulse_sums == {}
+        ledger = EnergyLedger(LARGE_ARRAY)
+        ledger.record_pulses([])
+        assert ledger.pulse_count == 0
         assert programming_energy(ledger, LARGE_ARRAY) == 0.0
 
     def test_single_event(self):
-        ledger = EnergyLedger()
-        ledger.record_pulses([50e-6], LARGE_ARRAY.name)
+        ledger = EnergyLedger(LARGE_ARRAY)
+        ledger.record_pulses([50e-6])
         assert programming_energy(ledger, LARGE_ARRAY) == pytest.approx(24.3e-12)
 
     def test_recosting_ratio_is_parameter_forced(self):
         # same event list under both techs: ratio = (0.9^2*600)/(0.62^2*30)
         rng = np.random.default_rng(0)
-        ledger = EnergyLedger()
-        ledger.record_pulses(rng.uniform(20e-6, 90e-6, 500), LARGE_ARRAY.name)
+        ledger = EnergyLedger(LARGE_ARRAY)
+        ledger.record_pulses(rng.uniform(20e-6, 90e-6, 500))
         ratio = (programming_energy(ledger, LARGE_ARRAY)
                  / programming_energy(ledger, MAC_ARRAY))
         expected = (0.9 ** 2 * 600e-9) / (0.62 ** 2 * 30e-9)
@@ -41,19 +45,19 @@ class TestProgrammingEnergy:
 
     def test_additive_over_concatenation(self):
         rng = np.random.default_rng(1)
-        a, b, merged = EnergyLedger(), EnergyLedger(), EnergyLedger()
-        for ledger, n, tech in ((a, 100, "large_array"), (b, 70, "mac_array")):
+        a, b, merged = (EnergyLedger(MAC_ARRAY) for _ in range(3))
+        for ledger, n in ((a, 100), (b, 70)):
             g = rng.uniform(1e-6, 100e-6, n)
-            ledger.record_pulses(g, tech)
-            merged.record_pulses(g, tech)
+            ledger.record_pulses(g)
+            merged.record_pulses(g)
         assert programming_energy(merged, LARGE_ARRAY) == pytest.approx(
             programming_energy(a, LARGE_ARRAY) + programming_energy(b, LARGE_ARRAY))
 
     def test_totals_match_recomputation(self):
         rng = np.random.default_rng(2)
-        ledger = EnergyLedger()
+        ledger = EnergyLedger(LARGE_ARRAY)
         values = rng.uniform(1e-6, 100e-6, 64)
-        ledger.record_pulses(values, "large_array")
+        ledger.record_pulses(values)
         expected = float(np.sum(values)) * 0.9 ** 2 * 600e-9
         assert programming_energy(ledger, LARGE_ARRAY) == pytest.approx(expected,
                                                                         rel=1e-12)
@@ -61,15 +65,15 @@ class TestProgrammingEnergy:
 
 class TestReadEnergy:
     def test_stored_conditions(self):
-        ledger = EnergyLedger()
-        ledger.record_read(100e-6, 0.2, 15e-6)
-        assert read_energy(ledger) == pytest.approx(100e-6 * 0.04 * 15e-6)
-
-    def test_override_conditions(self):
-        ledger = EnergyLedger()
-        ledger.record_read(100e-6, 0.2, 15e-6)
-        fast = read_energy(ledger, t_read=10e-9)
-        assert fast == pytest.approx(100e-6 * 0.04 * 10e-9)
+        # reads are priced at the read conditions of the ledger's tech
+        for tech, v, t in ((LARGE_ARRAY, 0.2, 15e-6),
+                           (dataclasses.replace(MAC_ARRAY, v_read=0.1, t_read=1e-6),
+                            0.1, 1e-6)):
+            ledger = EnergyLedger(tech)
+            ledger.record_read(100e-6)
+            ledger.record_read(50e-6)
+            assert ledger.read_count == 2
+            assert read_energy(ledger) == pytest.approx(150e-6 * v ** 2 * t)
 
 
 class TestPvBaseline:
@@ -106,14 +110,15 @@ class TestMacProjection:
 class TestLedgerPersistence:
     def test_json_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
-        ledger = EnergyLedger()
-        ledger.record_pulses(rng.uniform(1e-6, 100e-6, 50), "large_array")
-        ledger.record_read(220e-6, 0.2, 15e-6)
+        ledger = EnergyLedger(MAC_ARRAY)
+        ledger.record_pulses(rng.uniform(1e-6, 100e-6, 50))
+        ledger.record_read(220e-6)
         ledger.record_macs(1234)
         ledger.record_reinit(1e-9)
         path = tmp_path / "ledger.json"
         ledger.save(path)
         back = EnergyLedger.load(path)
+        assert back.tech is MAC_ARRAY
         assert back.pulse_count == 50
         assert back.mac_count == 1234
         assert back.reinit_count == 1
@@ -121,7 +126,7 @@ class TestLedgerPersistence:
             programming_energy(ledger, LARGE_ARRAY), rel=1e-5)
 
     def test_non_finite_total_is_not_written(self, tmp_path):
-        ledger = EnergyLedger()
+        ledger = EnergyLedger(LARGE_ARRAY)
         ledger.record_reinit(float("nan"))
         path = tmp_path / "ledger.json"
         with pytest.raises(ValueError, match="invalid at reinit_energy_j: nan"):
@@ -130,20 +135,17 @@ class TestLedgerPersistence:
 
     def test_aggregate_layout_is_small_and_exact(self, tmp_path):
         rng = np.random.default_rng(7)
-        ledger = EnergyLedger()
-        for _ in range(200):
-            ledger.record_pulses(rng.uniform(1e-6, 199e-6, 500), "large_array")
-            ledger.record_pulses(rng.uniform(1e-6, 199e-6, 500), "mac_array")
-            ledger.record_read(rng.uniform(1e-4, 1e-3), 0.2, 15e-6)
-        ledger.record_read(5e-4, 0.1, 1e-6)
+        ledger = EnergyLedger(LARGE_ARRAY)
+        for _ in range(400):
+            ledger.record_pulses(rng.uniform(1e-6, 199e-6, 500))
+            ledger.record_read(rng.uniform(1e-4, 1e-3))
         path = tmp_path / "ledger.json"
         ledger.save(path)
         assert path.stat().st_size < 4096
         back = EnergyLedger.load(path)
         assert back.pulse_count == ledger.pulse_count == 200_000
-        assert back.read_count == ledger.read_count == 201
-        for tech in ("large_array", "mac_array"):
-            assert back.pulse_sums[tech].total == ledger.pulse_sums[tech].total
+        assert back.read_count == ledger.read_count == 400
+        assert back.pulses.total == ledger.pulses.total
         assert programming_energy(back, MAC_ARRAY) == programming_energy(ledger, MAC_ARRAY)
         assert read_energy(back) == read_energy(ledger)
 
@@ -153,12 +155,12 @@ class TestAggregates:
         # 10^6 values over nine decades, in uneven batches
         rng = np.random.default_rng(4)
         values = rng.uniform(1e-6, 100e-6, 10 ** 6) * 10.0 ** rng.integers(-4, 5, 10 ** 6)
-        ledger = EnergyLedger()
+        ledger = EnergyLedger(LARGE_ARRAY)
         for batch in np.split(values, np.sort(rng.integers(0, len(values), 2000))):
-            ledger.record_pulses(batch, "large_array")
+            ledger.record_pulses(batch)
         assert ledger.pulse_count == len(values)
-        assert ledger.pulse_sums["large_array"].total == pytest.approx(
-            math.fsum(values.tolist()), rel=1e-12)
+        assert ledger.pulses.total == pytest.approx(math.fsum(values.tolist()),
+                                                    rel=1e-12)
 
     def test_single_adds_keep_small_terms(self):
         # each 1e-16 is below half an ulp of 1.0: a plain running sum drops
@@ -172,22 +174,11 @@ class TestAggregates:
         assert sum(stream) != pytest.approx(math.fsum(stream), rel=1e-12)
 
     def test_reinits_recorded_in_one_call(self):
-        ledger = EnergyLedger()
+        ledger = EnergyLedger(LARGE_ARRAY)
         ledger.record_reinit(2e-12, count=3)
         ledger.record_reinit()
         assert ledger.reinit_count == 4
         assert ledger.reinit_energy_j == pytest.approx(6e-12)
-
-    def test_read_totals_per_condition(self):
-        ledger = EnergyLedger()
-        ledger.record_read(100e-6, 0.2, 15e-6)
-        ledger.record_read(50e-6, 0.2, 15e-6)
-        ledger.record_read(10e-6, 0.1, 1e-6)
-        assert ledger.read_count == 3
-        assert read_energy(ledger) == pytest.approx(
-            150e-6 * 0.04 * 15e-6 + 10e-6 * 0.01 * 1e-6)
-        assert read_energy(ledger, v_read=0.3, t_read=2e-6) == pytest.approx(
-            160e-6 * 0.09 * 2e-6)
 
 
 def fsum_path(values: np.ndarray) -> RunningSum:
@@ -283,42 +274,50 @@ class TestBatchSum:
         assert sums.total.hex() == (0.0).hex() and sums.count == 0
 
 
-class TestLegacyLedger:
-    def test_legacy_ledger_gives_same_energy_json(self, tmp_path, capsys):
-        rng = np.random.default_rng(9)
-        values = {"large_array": [float(f"{g:.6g}") for g in rng.uniform(20, 90, 500)]}
-        reads = [[float(f"{g:.6g}"), 0.2, 15e-6] for g in rng.uniform(100, 900, 25)]
-        run_dirs = [tmp_path / name for name in ("histogram", "aggregate")]
-        for run_dir in run_dirs:
-            run_dir.mkdir()
-        ledger = EnergyLedger()
-        ledger.record_pulses(np.asarray(values["large_array"]) * 1e-6, "large_array")
-        for g, v, t in reads:
-            ledger.record_read(g * 1e-6, v, t)
-        ledger.record_macs(4321)
-        ledger.record_reinit(1.5e-12, count=2)
-        ledger.save(run_dirs[1] / "ledger.json")
-        # the aggregate layout that also carried a G_pre histogram: 2 uS
-        # bins from 0 to 200 uS; the values lie in bins 10 to 44
-        totals = ledger.to_json()
-        pulses = totals["pulse_totals"]["large_array"]
-        hist = np.bincount(np.asarray(values["large_array"], dtype=int) // 2,
-                           minlength=100)
-        assert hist.sum() == 500 and len(hist) == 100
-        with_histogram = {
-            "g_pre_hist_bin_uS": 2.0,
-            "pulse_totals": {"large_array": {
-                "g_pre_sum_S": pulses["g_pre_sum_S"], "count": 500,
-                "g_pre_hist": hist.tolist()}},
-            "read_totals": totals["read_totals"],
-            "mac_count": 4321, "reinit_count": 2,
-            "reinit_energy_j": totals["reinit_energy_j"],
-        }
-        (run_dirs[0] / "ledger.json").write_text(json.dumps(with_histogram))
-        outputs = []
-        for run_dir in run_dirs:
-            assert cli.main(["energy", "--run", str(run_dir)]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-        energy = [(run_dir / "energy.json").read_text() for run_dir in run_dirs]
-        assert energy[0] == energy[1]
+# finite, non-negative values outside the limb domain, which a ledger can hold
+LEDGER_OUT_OF_RANGE = st.one_of(
+    st.floats(min_value=5e-324, max_value=2.0 ** -1022, exclude_max=True),  # subnormal
+    st.sampled_from([1e-9, math.nextafter(2.0 ** -28, 0.0), 2.0 ** -12]),
+    st.floats(min_value=2.0 ** -12, max_value=1e3))
+LEDGER_EVENTS = st.lists(st.one_of(
+    st.tuples(st.just("pulses"), st.one_of(
+        st.lists(IN_RANGE, max_size=40),
+        st.lists(st.one_of(IN_RANGE, LEDGER_OUT_OF_RANGE), max_size=40),
+        st.just([]))),
+    st.tuples(st.just("read"), st.floats(min_value=0.0, max_value=1.0)),
+    st.tuples(st.just("macs"), st.integers(0, 10 ** 12)),
+    st.tuples(st.just("reinit"), st.tuples(st.floats(min_value=0.0, max_value=1e-6),
+                                           st.integers(0, 5)))), max_size=10)
+
+
+class TestLedgerRoundTrip:
+    @settings(max_examples=40)
+    @given(tech=st.sampled_from(sorted(TECH_PROFILES)), events=LEDGER_EVENTS)
+    def test_load_after_save_keeps_totals_and_energy(self, tech, events):
+        ledger = EnergyLedger(TECH_PROFILES[tech])
+        record = {"pulses": lambda g: ledger.record_pulses(np.array(g, dtype=float)),
+                  "read": ledger.record_read, "macs": ledger.record_macs,
+                  "reinit": lambda args: ledger.record_reinit(*args)}
+        for kind, value in events:
+            record[kind](value)
+        with tempfile.TemporaryDirectory() as tmp:
+            saved, direct = Path(tmp, "saved"), Path(tmp, "direct")
+            for run_dir in (saved, direct):
+                run_dir.mkdir()
+                ledger.save(run_dir / "ledger.json")
+            back = EnergyLedger.load(saved / "ledger.json")
+            assert back.tech is ledger.tech
+            assert back.pulses.total.hex() == ledger.pulses.total.hex()
+            assert back.reads.total.hex() == ledger.reads.total.hex()
+            counts = ("pulse_count", "read_count", "mac_count", "reinit_count")
+            assert [getattr(back, name) for name in counts] == [
+                getattr(ledger, name) for name in counts]
+            assert back.reinit_energy_j.hex() == ledger.reinit_energy_j.hex()
+            # memgrad energy prices the saved file, and then the ledger itself
+            with pytest.MonkeyPatch.context() as patch, \
+                    contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["energy", "--run", str(saved)]) == cli.EXIT_OK
+                patch.setattr(cli, "EnergyLedger", SimpleNamespace(load=lambda _: ledger))
+                assert cli.main(["energy", "--run", str(direct)]) == cli.EXIT_OK
+            assert ((saved / "energy.json").read_bytes()
+                    == (direct / "energy.json").read_bytes())

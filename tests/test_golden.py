@@ -4,8 +4,8 @@ Each digest was taken once and is never regenerated to make a change pass.
 A digest that changes is a behaviour change, and the change has to justify
 it.  A training digest covers the per-device pulse counts, the final
 (G+, G-) matrices (float runs: the final weights), the ledger's pulse sum and
-count per tech, its read sum and count per (v_read, t_read) condition, its
-MAC and reinit counts, and the test accuracy.  A loss digest covers every
+count, its read sum and count with the tech's read conditions, its MAC and
+reinit counts, and the test accuracy.  A loss digest covers every
 step's loss and the train-split loss of every epoch.  The runs use the
 default config with short schedules, so the file stays well under 10 s; the
 branch digests flip one config switch each on a smaller task.
@@ -211,12 +211,14 @@ def run_digest(run, test_accuracy: float) -> str:
         h.update(layer.array.pulse_counts.tobytes())
         for g in layer.array.conductances():
             h.update(g.tobytes())
-    ledger = run.ledger
+    ledger, tech = run.ledger, run.ledger.tech
+    # the record the digests were taken with, when the ledger kept one sum
+    # per tech and one per read condition, each present once it had an event
     record = {
-        "pulses": {tech: [s.total.hex(), s.count]
-                   for tech, s in sorted(ledger.pulse_sums.items())},
-        "reads": [[v, t, s.total.hex(), s.count]
-                  for (v, t), s in sorted(ledger.read_sums.items())],
+        "pulses": ({tech.name: [ledger.pulses.total.hex(), ledger.pulse_count]}
+                   if ledger.pulse_count else {}),
+        "reads": ([[tech.v_read, tech.t_read, ledger.reads.total.hex(),
+                    ledger.read_count]] if ledger.read_count else []),
         "macs": ledger.mac_count,
         "reinits": ledger.reinit_count,
         "test_accuracy": float(test_accuracy).hex(),

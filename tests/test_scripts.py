@@ -1,14 +1,21 @@
-"""Maintenance scripts and the package's public API stay importable."""
+"""Maintenance scripts and the package's public API stay importable, and the
+benchmark's calls into the package keep working."""
 
 import ast
 import importlib
 import importlib.util
+import math
 import pkgutil
+import sys
 from pathlib import Path
 
+import pytest
+
 import memgrad
+from memgrad import config, energy, trainer
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_tune_defaults_imports():
@@ -57,3 +64,31 @@ def test_only_artifacts_imports_file_format_libraries():
         if path.name != "artifacts.py" and imported & {"csv", "jsonschema"}:
             offenders.append(path.name)
     assert not offenders, f"{offenders} import csv or jsonschema"
+
+
+@pytest.mark.parametrize("algorithm", ["cf", "float_bp"])
+def test_benchmark_outcome_of_a_training_run(monkeypatch, algorithm):
+    # the benchmark's gate calls the package as its desk workload does; a
+    # drift in those calls fails here, not only as failed benchmark operations
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "gate", raising=False)
+    gate = importlib.import_module("gate")
+    cfg = config.effective_config(None, {
+        "algorithm": algorithm, "schedule": {"epochs": [1, 1]},
+        "task": {"n_classes": 4, "n_features": 12, "n_per_class": 30, "seed": 21},
+        "arch": {"hidden_units": 12, "cluster_size": 3},
+        "bank": {"count": 64, "seed": 11, "params": {"p_max": 300}}})
+    dataset = config.build_dataset(cfg)
+    train_ds, val_ds, test_ds = config.build_splits(cfg, dataset)
+    run = config.build_training_run(cfg, 0, dataset)
+    trainer.train(run, train_ds, val_ds)
+    accs = {"test_accuracy": trainer.evaluate(run, test_ds)}
+    outcome = gate.run_outcome(run, accs, energy, config.TECH_PROFILES)
+    close = outcome["close"]
+    if algorithm == "float_bp":
+        assert close == {} and set(outcome["exact"]) == {"test_accuracy"}
+        return
+    assert outcome["exact"]["ledger_pulses"] == outcome["exact"]["pulses"] > 0
+    for key in ("programming_j.large_array", "programming_j.mac_array", "read_j"):
+        assert isinstance(close[key], float) and math.isfinite(close[key]), key
