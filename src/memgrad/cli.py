@@ -203,8 +203,9 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------- characterize
 
 # Trajectories per pearson_coefficient call in characterize: few enough that
-# the block temporaries (three of rows x width) stay near 2 MiB beside the
-# bank, many enough that per-call overhead is no longer per trajectory.
+# the call's temporaries (three of rows x width) stay near 2 MiB beside the
+# bank's row block, many enough that per-call overhead is no longer per
+# trajectory.
 _PEARSON_ROWS = 16
 
 
@@ -222,13 +223,22 @@ def cmd_characterize(args) -> int:
     if args.save_bank and not cfg["bank"]["path"]:
         save_bank_csv(bank, out / "bank.csv")
 
-    # rows of one length share a block
-    g, rhos = bank.conductances, np.empty(len(bank))
-    for length in np.unique(bank.lengths).tolist():
-        rows = np.flatnonzero(bank.lengths == length)
-        for start in range(0, len(rows), _PEARSON_ROWS):
-            block = rows[start:start + _PEARSON_ROWS]
-            rhos[block] = pearson_coefficient(g[block, :length], length)
+    # one pass over the bank's row blocks keeps, per trajectory, its
+    # coefficient and the two samples that endurance cycling reads
+    lengths = bank.lengths
+    last = np.minimum(args.pulses_per_cycle, lengths - 1)
+    rhos, g_first, g_last = (np.empty(len(bank)) for _ in range(3))
+    for start, g in bank.blocks():
+        rows = slice(start, start + len(g))
+        g_first[rows] = g[:, 0]
+        g_last[rows] = g[np.arange(len(g)), last[rows]]
+        # rows of one length share a call
+        block_lengths = lengths[rows]
+        for length in np.unique(block_lengths).tolist():
+            same = np.flatnonzero(block_lengths == length)
+            for k in range(0, len(same), _PEARSON_ROWS):
+                chunk = same[k:k + _PEARSON_ROWS]
+                rhos[start + chunk] = pearson_coefficient(g[chunk, :length], length)
     write_csv(out / "pearson.csv", ["device_id", "pearson"],
               ([k, f"{rho:.6f}"] for k, rho in enumerate(rhos.tolist())))
     counts, edges = np.histogram(rhos, bins=40, range=(-1.0, 1.0))
@@ -241,8 +251,9 @@ def cmd_characterize(args) -> int:
     if args.cycles:
         tech = TECH_PROFILES[cfg["device"]["tech"]]
         rng = np.random.default_rng(args.seed or 0)
-        cycling = cycle_endurance(bank, rng, args.devices, args.cycles,
-                                  args.pulses_per_cycle, tech.endurance_budget)
+        cycling = cycle_endurance(g_first, g_last, lengths, rng, args.devices,
+                                  args.cycles, args.pulses_per_cycle,
+                                  tech.endurance_budget)
         n = cycling.completed
         g_start = (cycling.g_start.ravel()[:n] * 1e6).tolist()
         g_end = (cycling.g_end.ravel()[:n] * 1e6).tolist()

@@ -241,9 +241,15 @@ def _check_conductances(block: np.ndarray):
         raise ValueError("conductances must be finite and non-negative")
 
 
-def _draw(params: SyntheticTrajectoryParams, seed: int, count: int,
-          keep: int) -> np.ndarray:
-    """The first ``keep`` columns of the conductances of a synthetic bank.
+# Rows per block of a draw pass: a block of the full 5001-column width is
+# 2.5 MiB, and blocks of 16 to 256 rows draw a bank as fast as one block.
+_BLOCK_ROWS = 64
+
+
+def _draw(params: SyntheticTrajectoryParams, seed: int, count: int, keep: int,
+          out: np.ndarray | None = None):
+    """Yield ``(start, block)``: the first ``keep`` columns of the conductances
+    of a synthetic bank, ``_BLOCK_ROWS`` rows at a time from row ``start``.
 
     One pass from the seed makes every draw of the bank.  Each row draws,
     in this order: its decrements, the anomalous-device coin, the decrement
@@ -252,7 +258,12 @@ def _draw(params: SyntheticTrajectoryParams, seed: int, count: int,
     standard normal draw (a lognormal one too), and the generator caches
     none, so the pass consumes the stream exactly as one that keeps them.
     Decrement j of a row sits in column j + 1, and one cumsum per row turns
-    the kept decrements into conductances.
+    the kept decrements into conductances.  Each block is finished, with
+    the same arithmetic per row whatever its block, and checked before it
+    is yielded: a block whose conductances fail the check raises.
+
+    With ``out``, a (count, keep) matrix, each block is a view of its rows
+    there; otherwise each block is a new array.
     """
     onset = int(round(params.p_max * params.late_onset_fraction))
     sigma = np.full(keep - 1, params.decrement_sigma, dtype=float)
@@ -264,37 +275,42 @@ def _draw(params: SyntheticTrajectoryParams, seed: int, count: int,
         var_ln = np.log1p((sigma / params.decrement_mean) ** 2)
         log_mu, log_sigma = np.log(params.decrement_mean) - var_ln / 2.0, np.sqrt(var_ln)
     rng = np.random.default_rng(seed)
-    matrix = np.empty((count, keep))
     rest = np.empty(params.p_max + 1 - keep)
-    negative = []           # (row, decrement sign < 0) of the anomalous rows
-    for k, g in enumerate(matrix):
-        if lognormal:
-            g[1:] = rng.lognormal(log_mu, log_sigma)
-        else:
-            rng.standard_normal(out=g[1:])
-        rng.standard_normal(out=rest)
-        if rng.random() < params.anomalous_probability:
-            negative.append((k, rng.choice([-1.0, 1.0], size=params.p_max)[:keep - 1] < 0))
-        g[0] = max(rng.normal(params.g0_mean, params.g0_sigma), 0.0)
-    dec = matrix[:, 1:]
-    if not lognormal:
-        # mean + sigma * z is what rng.normal(mean, sigma) returns
-        dec *= sigma
-        dec += params.decrement_mean
-        np.maximum(dec, 0.0, out=dec)
-    for k, signs in negative:
-        np.negative(dec[k], out=dec[k], where=signs)
-    np.cumsum(dec, axis=1, out=dec)
-    np.subtract(matrix[:, :1], dec, out=dec)
-    return np.clip(matrix, 0.0, None, out=matrix)
+    for start in range(0, count, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, count)
+        block = np.empty((stop - start, keep)) if out is None else out[start:stop]
+        negative = []       # (row, decrement sign < 0) of the anomalous rows
+        for k, g in enumerate(block):
+            if lognormal:
+                g[1:] = rng.lognormal(log_mu, log_sigma)
+            else:
+                rng.standard_normal(out=g[1:])
+            rng.standard_normal(out=rest)
+            if rng.random() < params.anomalous_probability:
+                negative.append((k, rng.choice([-1.0, 1.0], size=params.p_max)[:keep - 1] < 0))
+            g[0] = max(rng.normal(params.g0_mean, params.g0_sigma), 0.0)
+        dec = block[:, 1:]
+        if not lognormal:
+            # mean + sigma * z is what rng.normal(mean, sigma) returns
+            dec *= sigma
+            dec += params.decrement_mean
+            np.maximum(dec, 0.0, out=dec)
+        for k, signs in negative:
+            np.negative(dec[k], out=dec[k], where=signs)
+        np.cumsum(dec, axis=1, out=dec)
+        np.subtract(block[:, :1], dec, out=dec)
+        np.clip(block, 0.0, None, out=block)
+        _check_conductances(block)
+        yield start, block
 
 
 # The matrices of the last two draw passes, least recently used first, keyed
 # by what decides a pass: the generator params (by repr, which never joins
 # values that compare equal yet may draw apart, such as -0.0 and 0.0), the
 # seed and the row count.  Runs of every rule on one run seed draw the same
-# bank, so two entries serve a caller that builds them on two seeds in turn.  memgrad fills banks from one thread (its pool uses
-# processes), so the cache takes no lock.
+# bank, so two entries serve a caller that builds them on two seeds in turn.
+# memgrad fills banks from one thread (its pool uses processes), so the
+# cache takes no lock.
 _DRAWN: dict[tuple, np.ndarray] = {}
 _DRAWN_SIZE = 2
 
@@ -314,8 +330,9 @@ def _drawn(params: SyntheticTrajectoryParams, seed: int, count: int,
     _DRAWN.pop(key, None)
     while len(_DRAWN) >= _DRAWN_SIZE:
         del _DRAWN[next(iter(_DRAWN))]
-    matrix = _draw(params, seed, count, keep)
-    _check_conductances(matrix)
+    matrix = np.empty((count, keep))
+    for _ in _draw(params, seed, count, keep, out=matrix):
+        pass
     matrix.flags.writeable = False
     _DRAWN[key] = matrix
     return matrix
@@ -339,7 +356,8 @@ class TrajectoryBank(Sequence):
     many columns, so the matrix is only as wide as the run reads.  A read
     past the kept columns (:meth:`gather`, or ``conductances`` and
     ``bank[k]``, which read whole rows) makes a pass that keeps every
-    column.  Measured banks are complete.
+    column.  Measured banks are complete.  :meth:`blocks` reads the whole
+    matrix a block of rows at a time, without keeping it.
 
     Synthetic banks of the same params, seed and count share their draws
     within a process: a fill reuses the read-only matrix of one of the last
@@ -417,6 +435,25 @@ class TrajectoryBank(Sequence):
             return
         self._matrix = _drawn(*self._spec, len(self), keep)[:, :keep]
 
+    def blocks(self):
+        """Yield ``(start, block)``: the rows of ``conductances`` from row
+        ``start``, ``_BLOCK_ROWS`` at a time.
+
+        A complete bank (measured, or synthetic and filled to ``width``)
+        yields read-only views of its matrix.  Any other bank makes one
+        draw pass that keeps every column, block by block, and neither
+        keeps nor caches the matrix: a reader that reduces each row holds
+        one block at a time.  A block that fails the conductance check
+        raises before it is yielded.
+        """
+        if self.filled < self.width:
+            yield from _draw(*self._spec, len(self), self.width)
+            return
+        matrix = self._matrix.view()
+        matrix.flags.writeable = False
+        for start in range(0, len(self), _BLOCK_ROWS):
+            yield start, matrix[start:start + _BLOCK_ROWS]
+
     def __len__(self):
         return len(self.lengths)
 
@@ -493,14 +530,17 @@ class EnduranceCycles:
     error: Exception | None
 
 
-def cycle_endurance(bank: TrajectoryBank, rng: np.random.Generator, devices: int,
-                    cycles: int, pulses_per_cycle: int,
-                    endurance_budget: int) -> EnduranceCycles:
-    """Cycle each device through ``cycles`` trajectories, in closed form.
+def cycle_endurance(g_first: np.ndarray, g_last: np.ndarray, lengths: np.ndarray,
+                    rng: np.random.Generator, devices: int, cycles: int,
+                    pulses_per_cycle: int, endurance_budget: int) -> EnduranceCycles:
+    """Cycle each device through ``cycles`` trajectories of a bank, in closed form.
 
-    Every cycle starts at pulse 0 of a freshly drawn trajectory (a reinit,
-    except for a device's first draw) and applies ``pulses_per_cycle``
-    pulses, so cycle k of a device on trajectory ``tid`` ends at
+    The bank enters as three per-trajectory columns: ``g_first`` holds
+    ``conductances[:, 0]``, ``g_last`` holds ``conductances[k, min(P,
+    lengths[k] - 1)]`` for ``P = pulses_per_cycle``, and ``lengths`` the
+    trajectory lengths.  Every cycle starts at pulse 0 of a freshly drawn
+    trajectory (a reinit, except for a device's first draw) and applies
+    ``P`` pulses, so cycle k of a device on trajectory ``tid`` ends at
     ``conductances[tid, P]`` with ``(k + 1) * P`` lifetime pulses.  It gives
     what the scalar replay (:class:`DeviceState`, :func:`apply_reset_pulse`,
     :func:`reinitialize`) gives: trajectory ids are drawn device by device,
@@ -510,10 +550,9 @@ def cycle_endurance(bank: TrajectoryBank, rng: np.random.Generator, devices: int
     """
     shape = (max(devices, 0), max(cycles, 0))
     pulses = max(pulses_per_cycle, 0)
-    tid = rng.integers(0, len(bank), size=shape)
-    last = bank.lengths[tid] - 1             # pulse at which a trajectory is spent
-    g_start = bank.gather(tid, 0)
-    g_end = bank.gather(tid, np.minimum(pulses, last))
+    tid = rng.integers(0, len(lengths), size=shape)
+    last = lengths[tid] - 1                  # pulse at which a trajectory is spent
+    g_start, g_end = g_first[tid], g_last[tid]
     lifetime = np.broadcast_to(pulses * np.arange(1, shape[1] + 1), shape)
     # pulse of each cycle at which the budget is hit (pulses: never)
     spent = max(endurance_budget, 0)
@@ -596,11 +635,17 @@ _BANK_HEADER = ["device_id", "pulse_index", "conductance_uS"]
 _BANK_ROW = np.dtype([("device", np.int64), ("index", np.int64), ("g_uS", float)])
 
 
-def save_bank_csv(bank: Sequence[ResetTrajectory], path):
-    """Write a bank in long format: device_id,pulse_index,conductance_uS."""
+def save_bank_csv(bank: TrajectoryBank, path):
+    """Write a bank in long format: device_id,pulse_index,conductance_uS.
+
+    Rows are written from :meth:`TrajectoryBank.blocks`, so a synthetic bank
+    that is not filled is written a block at a time and left unfilled.
+    """
+    lengths = bank.lengths.tolist()
     write_csv(path, _BANK_HEADER, ([dev_id, k, f"{g * 1e6:.9g}"]
-                                   for dev_id, traj in enumerate(bank)
-                                   for k, g in enumerate(traj.conductances.tolist())))
+                                   for start, block in bank.blocks()
+                                   for dev_id, row in enumerate(block, start)
+                                   for k, g in enumerate(row[:lengths[dev_id]].tolist())))
 
 
 def load_bank_csv(path) -> TrajectoryBank:

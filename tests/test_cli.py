@@ -2,11 +2,13 @@
 
 import csv
 import dataclasses
+import hashlib
 import importlib.resources
 import json
 import multiprocessing
 import os
 import re
+import tracemalloc
 
 import jsonschema
 import numpy as np
@@ -56,6 +58,14 @@ def bank_config_path(tmp_path, source):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def ragged_bank():
+    """175 synthetic rows cut to lengths 40, 57 and 300, in shuffled order."""
+    lengths = np.random.default_rng(0).permutation([40] * 5 + [57] * 20 + [300] * 150)
+    full = generate_trajectory_bank(SyntheticTrajectoryParams(
+        p_max=299, anomalous_probability=0.3), len(lengths), seed=2).conductances
+    return TrajectoryBank.from_rows([row[:n] for row, n in zip(full, lengths)])
 
 
 @pytest.fixture()
@@ -216,12 +226,8 @@ class TestCharacterizeCommand:
     def test_pearson_per_trajectory_on_a_ragged_bank(self, tmp_path, capsys):
         # rows of three lengths, one group spanning several blocks,
         # in shuffled order: each row gets its own trajectory's coefficient
-        lengths = np.random.default_rng(0).permutation([40] * 5 + [57] * 20 + [300] * 150)
-        full = generate_trajectory_bank(SyntheticTrajectoryParams(
-            p_max=299, anomalous_probability=0.3), len(lengths), seed=2).conductances
-        bank = TrajectoryBank.from_rows([row[:n] for row, n in zip(full, lengths)])
         bank_path = tmp_path / "bank.csv"
-        save_bank_csv(bank, bank_path)
+        save_bank_csv(ragged_bank(), bank_path)
         out = tmp_path / "o"
         assert cli.main(["characterize", "--bank", str(bank_path), "--out", str(out)]) == 0
         loaded = load_bank_csv(bank_path)
@@ -243,6 +249,99 @@ class TestCharacterizeCommand:
                          "--out", str(flag)]) == 0
         assert (out / "pearson.csv").read_text().count("\n") == 4
         assert (out / "pearson.csv").read_bytes() == (flag / "pearson.csv").read_bytes()
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestCharacterizeStreams:
+    """characterize reads its bank a block of rows at a time, with the same outputs."""
+
+    # sha256 of stdout, pearson.csv, pearson_hist.csv and endurance.csv, as
+    # a characterize that reads the bank as one whole matrix writes them
+    PINNED = {
+        "synthetic": ("a75f2923b65556d313bfccf7d1728cb0bfd0c3131bf50962598a85f6a89392dc",
+                      "eb31546c1f089555b48be80437d773e27ba98fb8bd5bb77dd9c7876a68ce3868",
+                      "ab75477e3e137169fafca6555af6b9de74a10f1a722b9fa6080772e3ed6c1350",
+                      "1ff8dc4cfd0b28e282af13668e51da7579ffd4e7a5a609165ffbaff1c15a7ba9"),
+        "ragged": ("828be4886e211440b2e8a878dcef6c8280dc294cad02b154479cd5e5e4b6f3e4",
+                   "fa2f5263b69dfca596056e72e5e299349029a0b4c3604b9671eced3b4b786297",
+                   "01feccd9588119aa7c7227fd5011cef1352c529d64fcfd39678d4a2dc2c31dfe",
+                   "5af2a7315d11f171c50cb1ab8f62e58449d23ef2d8527528be0d9f1db8409071"),
+    }
+    # sha256 of bank.csv of the ragged bank and of a 150-row synthetic one
+    RAGGED_BANK_CSV = "66a012054498f68208e54c4925b90dea0618c1a9072cb3a9d77376515f5e5161"
+    SYNTHETIC_BANK_CSV = "ca4893f9ae4502f3ada6740c33177d001654ccd85e77ec125127a623b78f784a"
+
+    @pytest.mark.parametrize("source", ["synthetic", "ragged"])
+    def test_outputs_match_the_whole_matrix_reads(self, tmp_path, capsys, source):
+        # 150 rows are two full blocks and a part; the ragged bank is a
+        # measured one, read as views of its matrix
+        if source == "synthetic":
+            args = ["--count", "150", "--cycles", "30", "--pulses-per-cycle", "4000",
+                    "--devices", "3"]
+        else:
+            bank_path = tmp_path / "bank.csv"
+            save_bank_csv(ragged_bank(), bank_path)
+            assert sha256(bank_path.read_bytes()) == self.RAGGED_BANK_CSV
+            args = ["--bank", str(bank_path), "--cycles", "4", "--pulses-per-cycle", "39",
+                    "--devices", "5"]
+        out = tmp_path / "o"
+        assert cli.main(["characterize", *args, "--out", str(out)]) == 0
+        files = [(out / name).read_bytes()
+                 for name in ("pearson.csv", "pearson_hist.csv", "endurance.csv")]
+        digests = tuple(sha256(data) for data in [capsys.readouterr().out.encode(), *files])
+        assert digests == self.PINNED[source]
+
+    def test_saved_bank_matches_the_whole_matrix_write(self, tmp_path, monkeypatch, capsys):
+        # --save-bank of a 150-row bank writes from the same blocks, and
+        # neither it nor the coefficients fill the bank or the draw cache
+        monkeypatch.setattr(device, "_DRAWN", {})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"bank": {"params": {
+            "p_max": 299, "anomalous_probability": 0.3}}}))
+        out = tmp_path / "o"
+        assert cli.main(["characterize", "--config", str(cfg_path), "--count", "150",
+                         "--seed", "2", "--save-bank", "--out", str(out)]) == 0
+        assert sha256((out / "bank.csv").read_bytes()) == self.SYNTHETIC_BANK_CSV
+        assert device._DRAWN == {}
+
+    def test_full_size_run_holds_blocks_not_the_matrix(self, tmp_path, monkeypatch, capsys):
+        # the paper's 1268 x 5001 bank is 48.4 MiB as one matrix; streamed,
+        # the run's numpy and Python allocations peak far below a quarter of it
+        monkeypatch.setattr(device, "_DRAWN", {})
+        tracemalloc.start()
+        try:
+            rc = cli.main(["characterize", "--count", "1268", "--cycles", "5",
+                           "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 1268 * 5001 * 8 / 4
+        assert device._DRAWN == {}
+
+    def test_a_failing_bank_fails_before_any_output(self, tmp_path, monkeypatch, capsys):
+        # the first initial conductance overflows to inf: the first block
+        # fails its check, and nothing is written, cached or evicted from a
+        # full draw cache
+        monkeypatch.setattr(device, "_DRAWN", {})
+        for seed in (0, 1):
+            generate_trajectory_bank(SyntheticTrajectoryParams(p_max=10), 3, seed).fill(11)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"bank": {"params": {"g0_mean": 1e308,
+                                                            "g0_sigma": 1e308}}}))
+        drawn = dict(device._DRAWN)
+        assert len(drawn) == device._DRAWN_SIZE
+        out = tmp_path / "o"
+        rc = cli.main(["characterize", "--config", str(cfg_path), "--count", "3",
+                       "--out", str(out)])
+        assert (rc, *capsys.readouterr()) == (
+            cli.EXIT_RUNTIME, "", "runtime error: conductances must be finite and non-negative\n")
+        assert not any(out.iterdir())
+        assert device._DRAWN.keys() == drawn.keys()
+        assert all(device._DRAWN[key] is matrix for key, matrix in drawn.items())
 
 
 def scalar_endurance(bank, seed, devices, cycles, pulses_per_cycle, budget, path):
@@ -551,12 +650,12 @@ def count_draws(monkeypatch, log=None):
     monkeypatch.setattr(device, "_DRAWN", {})
     passes, draw = [], device._draw
 
-    def counted(params, seed, count, keep):
+    def counted(params, seed, count, keep, out=None):
         passes.append(keep)
         if log is not None:
             with open(log, "a") as f:
                 f.write(f"{os.getpid()}\n")
-        return draw(params, seed, count, keep)
+        return draw(params, seed, count, keep, out)
 
     monkeypatch.setattr(device, "_draw", counted)
     return passes

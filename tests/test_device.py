@@ -299,9 +299,9 @@ def spy_on_draws(monkeypatch):
     monkeypatch.setattr(device, "_DRAWN", {})
     passes, draw = [], device._draw
 
-    def spy(params, seed, count, keep):
+    def spy(params, seed, count, keep, out=None):
         passes.append(keep)
-        return draw(params, seed, count, keep)
+        return draw(params, seed, count, keep, out)
 
     monkeypatch.setattr(device, "_draw", spy)
     return passes
@@ -412,8 +412,8 @@ class TestDeferredFill:
             assert bank.conductances.tobytes() == expected.tobytes()
 
     def test_whole_read_first_keeps_every_column(self, monkeypatch):
-        # conductances (characterize, save_bank_csv, bank[k]) as the first
-        # read draws the whole bank in its one pass
+        # conductances (or bank[k]) as the first read draws the whole bank
+        # in its one pass
         passes = spy_on_draws(monkeypatch)
         params = SyntheticTrajectoryParams(p_max=1200, anomalous_probability=0.3)
         bank = generate_trajectory_bank(params, 5, seed=3)
@@ -660,6 +660,58 @@ class TestDrawReuse:
                                       for a, b in [("bp", "sff"), ("bp", "cf"), ("sff", "cf")]}
 
 
+class TestBlocks:
+    """Draw passes yield finished row blocks; banks read as row blocks."""
+
+    @settings(max_examples=40)
+    @given(count=st.integers(1, 150), keep=st.integers(1, 78),
+           kwargs=st.sampled_from(FAMILIES))
+    def test_streamed_blocks_stack_to_the_filled_matrix(self, count, keep, kwargs):
+        params = SyntheticTrajectoryParams(p_max=77, late_onset_fraction=0.5, **kwargs)
+        streamed = list(device._draw(params, 5, count, keep))
+        assert [start for start, _ in streamed] == list(range(0, count, device._BLOCK_ROWS))
+        matrix = np.empty((count, keep))
+        for start, block in device._draw(params, 5, count, keep, out=matrix):
+            assert np.shares_memory(block, matrix[start])
+        assert np.vstack([block for _, block in streamed]).tobytes() == matrix.tobytes()
+        expected = one_shot_conductances(params, count, 5)[:, :keep]
+        assert matrix.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    def test_unfilled_bank_streams_one_pass_and_keeps_nothing(self, monkeypatch):
+        passes = spy_on_draws(monkeypatch)
+        params = SyntheticTrajectoryParams(p_max=300, anomalous_probability=0.3)
+        bank = generate_trajectory_bank(params, 130, seed=1)
+        bank.fill(40)
+        blocks = list(bank.blocks())
+        assert [start for start, _ in blocks] == [0, 64, 128]
+        assert np.vstack([block for _, block in blocks]).tobytes() == \
+            one_shot_conductances(params, 130, 1).tobytes()
+        assert passes == [40, 301]
+        assert bank.filled == 40 and [m.shape for m in device._DRAWN.values()] == [(130, 40)]
+
+    def test_complete_banks_yield_views(self, monkeypatch):
+        passes = spy_on_draws(monkeypatch)
+        synthetic = generate_trajectory_bank(SyntheticTrajectoryParams(p_max=20), 70, seed=0)
+        synthetic.fill(21)
+        measured = TrajectoryBank.from_rows([us([9, 8, 7]), us([5, 4])] * 40)
+        for bank in (synthetic, measured):
+            blocks = list(bank.blocks())
+            assert [start for start, _ in blocks] == list(range(0, len(bank), 64))
+            assert all(np.shares_memory(block, bank._matrix) and not block.flags.writeable
+                       for _, block in blocks)
+            assert np.vstack([block for _, block in blocks]).tobytes() == \
+                bank.conductances.tobytes()
+        assert passes == [21]
+
+    def test_failing_block_raises_before_it_is_yielded(self, monkeypatch):
+        monkeypatch.setattr(device, "_DRAWN", {})
+        bank = generate_trajectory_bank(
+            SyntheticTrajectoryParams(p_max=30, g0_mean=1e308, g0_sigma=1e308), 3, seed=0)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            next(bank.blocks())
+        assert bank.filled == 0 and device._DRAWN == {}
+
+
 class TestRetentionDrift:
     def test_zero_days_identity(self):
         params = DriftModelParams()
@@ -739,6 +791,26 @@ class TestBankCsv:
         assert len(loaded) == 3
         for a, b in zip(bank, loaded):
             assert np.allclose(a.conductances, b.conductances, rtol=1e-8)
+
+    @pytest.mark.parametrize("source", ["synthetic", "ragged"])
+    def test_written_from_blocks_as_row_by_row(self, tmp_path, monkeypatch, source):
+        # 150 rows are two full blocks and a part; an unfilled synthetic
+        # bank is written from one streamed pass and stays unfilled
+        monkeypatch.setattr(device, "_DRAWN", {})
+        params = SyntheticTrajectoryParams(p_max=120, anomalous_probability=0.3)
+        if source == "synthetic":
+            bank = generate_trajectory_bank(params, 150, seed=3)
+        else:
+            rows = one_shot_conductances(params, 150, 3)
+            bank = TrajectoryBank.from_rows([row[:2 + k % 119] for k, row in enumerate(rows)])
+        path = tmp_path / "bank.csv"
+        save_bank_csv(bank, path)
+        assert bank.filled == (0 if source == "synthetic" else bank.width)
+        assert device._DRAWN == {}
+        lines = ["device_id,pulse_index,conductance_uS"]
+        lines += [f"{dev_id},{k},{g * 1e6:.9g}" for dev_id, traj in enumerate(bank)
+                  for k, g in enumerate(traj.conductances.tolist())]
+        assert path.read_bytes() == "".join(f"{line}\r\n" for line in lines).encode()
 
     def test_ragged_lengths(self, tmp_path):
         path = tmp_path / "bank.csv"
