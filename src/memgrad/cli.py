@@ -26,7 +26,7 @@ from .artifacts import read_csv, read_json, write_csv, write_json
 from .config import (ConfigError, TECH_PROFILES, build_bank, build_dataset,
                      build_drift_params, build_split_indices, build_splits,
                      build_training_run, config_hash, effective_config,
-                     load_config)
+                     load_config, measured_bank)
 from .data import FeatureDataset, ParseError, split
 from .device import cycle_endurance, pearson_coefficient, save_bank_csv
 from .energy import (EnergyLedger, mac_energy_projection, programming_energy,
@@ -131,11 +131,9 @@ def _train_one(cfg, seed, dataset, splits, outdir: Path, bank=None):
 def _train_runs(cfg, dataset, indices, seeds, out: Path) -> dict:
     """Train and write the runs of ``seeds``; one call per process."""
     splits = split(dataset, indices)
-    # a measured bank is the same for every repeat, so it is parsed once;
-    # runs on a pinned bank.seed share their draw through device's cache
-    bank = None
-    if not cfg["algorithm"].startswith("float_") and cfg["bank"].get("path"):
-        bank = build_bank(cfg, seeds[0])
+    # a float run reads no bank; runs on a pinned bank.seed share their draw
+    # through device's cache
+    bank = None if cfg["algorithm"].startswith("float_") else measured_bank(cfg)
     return {seed: _train_one(cfg, seed, dataset, splits, out / f"run_{seed}", bank)
             for seed in seeds}
 

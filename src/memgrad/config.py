@@ -43,12 +43,15 @@ __all__ = [
     "build_split_indices",
     "build_splits",
     "build_bank",
+    "measured_bank",
     "build_drift_params",
     "build_training_run",
     "reproduce",
     "TECH_PROFILES",
 ]
 
+# typed parameter blocks state their own defaults; the rest are stated here
+_DRIFT = DriftModelParams()
 DEFAULT_CONFIG: dict = {
     "seed": 0,
     "repeat": 1,
@@ -62,7 +65,7 @@ DEFAULT_CONFIG: dict = {
         "noise_sigma": 1.1,
         "seed": 123,
     },
-    "split": {"train": 0.6, "val": 0.3, "test": 0.1, "stratified": True, "seed": 5},
+    "split": dataclasses.asdict(data_mod.SplitSpec()),
     "arch": {"hidden_units": 48, "cluster_size": 12, "single_layer": False},
     "schedule": {
         "batch_size": 16,
@@ -82,34 +85,22 @@ DEFAULT_CONFIG: dict = {
         "count": 1268,
         "seed": None,              # null = derived from the run seed
         "path": None,
-        "params": {
-            "g0_mean": 100e-6,
-            "g0_sigma": 10e-6,
-            "decrement_mean": 15e-9,
-            "decrement_sigma": 10e-9,
-            "decrement_family": "normal",
-            "late_onset_fraction": 0.8,
-            "late_sigma_factor": 4.0,
-            "anomalous_probability": 0.05,
-            "p_max": 5000,
-        },
+        "params": dataclasses.asdict(SyntheticTrajectoryParams()),
     },
     "rules": {
         "token_amplitude": 1.0,
         "sff_inference": "neutral",
-        "sff": {"theta_plus": 2.0, "theta_minus": 1.0, "eta": 1},
-        "sff_head": {"variant": "temperature", "theta_plus": 0.15,
-                     "theta_minus": 0.15, "eta": 1},
-        "cf_first": {"variant": "temperature", "theta_plus": 0.15,
-                     "theta_minus": 0.15, "eta": -1},
-        "cf_last": {"variant": "temperature", "theta_plus": 0.15,
-                    "theta_minus": 0.15, "eta": 1},
+        "sff": dataclasses.asdict(SFFParams()),
+        "sff_head": dataclasses.asdict(CFParams()),
+        # the CF first layer learns with inverted goodness sign: it
+        # suppresses the target cluster and lets the output layer
+        # concentrate the activity
+        "cf_first": dataclasses.asdict(CFParams(eta=-1)),
+        "cf_last": dataclasses.asdict(CFParams()),
     },
-    "drift": {
-        "sigma_core": 0.8e-6,
-        "sigma_tail": 6e-6,
-        "targets": [[8.0, 3e-6, 0.941], [90.0, 3e-6, 0.907]],
-    },
+    # JSON keeps the calibration targets as lists
+    "drift": {**dataclasses.asdict(_DRIFT),
+              "targets": [list(target) for target in _DRIFT.targets]},
 }
 
 
@@ -221,10 +212,18 @@ def build_splits(cfg: dict, dataset: data_mod.FeatureDataset):
     return data_mod.split(dataset, build_split_indices(cfg, dataset))
 
 
+def measured_bank(cfg: dict):
+    """The measured bank at ``bank.path``, parsed, or None for a synthetic one;
+    callers that train several device runs parse it once and pass it to each."""
+    path = cfg["bank"]["path"]
+    return load_bank_csv(path) if path else None
+
+
 def build_bank(cfg: dict, run_seed: int):
+    bank = measured_bank(cfg)
+    if bank is not None:
+        return bank
     bank_cfg = cfg["bank"]
-    if bank_cfg.get("path"):
-        return load_bank_csv(bank_cfg["path"])
     params = SyntheticTrajectoryParams(**bank_cfg["params"])
     seed = bank_cfg["seed"]
     if seed is None:
@@ -252,11 +251,9 @@ def build_training_run(cfg: dict, seed: int, dataset: data_mod.FeatureDataset,
     """Instantiate a TrainingRun for one seed from an effective config.
 
     This is the one constructor of a run: each setting goes to the object
-    that uses it.  A device run without ``bank`` builds its own; synthetic
-    banks of one params, seed and count share their draws within a process,
-    so ``bank`` serves to parse a measured bank once for several runs.
-    Before the first read, the bank is filled as deep as the schedule can
-    read it.
+    that uses it.  A device run without ``bank`` builds its own; ``bank``
+    passes a :func:`measured_bank`, parsed once for several runs.  Before
+    the first read, the bank is filled as deep as the schedule can read it.
     """
     _check_epochs(cfg)
     algorithm = cfg["algorithm"]
@@ -277,8 +274,7 @@ def build_training_run(cfg: dict, seed: int, dataset: data_mod.FeatureDataset,
                         plan_mode=sched["plan_mode"],
                         float_update=sched["float_update"])
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA11]))
-    tech = TECH_PROFILES[dev["tech"]]
-    ledger = EnergyLedger(tech)
+    ledger = EnergyLedger(TECH_PROFILES[dev["tech"]])
     if is_float:
         layers = [NetworkLayer(spec, weights=rng.normal(
                       0.0, FLOAT_INIT_SIGMA, (spec.n_out, spec.n_in)))
@@ -293,9 +289,8 @@ def build_training_run(cfg: dict, seed: int, dataset: data_mod.FeatureDataset,
             n_train / sched["batch_size"])
         bank.fill(dev["pre_pulse_max"] + 1 + steps)
         layers = [NetworkLayer(spec, array=CrossbarArray.build(
-                      spec.n_in, spec.n_out, bank, rng, tech,
-                      gain_kappa=dev["gain_kappa"],
-                      pre_pulse_max=dev["pre_pulse_max"], ledger=ledger))
+                      spec.n_in, spec.n_out, bank, rng, ledger, dev["gain_kappa"],
+                      dev["pre_pulse_max"]))
                   for spec in specs]
     return TrainingRun(layers=layers, schedule=schedule, seed=seed,
                        rule_params=rule_params,
@@ -320,11 +315,16 @@ def reproduce(cfg: dict, seeds) -> dict:
     ``a_star``; per method and seed, ``test_accuracy``, ``pulse_statistics``
     and the bank ``window`` (``deepest_cursor``, ``kept_columns``,
     ``bank_width``); the ``aging`` accuracies per day; and the pairwise
-    Welch ``p_values``, which need two or more seeds.  Judging them is the
-    caller's.
+    Welch ``p_values``, so it refuses fewer than two seeds before it trains.
+    A measured bank is parsed once for every device run.  Judging the
+    values is the caller's.
     """
     seeds = list(seeds)
+    if len(seeds) < 2:
+        raise ConfigError(f"reproduce needs at least 2 seeds for its Welch tests, "
+                          f"got {len(seeds)}")
     dataset = build_dataset(cfg)
+    bank = measured_bank(cfg)
     train_ds, _, test_ds = build_splits(cfg, dataset)
     oracle = build_training_run({**cfg, "algorithm": "float_bp"}, _ORACLE_SEED, dataset)
     train(oracle, train_ds)
@@ -334,20 +334,20 @@ def reproduce(cfg: dict, seeds) -> dict:
     aging = None
     for k, seed in enumerate(seeds):
         for method in _METHODS:
-            run = build_training_run({**cfg, "algorithm": method}, seed, dataset)
+            run = build_training_run({**cfg, "algorithm": method}, seed, dataset, bank)
             train(run, train_ds)
             accs[method].append(evaluate(run, test_ds))
             pulses[method].append(pulse_statistics(run))
-            bank = run.layers[0].array.bank
+            run_bank = run.layers[0].array.bank
             windows[method].append({
                 "deepest_cursor": max(int(layer.array.cursors.max()) for layer in run.layers),
-                "kept_columns": bank.filled, "bank_width": bank.width})
+                "kept_columns": run_bank.filled, "bank_width": run_bank.width})
             if method == "cf" and k == 0:
                 points = simulate_aging(run, _AGING_DAYS, build_drift_params(cfg),
                                         np.random.default_rng(_DRIFT_SEED),
                                         _AGING_REPEATS, test_ds)
                 aging = [dataclasses.asdict(point) for point in points]
-            del run, bank
+            del run, run_bank
         gc.collect()
     return {"a_star": a_star, "seeds": seeds, "test_accuracy": accs,
             "pulse_statistics": pulses, "window": windows, "aging": aging,

@@ -35,6 +35,7 @@ import numpy as np
 from .artifacts import read_csv, write_csv
 from .errors import ParseError
 from .device import DeviceTechParams, EnduranceExceeded, TrajectoryBank
+from .energy import EnergyLedger
 
 __all__ = [
     "OnExhaustion",
@@ -70,11 +71,12 @@ class CrossbarArray:
     ``n_in`` is the number of word lines (inputs, the physical row count)
     and ``n_out`` the number of signed outputs (each one uses two physical
     columns).  The weight scale s = gain_kappa * v_read ties the software
-    weight representation to the read gain.
+    weight representation to the read gain.  An array is built on its run's
+    ledger, whose tech is the array's and which records its reads and pulses.
     """
 
     def __init__(self, bank: TrajectoryBank, traj_ids, cursors,
-                 tech: DeviceTechParams, gain_kappa: float = 5e4, ledger=None):
+                 ledger: EnergyLedger, gain_kappa: float):
         # C order: the pulse step indexes flat views of the state arrays
         traj_ids = np.array(traj_ids, dtype=np.int64, order="C")
         cursors = np.array(cursors, dtype=np.int64, order="C")
@@ -84,11 +86,8 @@ class CrossbarArray:
             raise ValueError("trajectory id outside the bank")
         if np.any(cursors < 0) or np.any(cursors >= bank.lengths[traj_ids]):
             raise ValueError("cursor outside its trajectory")
-        if ledger is not None and ledger.tech != tech:
-            raise ValueError(f"ledger records {ledger.tech.name}, array is {tech.name}")
         self.n_out, self.n_in = traj_ids.shape[:2]
         self.bank = bank
-        self.tech = tech
         self.gain_kappa = float(gain_kappa)
         self.ledger = ledger
         self.traj_ids = traj_ids
@@ -106,6 +105,10 @@ class CrossbarArray:
         return {**self.__dict__, "_read_cache": None}
 
     @property
+    def tech(self) -> DeviceTechParams:
+        return self.ledger.tech
+
+    @property
     def scale_s(self) -> float:
         return self.gain_kappa * self.tech.v_read
 
@@ -115,8 +118,8 @@ class CrossbarArray:
 
     @classmethod
     def build(cls, n_in: int, n_out: int, bank: TrajectoryBank,
-              rng: np.random.Generator, tech: DeviceTechParams,
-              gain_kappa: float = 5e4, pre_pulse_max: int = 50, ledger=None):
+              rng: np.random.Generator, ledger: EnergyLedger, gain_kappa: float,
+              pre_pulse_max: int):
         """Assemble an array from fresh bank draws.
 
         Each device starts on a freshly drawn trajectory and receives a
@@ -133,7 +136,7 @@ class CrossbarArray:
         draws = rng.integers(0, bounds)
         traj_ids, pre = draws[0::2].reshape(shape), draws[1::2].reshape(shape)
         cursors = np.minimum(pre, bank.lengths[traj_ids] - 1)
-        return cls(bank, traj_ids, cursors, tech, gain_kappa, ledger=ledger)
+        return cls(bank, traj_ids, cursors, ledger, gain_kappa)
 
     def conductances(self):
         """Current (G+, G-) matrices, shape (n_out, n_in) each."""
@@ -167,13 +170,12 @@ class CrossbarArray:
         if x.ndim != 2 or x.shape[1] != self.n_in:
             raise ValueError(f"input must have shape (N, {self.n_in}), got {x.shape}")
         weights, g_cols = self._cached()
-        if self.ledger is not None:
-            # every driven device contributes G * (x_j V_read)^2 * t_read
-            self.ledger.record_read(float(g_cols @ (x ** 2).sum(axis=0)))
-            self.ledger.record_macs(x.shape[0] * self.n_in * self.n_out)
+        # every driven device contributes G * (x_j V_read)^2 * t_read
+        self.ledger.record_read(float(g_cols @ (x ** 2).sum(axis=0)))
+        self.ledger.record_macs(x.shape[0] * self.n_in * self.n_out)
         return x @ weights.T
 
-    def apply_update_plan(self, plan, policy: OnExhaustion = OnExhaustion.SKIP,
+    def apply_update_plan(self, plan, policy: OnExhaustion,
                           rng: np.random.Generator | None = None) -> PulseResult:
         """Apply one reset pulse per planned weight, as one array step.
 
@@ -231,16 +233,14 @@ class CrossbarArray:
             tid[exhausted] = rng.integers(0, len(self.bank), size=reinits)
             nxt[exhausted] = 1
             g_pre[exhausted] = self.bank.gather(tid[exhausted], 0)
-            if self.ledger is not None:
-                self.ledger.record_reinit(count=reinits)
+            self.ledger.record_reinit(count=reinits)
         flat_g[pos] = self.bank.gather(tid, nxt)
         if reinits:
             flat_tid[pos] = tid
         flat_cur[pos] = nxt
         flat_pulses[pos] = lifetime + 1
         self._read_cache = None
-        if self.ledger is not None:
-            self.ledger.record_pulses(g_pre)
+        self.ledger.record_pulses(g_pre)
         return PulseResult(applied=len(pos), skipped=skipped, reinits=reinits)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass
+from functools import cached_property
 from operator import itemgetter
 
 import numpy as np
@@ -187,7 +188,7 @@ class SyntheticTrajectoryParams:
             raise ValueError(f"unknown decrement family {self.decrement_family!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DriftModelParams:
     """Retention drift model: a zero-mean core/tail Gaussian mixture.
 
@@ -206,8 +207,8 @@ class DriftModelParams:
         if self.sigma_core < 0 or self.sigma_tail < 0:
             raise ValueError("sigmas must be non-negative")
         # -0.0 passes that check, but numpy refuses it as a normal scale
-        self.sigma_core += 0.0
-        self.sigma_tail += 0.0
+        object.__setattr__(self, "sigma_core", self.sigma_core + 0.0)
+        object.__setattr__(self, "sigma_tail", self.sigma_tail + 0.0)
         for days, bound, frac in self.targets:
             if days <= 0 or bound <= 0:
                 raise ValueError("target days and bounds must be positive")
@@ -219,10 +220,9 @@ class DriftModelParams:
             return 1.0
         return math.erf(bound / (sigma * math.sqrt(2.0)))
 
-    def tail_weight(self, days: float) -> float:
-        """Mixture tail weight at a given horizon (0 at day 0)."""
-        if days < 0:
-            raise ValueError("days must be >= 0")
+    @cached_property
+    def _tail_anchors(self) -> tuple[list[float], list[float]]:
+        """(days, tail weights) that ``tail_weight`` interpolates, from day 0."""
         xs, ws = [0.0], [0.0]
         for d, bound, frac in sorted(self.targets):
             p_core = self._inside_bound(self.sigma_core, bound)
@@ -233,7 +233,13 @@ class DriftModelParams:
                 w = (p_core - frac) / (p_core - p_tail)
             xs.append(float(d))
             ws.append(min(max(w, 0.0), 1.0))
-        return float(np.interp(days, xs, ws))
+        return xs, ws
+
+    def tail_weight(self, days: float) -> float:
+        """Mixture tail weight at a given horizon (0 at day 0)."""
+        if days < 0:
+            raise ValueError("days must be >= 0")
+        return float(np.interp(days, *self._tail_anchors))
 
 
 def _check_conductances(block: np.ndarray):

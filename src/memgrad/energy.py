@@ -167,19 +167,15 @@ def read_energy(ledger: EnergyLedger) -> float:
     return ledger.reads.total * ledger.tech.v_read ** 2 * ledger.tech.t_read
 
 
-def pv_baseline_energy(update_count: int,
-                       per_update_energy: float = PV_UPDATE_ENERGY_J) -> float:
+def pv_baseline_energy(update_count: int) -> float:
     """Cost of the same update count under a program-and-verify flow."""
     if update_count < 0:
         raise ValueError("update_count must be >= 0")
-    return update_count * per_update_energy
+    return update_count * PV_UPDATE_ENERGY_J
 
 
-def mac_energy_projection(mac_count: int,
-                          tops_per_watt: float = DEFAULT_TOPS_PER_WATT) -> float:
-    """Project MAC energy through an ops/W efficiency (2 ops per MAC)."""
-    if tops_per_watt <= 0:
-        raise ValueError("tops_per_watt must be positive")
+def mac_energy_projection(mac_count: int) -> float:
+    """Project MAC energy through the measured ops/W efficiency (2 ops per MAC)."""
     if mac_count < 0:
         raise ValueError("mac_count must be >= 0")
-    return 2.0 * mac_count / tops_per_watt
+    return 2.0 * mac_count / DEFAULT_TOPS_PER_WATT

@@ -72,7 +72,7 @@ class LayerSpec:
 class SFFParams:
     theta_plus: float = 2.0
     theta_minus: float = 1.0
-    eta: float = 1.0
+    eta: int = 1
 
     def __post_init__(self):
         if not (np.isfinite(self.theta_plus) and np.isfinite(self.theta_minus)):
@@ -86,7 +86,7 @@ class CFParams:
     variant: str = "temperature"   # "temperature" | "offset"
     theta_plus: float = 0.15
     theta_minus: float = 0.15
-    eta: float = 1.0
+    eta: int = 1
 
     def __post_init__(self):
         if self.variant not in ("temperature", "offset"):
@@ -276,8 +276,7 @@ def bp_gradients(weights: list[np.ndarray], x, y,
     return grads
 
 
-def threshold_sign_plan(grad, tau: float,
-                        mode: str = "descent") -> tuple[np.ndarray, np.ndarray]:
+def threshold_sign_plan(grad, tau: float, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """Turn a gradient matrix into single-pulse actions.
 
     Returns ``(mask, side)``, both shaped like ``grad``: ``mask`` marks the

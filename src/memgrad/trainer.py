@@ -80,11 +80,11 @@ class Phase:
 class Schedule:
     phases: list[Phase]
     algorithm: str
-    batch_size: int = 16
-    tau: float = 0.0
-    learning_rate: float = 0.05        # float modes only
-    plan_mode: str = "descent"
-    float_update: str = "sgd"          # "sgd" | "sign"
+    batch_size: int
+    tau: float
+    learning_rate: float               # float modes only
+    plan_mode: str                     # "descent" | "paper_literal"
+    float_update: str                  # "sgd" | "sign"
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -178,9 +178,7 @@ def _layer_specs(rule: str, n_features: int, n_classes: int,
     if rule == "sff":
         return [LayerSpec(n_features + n_classes, hidden_units, eta=first),
                 LayerSpec(hidden_units, head_units, eta=last, clusters=clusters)]
-    # by default the CF first layer learns with inverted goodness sign: it
-    # suppresses the target cluster and lets the output layer concentrate
-    # the activity
+    # rules.cf_first inverts the first layer's goodness sign by default
     return [LayerSpec(n_features, head_units, eta=first, clusters=clusters),
             LayerSpec(head_units, head_units, eta=last, clusters=clusters)]
 
@@ -352,9 +350,8 @@ def _predict_labels(specs: list[LayerSpec], weights: list[np.ndarray],
 
 
 def evaluate_weights(specs: list[LayerSpec], weights: list[np.ndarray],
-                     dataset: FeatureDataset, rule: str,
-                     token_amplitude: float = 1.0,
-                     sff_inference: str = "neutral") -> float:
+                     dataset: FeatureDataset, rule: str, token_amplitude: float,
+                     sff_inference: str) -> float:
     """Accuracy of a weight stack on a dataset (no side effects)."""
     labels = _predict_labels(specs, weights, dataset.features, rule,
                              token_amplitude, sff_inference)
@@ -391,8 +388,7 @@ class AgingPoint:
 def age_conductances(layers: list, day_checkpoints: list[float],
                      drift_params: DriftModelParams, rng: np.random.Generator,
                      n_repeats: int, test_ds: FeatureDataset, rule: str,
-                     token_amplitude: float = 1.0,
-                     sff_inference: str = "neutral") -> np.ndarray:
+                     token_amplitude: float, sff_inference: str) -> np.ndarray:
     """Test accuracy of drifted conductances, shape (repeats, checkpoints).
 
     ``layers`` holds ``(spec, scale_s, (G+, G-))`` per layer.  Every repeat

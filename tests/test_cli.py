@@ -699,7 +699,7 @@ class TestSharedBank:
 
             monkeypatch.setattr(device, "_drawn", uncached)
         else:
-            monkeypatch.setattr(cli, "build_bank", lambda cfg, seed: None)
+            monkeypatch.setattr(cli, "measured_bank", lambda cfg: None)
         assert cli.main([*args, "--out", str(tmp_path / "own")]) == 0
         assert (len(passes), len(loaded)) == ((4, 0) if source == "seed" else (0, 4))
         shared = self.run_files(tmp_path / "shared", [0, 1, 2])

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from memgrad.crossbar import (CrossbarArray, OnExhaustion, PulseResult,
                               load_snapshot_csv, save_snapshot_csv)
-from memgrad.device import (DeviceState, EnduranceExceeded, LARGE_ARRAY, MAC_ARRAY,
+from memgrad.device import (DeviceState, EnduranceExceeded, LARGE_ARRAY,
                             SyntheticTrajectoryParams, TrajectoryBank,
                             apply_reset_pulse, generate_trajectory_bank,
                             load_bank_csv, reinitialize, save_bank_csv)
@@ -20,6 +20,7 @@ from memgrad.energy import EnergyLedger, RunningSum
 from memgrad.errors import ParseError
 
 PLUS, MINUS = 0, 1    # plan sides: the device of the pair that is pulsed
+SKIP = OnExhaustion.SKIP
 
 
 class RecordingLedger(EnergyLedger):
@@ -44,11 +45,12 @@ def make_bank(p_max=200, count=64, seed=0, **kw):
         count, seed)
 
 
-def make_array(n_in=4, n_out=3, seed=0, pre_pulse_max=10, **kw):
+def make_array(n_in=4, n_out=3, seed=0, pre_pulse_max=10, ledger=None):
+    """An array on a fresh 200-pulse bank; without ``ledger``, on a new one."""
     bank = make_bank()
     rng = np.random.default_rng(seed)
-    return CrossbarArray.build(n_in, n_out, bank, rng, LARGE_ARRAY,
-                               pre_pulse_max=pre_pulse_max, **kw)
+    return CrossbarArray.build(n_in, n_out, bank, rng, ledger or EnergyLedger(LARGE_ARRAY),
+                               5e4, pre_pulse_max)
 
 
 def array_from_us(g_plus, g_minus, n_out=1, n_in=1):
@@ -56,7 +58,7 @@ def array_from_us(g_plus, g_minus, n_out=1, n_in=1):
     bank = TrajectoryBank.from_rows([np.array([g_plus, g_plus * 0.9]) * 1e-6,
                                      np.array([g_minus, g_minus * 0.9]) * 1e-6])
     ids = np.broadcast_to([0, 1], (n_out, n_in, 2))
-    return CrossbarArray(bank, ids, np.zeros_like(ids), LARGE_ARRAY, gain_kappa=5e4)
+    return CrossbarArray(bank, ids, np.zeros_like(ids), EnergyLedger(LARGE_ARRAY), 5e4)
 
 
 def plan_at(arr, actions):
@@ -82,14 +84,14 @@ class TestWeightMapping:
     def test_pulse_minus_increases_weight(self):
         arr = make_array()
         w0 = arr.map_weights()[1, 2]
-        arr.apply_update_plan(plan_at(arr, {(1, 2): MINUS}))
+        arr.apply_update_plan(plan_at(arr, {(1, 2): MINUS}), SKIP)
         assert arr.map_weights()[1, 2] >= w0
 
     def test_differential_antisymmetry(self):
         arr = make_array(seed=3)
         swapped = CrossbarArray(arr.bank, arr.traj_ids[..., ::-1],
-                                arr.cursors[..., ::-1], LARGE_ARRAY,
-                                gain_kappa=arr.gain_kappa)
+                                arr.cursors[..., ::-1], EnergyLedger(LARGE_ARRAY),
+                                arr.gain_kappa)
         assert np.array_equal(swapped.map_weights(), -arr.map_weights())
 
     def test_scale_identity(self):
@@ -159,12 +161,6 @@ class TestMac:
         expected = sum(float(((g_plus + g_minus) @ x[n] ** 2).sum()) for n in range(5))
         assert ledger.reads.total == pytest.approx(expected, rel=1e-12)
 
-    def test_ledger_on_other_tech_refused(self):
-        # a ledger prices every event on its one tech
-        with pytest.raises(ValueError, match="ledger records mac_array, array is large_array"):
-            make_array(ledger=EnergyLedger(MAC_ARRAY))
-        make_array(ledger=EnergyLedger(dataclasses.replace(LARGE_ARRAY)))
-
 
 class TestUpdatePlan:
     def test_duplicate_action_rejected(self):
@@ -172,14 +168,14 @@ class TestUpdatePlan:
         arr = make_array()
         mask, side = plan_at(arr, {(0, 0): PLUS})
         with pytest.raises(ValueError):
-            arr.apply_update_plan((mask.astype(int) * 2, side))
+            arr.apply_update_plan((mask.astype(int) * 2, side), SKIP)
         assert int(arr.pulse_counts.sum()) == 0
 
     def test_empty_plan_is_noop(self):
         arr = make_array()
         # a copy: map_weights returns the array's cached W itself
         before = arr.map_weights().copy()
-        result = arr.apply_update_plan(plan_at(arr, {}))
+        result = arr.apply_update_plan(plan_at(arr, {}), SKIP)
         assert result == PulseResult(applied=0, skipped=0, reinits=0)
         assert np.array_equal(arr.map_weights(), before)
 
@@ -194,7 +190,7 @@ class TestUpdatePlan:
                                     *arr.conductances())]
         mask, _ = plan_at(arr, {(0, 0): PLUS, (2, 3): MINUS})
         with pytest.raises(ValueError, match="integer side array"):
-            arr.apply_update_plan((mask, side))
+            arr.apply_update_plan((mask, side), SKIP)
         after = (arr.traj_ids, arr.cursors, arr.pulse_counts, *arr.conductances())
         assert all(np.array_equal(a, b) for a, b in zip(state, after))
         assert ledger.pulse_count == 0 and ledger.g_pre == []
@@ -203,7 +199,7 @@ class TestUpdatePlan:
     def test_integer_and_bool_sides(self, dtype):
         arr = make_array()
         mask, side = plan_at(arr, {(0, 0): PLUS, (2, 3): MINUS})
-        assert arr.apply_update_plan((mask, side.astype(dtype))).applied == 2
+        assert arr.apply_update_plan((mask, side.astype(dtype)), SKIP).applied == 2
         assert arr.pulse_counts[0, 0].tolist() == [1, 0]
         assert arr.pulse_counts[2, 3].tolist() == [0, 1]
 
@@ -211,9 +207,9 @@ class TestUpdatePlan:
         # a fresh monotone device must step exactly to trajectory[1]
         bank = make_bank()
         arr = CrossbarArray.build(2, 2, bank, np.random.default_rng(0),
-                                  LARGE_ARRAY, pre_pulse_max=0)
+                                  EnergyLedger(LARGE_ARRAY), 5e4, 0)
         expected = bank[arr.traj_ids[1, 0, MINUS]].conductances[1]
-        result = arr.apply_update_plan(plan_at(arr, {(1, 0): MINUS}))
+        result = arr.apply_update_plan(plan_at(arr, {(1, 0): MINUS}), SKIP)
         assert result.applied == 1
         assert arr.conductances()[1][1, 0] == expected
         assert arr.cursors[1, 0, MINUS] == 1
@@ -222,28 +218,28 @@ class TestUpdatePlan:
         ledger = RecordingLedger()
         arr = make_array(ledger=ledger)
         g_before = arr.conductances()[0][0, 1]
-        arr.apply_update_plan(plan_at(arr, {(0, 1): PLUS}))
+        arr.apply_update_plan(plan_at(arr, {(0, 1): PLUS}), SKIP)
         assert ledger.g_pre == [g_before]
         assert arr.conductances()[0][0, 1] != g_before
 
     def test_skip_policy_on_exhausted(self):
         bank = make_bank(p_max=2)
         arr = CrossbarArray.build(1, 1, bank, np.random.default_rng(0),
-                                  LARGE_ARRAY, pre_pulse_max=0)
+                                  EnergyLedger(LARGE_ARRAY), 5e4, 0)
         plan = plan_at(arr, {(0, 0): PLUS})
-        arr.apply_update_plan(plan)  # second pulse would run off the end
-        arr.apply_update_plan(plan)
-        result = arr.apply_update_plan(plan)
+        arr.apply_update_plan(plan, SKIP)  # second pulse would run off the end
+        arr.apply_update_plan(plan, SKIP)
+        result = arr.apply_update_plan(plan, SKIP)
         assert result.skipped == 1 and result.applied == 0
         assert arr.cursors[0, 0, PLUS] == 2
 
     def test_reinit_policy_on_exhausted(self):
         bank = make_bank(p_max=2)
         arr = CrossbarArray.build(1, 1, bank, np.random.default_rng(0),
-                                  LARGE_ARRAY, pre_pulse_max=0)
+                                  EnergyLedger(LARGE_ARRAY), 5e4, 0)
         plan = plan_at(arr, {(0, 0): PLUS})
-        arr.apply_update_plan(plan)
-        arr.apply_update_plan(plan)
+        arr.apply_update_plan(plan, SKIP)
+        arr.apply_update_plan(plan, SKIP)
         result = arr.apply_update_plan(plan, policy=OnExhaustion.REINIT,
                                        rng=np.random.default_rng(1))
         assert result.reinits == 1
@@ -260,7 +256,7 @@ class TestUpdatePlan:
                 for j in range(3):
                     if rng.random() < 0.4:
                         actions[(i, j)] = PLUS if rng.random() < 0.5 else MINUS
-            applied += arr.apply_update_plan(plan_at(arr, actions)).applied
+            applied += arr.apply_update_plan(plan_at(arr, actions), SKIP).applied
         assert applied == int(arr.pulse_counts.sum())
 
     def test_out_of_bounds_action(self):
@@ -268,25 +264,25 @@ class TestUpdatePlan:
         mask = np.zeros((arr.n_out + 1, arr.n_in), dtype=bool)
         mask[arr.n_out, 0] = True
         with pytest.raises(ValueError):
-            arr.apply_update_plan((mask, np.zeros(mask.shape, dtype=np.int8)))
+            arr.apply_update_plan((mask, np.zeros(mask.shape, dtype=np.int8)), SKIP)
         mask, side = plan_at(arr, {(0, 0): PLUS})
         side[0, 0] = 2
         with pytest.raises(ValueError):
-            arr.apply_update_plan((mask, side))
+            arr.apply_update_plan((mask, side), SKIP)
 
     def test_monotone_bank_weight_monotonicity(self):
         arr = make_array(n_in=2, n_out=2, seed=11)
         for side, sense in ((MINUS, 1), (PLUS, -1)):
             for _ in range(10):
                 w0 = arr.map_weights()[0, 0]
-                arr.apply_update_plan(plan_at(arr, {(0, 0): side}))
+                arr.apply_update_plan(plan_at(arr, {(0, 0): side}), SKIP)
                 assert sense * (arr.map_weights()[0, 0] - w0) >= 0
 
     def test_pulse_events_logged_with_pre_conductance(self):
         ledger = RecordingLedger()
         arr = make_array(ledger=ledger)
         g_before = arr.conductances()[0][0, 0]
-        arr.apply_update_plan(plan_at(arr, {(0, 0): PLUS}))
+        arr.apply_update_plan(plan_at(arr, {(0, 0): PLUS}), SKIP)
         assert ledger.g_pre == [g_before]
 
     def test_endurance_failure_is_atomic(self):
@@ -295,10 +291,10 @@ class TestUpdatePlan:
         tech = dataclasses.replace(LARGE_ARRAY, endurance_budget=3)
         ledger = RecordingLedger(tech)
         arr = CrossbarArray.build(2, 2, make_bank(p_max=2), np.random.default_rng(0),
-                                  tech, pre_pulse_max=0, ledger=ledger)
+                                  ledger, 5e4, 0)
         rng = np.random.default_rng(5)
         for _ in range(2):
-            arr.apply_update_plan(plan_at(arr, {(0, 0): PLUS, (1, 1): PLUS}))
+            arr.apply_update_plan(plan_at(arr, {(0, 0): PLUS, (1, 1): PLUS}), SKIP)
         arr.apply_update_plan(plan_at(arr, {(1, 1): PLUS}), OnExhaustion.REINIT, rng)
         state = [a.copy() for a in (arr.traj_ids, arr.cursors, arr.pulse_counts,
                                     *arr.conductances())]
@@ -318,11 +314,12 @@ class TestUpdatePlan:
     def test_endurance_error_names_device(self):
         # a non-square array and side 1: the flat position decodes to (i, j, side)
         tech = dataclasses.replace(LARGE_ARRAY, endurance_budget=1)
-        arr = CrossbarArray.build(5, 3, make_bank(), np.random.default_rng(0), tech)
-        arr.apply_update_plan(plan_at(arr, {(2, 4): MINUS}))
+        arr = CrossbarArray.build(5, 3, make_bank(), np.random.default_rng(0),
+                                  EnergyLedger(tech), 5e4, 50)
+        arr.apply_update_plan(plan_at(arr, {(2, 4): MINUS}), SKIP)
         with pytest.raises(EnduranceExceeded,
                            match=r"device \(2, 4, side 1\) at 1 lifetime pulses \(budget 1\)"):
-            arr.apply_update_plan(plan_at(arr, {(0, 1): PLUS, (2, 4): MINUS}))
+            arr.apply_update_plan(plan_at(arr, {(0, 1): PLUS, (2, 4): MINUS}), SKIP)
 
 
 def scalar_build(n_in, n_out, bank, rng, pre_pulse_max):
@@ -352,7 +349,7 @@ class TestReadCache:
             assert np.array_equal(arr.map_weights(), w)
             assert np.array_equal(arr.read(x), x @ w.T)
             arr.apply_update_plan((plans.random((4, 5)) < 0.6,
-                                   plans.integers(0, 2, (4, 5))))
+                                   plans.integers(0, 2, (4, 5))), SKIP)
         assert np.array_equal(arr.map_weights(), self.fresh_weights(arr))
 
     def test_weights_are_read_only(self):
@@ -377,7 +374,7 @@ class TestReadCache:
                 arr.read(x)
                 g_plus, g_minus = arr.conductances()
                 expected.add(float((g_plus + g_minus).sum(axis=0) @ (x ** 2).sum(axis=0)))
-            arr.apply_update_plan((gen.random((3, 6)) < 0.5, gen.integers(0, 2, (3, 6))))
+            arr.apply_update_plan((gen.random((3, 6)) < 0.5, gen.integers(0, 2, (3, 6))), SKIP)
         assert ledger.reads.total.hex() == expected.total.hex()
         assert ledger.read_count == expected.count == 15
 
@@ -407,8 +404,7 @@ class TestScalarReferenceModel:
     def test_matches_scalar_reference_model(self, policy):
         bank = generate_trajectory_bank(SyntheticTrajectoryParams(p_max=4), 16, seed=3)
         ledger = RecordingLedger()
-        arr = CrossbarArray.build(4, 3, bank, np.random.default_rng(0), LARGE_ARRAY,
-                                  pre_pulse_max=2, ledger=ledger)
+        arr = CrossbarArray.build(4, 3, bank, np.random.default_rng(0), ledger, 5e4, 2)
         grid = scalar_build(4, 3, bank, np.random.default_rng(0), pre_pulse_max=2)
         ref_g_pre = []
         rng_array, rng_ref = np.random.default_rng(7), np.random.default_rng(7)
@@ -446,8 +442,8 @@ class TestScalarReferenceModel:
         bank = TrajectoryBank.from_rows(rows)
         tech = dataclasses.replace(LARGE_ARRAY, endurance_budget=budget)
         ledger = RecordingLedger(tech)
-        arr = CrossbarArray.build(n_in, n_out, bank, np.random.default_rng(0), tech,
-                                  pre_pulse_max=pre_pulse_max, ledger=ledger)
+        arr = CrossbarArray.build(n_in, n_out, bank, np.random.default_rng(0), ledger,
+                                  5e4, pre_pulse_max)
         grid = scalar_build(n_in, n_out, bank, np.random.default_rng(0), pre_pulse_max)
         rng_array, rng_ref = np.random.default_rng(1), np.random.default_rng(1)
         ref_g_pre, ref_total = [], RunningSum()
@@ -516,8 +512,8 @@ class TestBuildStream:
         row_id = {id(bank[k]): k for k in range(len(bank))}
         for seed in seeds:
             rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            arr = CrossbarArray.build(n_in, n_out, bank, rng, LARGE_ARRAY,
-                                      pre_pulse_max=pre_pulse_max)
+            arr = CrossbarArray.build(n_in, n_out, bank, rng, EnergyLedger(LARGE_ARRAY),
+                                      5e4, pre_pulse_max)
             grid = scalar_build(n_in, n_out, bank, rng_ref, pre_pulse_max)
             ref_ids = np.vectorize(lambda dev: row_id[id(dev.trajectory)])(grid)
             ref_cursors = np.vectorize(lambda dev: dev.pulse_index)(grid)
@@ -560,7 +556,7 @@ class TestCopies:
         twin = clone(arr)
         assert not twin.map_weights().flags.writeable
         mask = np.ones((3, 4), dtype=bool)
-        assert twin.apply_update_plan((mask, np.zeros((3, 4), np.int8))).applied == 12
+        assert twin.apply_update_plan((mask, np.zeros((3, 4), np.int8)), SKIP).applied == 12
         assert np.array_equal(twin.cursors[..., 0], arr.cursors[..., 0] + 1)
         g_plus, g_minus = twin.conductances()
         expected = twin.bank.conductances[twin.traj_ids[..., 0], twin.cursors[..., 0]]
@@ -665,8 +661,8 @@ class TestCsvRoundTrip:
            pre_pulse_max=st.integers(0, 8), seed=st.integers(0, 2 ** 32 - 1))
     def test_any_snapshot(self, tmp_path_factory, rows, n_out, n_in, pre_pulse_max, seed):
         arr = CrossbarArray.build(n_in, n_out, TrajectoryBank.from_rows(rows),
-                                  np.random.default_rng(seed), LARGE_ARRAY,
-                                  pre_pulse_max=pre_pulse_max)
+                                  np.random.default_rng(seed), EnergyLedger(LARGE_ARRAY),
+                                  5e4, pre_pulse_max)
         path = tmp_path_factory.mktemp("snapshot") / "snap.csv"
         save_snapshot_csv(arr, path)
         snap = load_snapshot_csv(path)

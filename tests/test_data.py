@@ -5,9 +5,17 @@ import struct
 import numpy as np
 import pytest
 
+from memgrad.config import DEFAULT_CONFIG
 from memgrad.data import (FeatureDataset, ParseError, SplitSpec,
                           load_feature_csv, load_idx, make_cluster_task,
                           save_feature_csv, split, split_indices)
+
+
+def cluster_task(**task):
+    """``make_cluster_task`` on the default config's task, with ``task`` changed."""
+    args = {**DEFAULT_CONFIG["task"], **task}
+    del args["kind"]
+    return make_cluster_task(**args)
 
 
 def write_idx_pair(tmp_path, images, labels):
@@ -112,26 +120,26 @@ class TestIdx:
 
 class TestClusterTask:
     def test_deterministic(self):
-        a = make_cluster_task(seed=9)
-        b = make_cluster_task(seed=9)
+        a = cluster_task(seed=9)
+        b = cluster_task(seed=9)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
     def test_shapes_and_clipping(self):
-        ds = make_cluster_task(n_classes=3, n_features=8, n_per_class=50)
+        ds = cluster_task(n_classes=3, n_features=8, n_per_class=50)
         assert ds.n_samples == 150 and ds.n_features == 8 and ds.n_classes == 3
         assert ds.features.min() >= 0.0
 
     def test_zero_noise_is_separable(self):
         # with no noise every sample sits on its class center
-        ds = make_cluster_task(n_classes=3, n_features=8, n_per_class=5,
+        ds = cluster_task(n_classes=3, n_features=8, n_per_class=5,
                                noise_sigma=0.0, seed=3)
         for c in range(3):
             block = ds.features[ds.labels == c]
             assert np.all(block == block[0])
 
     def test_class_permutation_symmetry(self):
-        ds = make_cluster_task(n_classes=4, n_features=8, n_per_class=10, seed=4)
+        ds = cluster_task(n_classes=4, n_features=8, n_per_class=10, seed=4)
         perm = np.array([2, 3, 1, 0])
         relabeled = FeatureDataset(ds.features, perm[ds.labels], 4)
         for c in range(4):
@@ -140,12 +148,12 @@ class TestClusterTask:
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            make_cluster_task(n_classes=1)
+            cluster_task(n_classes=1)
 
 
 class TestSplit:
     def test_exact_paper_fractions(self):
-        ds = make_cluster_task(n_classes=4, n_features=4, n_per_class=1000, seed=0)
+        ds = cluster_task(n_classes=4, n_features=4, n_per_class=1000, seed=0)
         train, val, test = split(ds, SplitSpec(seed=1))
         for part, expected in ((train, 2400), (val, 1200), (test, 400)):
             assert part.n_samples == expected
@@ -153,19 +161,19 @@ class TestSplit:
                 assert np.sum(part.labels == c) == expected // 4
 
     def test_deterministic(self):
-        ds = make_cluster_task(n_classes=3, n_features=4, n_per_class=30, seed=0)
+        ds = cluster_task(n_classes=3, n_features=4, n_per_class=30, seed=0)
         a = split_indices(ds, SplitSpec(seed=7))
         b = split_indices(ds, SplitSpec(seed=7))
         assert a == b
 
     def test_disjoint_exhaustive(self):
-        ds = make_cluster_task(n_classes=3, n_features=4, n_per_class=37, seed=0)
+        ds = cluster_task(n_classes=3, n_features=4, n_per_class=37, seed=0)
         idx = split_indices(ds, SplitSpec(seed=2))
         all_indices = sorted(idx["train"] + idx["val"] + idx["test"])
         assert all_indices == list(range(ds.n_samples))
 
     def test_stratification_within_one_sample(self):
-        ds = make_cluster_task(n_classes=4, n_features=4, n_per_class=87, seed=0)
+        ds = cluster_task(n_classes=4, n_features=4, n_per_class=87, seed=0)
         idx = split_indices(ds, SplitSpec(seed=3))
         for name, frac in (("train", 0.6), ("val", 0.3), ("test", 0.1)):
             labels = ds.labels[idx[name]]
@@ -173,7 +181,7 @@ class TestSplit:
                 assert abs(np.sum(labels == c) - frac * 87) <= 1.0
 
     def test_non_stratified_split(self):
-        ds = make_cluster_task(n_classes=3, n_features=4, n_per_class=40, seed=0)
+        ds = cluster_task(n_classes=3, n_features=4, n_per_class=40, seed=0)
         idx = split_indices(ds, SplitSpec(stratified=False, seed=4))
         merged = sorted(idx["train"] + idx["val"] + idx["test"])
         assert merged == list(range(120))

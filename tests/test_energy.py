@@ -104,7 +104,7 @@ class TestMacProjection:
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            mac_energy_projection(10, tops_per_watt=0)
+            mac_energy_projection(-1)
 
 
 class TestLedgerPersistence:

@@ -81,6 +81,19 @@ GOLDEN_AGING_CSV = (
 GOLDEN_ENERGY_JSON = (
     "9dc0f6c64bd454edcafd608189e18990058cdf32ffed906c89259ff8bea20a2a")
 
+# The effective config of each algorithm, as `json.dumps(..., indent=2)`
+# writes it, and `config_hash` of the default config: the config blocks a
+# run manifest records, whichever module states their defaults
+GOLDEN_CONFIG_JSON = {
+    "bp": "ac13e4338c9af319edc614b3623c0395f40532c051857fd913ec94259a340ba7",
+    "sff": "dac18d1101d1cfd5498abb673d596f4348f99333555dcfcbb8df508e27d8d93f",
+    "cf": "5bd6b9cfeca7b044cbd4535d611f845844bf425b9b21e85b3aa39b696dc86daa",
+    "float_bp": "cecdecc7c24d0b006afbee48c7bd561ebbaa0d5f268f9d6bafe744bc2b9d0690",
+    "float_sff": "dbd4cbb90389ae6d12c2f149deca71a8802b6a8febc738ec6b050a16c872e523",
+    "float_cf": "594222edcf8129a991a6fe5578eb00a285deff71c910ef465fc816346699963b",
+}
+GOLDEN_CONFIG_HASH = "72257bd223c08bdf1f6a98803f3c6b8cedef91782a289fdba8405c5ed2876d87"
+
 # One config switch per entry, which no digest above reaches: its overrides
 # over BRANCH_BASE, then the run digest and the loss digest of seed 0.
 BRANCH_BASE = {"task": {"n_per_class": 250}, "schedule": {"epochs": [1, 1]}}
@@ -300,3 +313,13 @@ def test_cli_energy_json(cli_run):
     assert cli.main(["energy", "--run", str(cli_run)]) == cli.EXIT_OK
     data = (cli_run / "energy.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == GOLDEN_ENERGY_JSON
+
+
+@pytest.mark.parametrize("algorithm", sorted(GOLDEN_CONFIG_JSON))
+def test_effective_config_json(algorithm):
+    text = json.dumps(config.effective_config(None, {"algorithm": algorithm}), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CONFIG_JSON[algorithm]
+
+
+def test_default_config_hash():
+    assert config.config_hash(config.effective_config()) == GOLDEN_CONFIG_HASH

@@ -489,26 +489,26 @@ class TestThresholdSignPlan:
     # side 0 pulses G+ (weight down), side 1 pulses G- (weight up)
     def test_rule_definition(self):
         grad = np.array([[0.5, -0.5, 0.01]])
-        mask, side = threshold_sign_plan(grad, tau=0.1)
+        mask, side = threshold_sign_plan(grad, tau=0.1, mode="descent")
         assert mask.tolist() == [[True, True, False]]
         assert side[mask].tolist() == [0, 1]
 
     def test_all_below_threshold(self):
-        mask, _ = threshold_sign_plan(np.full((3, 3), 0.05), tau=0.1)
+        mask, _ = threshold_sign_plan(np.full((3, 3), 0.05), tau=0.1, mode="descent")
         assert not mask.any()
 
     def test_strict_exceedance(self):
         # |grad| == tau is not an update; exact zeros never fire at tau = 0
-        mask, _ = threshold_sign_plan(np.array([[0.1, 0.0]]), tau=0.1)
+        mask, _ = threshold_sign_plan(np.array([[0.1, 0.0]]), tau=0.1, mode="descent")
         assert not mask.any()
-        mask, _ = threshold_sign_plan(np.array([[0.0, 1e-300]]), tau=0.0)
+        mask, _ = threshold_sign_plan(np.array([[0.0, 1e-300]]), tau=0.0, mode="descent")
         assert not mask[0, 0] and mask[0, 1]
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(15)
         grad = rng.normal(0, 1, (5, 4))
-        mask_a, side_a = threshold_sign_plan(grad, tau=0.3)
-        mask_b, side_b = threshold_sign_plan(grad * 7.3, tau=0.3 * 7.3)
+        mask_a, side_a = threshold_sign_plan(grad, tau=0.3, mode="descent")
+        mask_b, side_b = threshold_sign_plan(grad * 7.3, tau=0.3 * 7.3, mode="descent")
         assert np.array_equal(mask_a, mask_b)
         assert np.array_equal(side_a[mask_a], side_b[mask_b])
 
@@ -520,8 +520,8 @@ class TestThresholdSignPlan:
 
     def test_pure_function(self):
         grad = np.array([[0.5, -0.5, 0.0]])
-        mask_a, side_a = threshold_sign_plan(grad, 0.1)
-        mask_b, side_b = threshold_sign_plan(grad, 0.1)
+        mask_a, side_a = threshold_sign_plan(grad, 0.1, "descent")
+        mask_b, side_b = threshold_sign_plan(grad, 0.1, "descent")
         assert np.array_equal(mask_a, mask_b) and np.array_equal(side_a, side_b)
 
 

@@ -20,7 +20,7 @@ from memgrad.trainer import (NetworkLayer, Phase, Schedule, evaluate,
 @pytest.fixture(scope="module")
 def tiny_task():
     ds = make_cluster_task(n_classes=4, n_features=12, n_per_class=40,
-                           noise_sigma=0.3, seed=21)
+                           center_scale=1.0, noise_sigma=0.3, seed=21)
     return split(ds, SplitSpec(seed=1))
 
 
@@ -61,7 +61,8 @@ class TestSchedules:
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
-            Schedule(phases=[], algorithm="nope")
+            Schedule(phases=[], algorithm="nope", batch_size=16, tau=0.0,
+                     learning_rate=0.05, plan_mode="descent", float_update="sgd")
 
 
 def _cursors_max(run):
@@ -300,7 +301,7 @@ class TestEvaluate:
         x = np.array([[1.0, 1.0]])
         from memgrad.data import FeatureDataset
         ds = FeatureDataset(x, np.array([1]), 3)
-        assert evaluate_weights(layers, [w], ds, rule="cf") == 1.0
+        assert evaluate_weights(layers, [w], ds, "cf", 1.0, "neutral") == 1.0
 
     def test_random_logits_chance_level(self):
         rng = np.random.default_rng(0)
@@ -310,7 +311,7 @@ class TestEvaluate:
         x = rng.normal(0, 1, (10_000, 4))
         labels = rng.integers(0, 4, 10_000)
         ds = FeatureDataset(x, labels, 4)
-        acc = evaluate_weights([spec], [w], ds, rule="bp")
+        acc = evaluate_weights([spec], [w], ds, "bp", 1.0, "neutral")
         assert acc == pytest.approx(0.25, abs=0.02)
 
     def test_side_effect_free(self, tiny_task, tiny_bank):
@@ -327,7 +328,7 @@ class TestEvaluate:
         w = np.zeros((4, 2))
         from memgrad.data import FeatureDataset
         ds = FeatureDataset(np.ones((1, 2)), np.array([0]), 4)
-        assert evaluate_weights([spec], [w], ds, rule="bp") == 1.0
+        assert evaluate_weights([spec], [w], ds, "bp", 1.0, "neutral") == 1.0
 
 
 class TestSffPredict:
@@ -342,9 +343,9 @@ class TestSffPredict:
         weights = [l.read_weights() for l in run.layers]
         scaled = [weights[0], 3.0 * weights[1]]
         accs = evaluate_weights(specs, weights, test_ds, "sff",
-                                run.token_amplitude)
+                                run.token_amplitude, run.sff_inference)
         accs_scaled = evaluate_weights(specs, scaled, test_ds, "sff",
-                                       run.token_amplitude)
+                                       run.token_amplitude, run.sff_inference)
         assert accs == accs_scaled
         assert base.shape == (test_ds.n_samples,)
 
@@ -497,7 +498,7 @@ class TestBankFill:
         # every grid split keeps its train samples within the bound the run
         # fills its bank for, so no run reads past its kept columns
         dataset = make_cluster_task(n_classes=4, n_features=3, n_per_class=n_per_class,
-                                    seed=2)
+                                    center_scale=1.0, noise_sigma=1.1, seed=2)
         for train_frac, val_frac in ((0.6, 0.3), (0.5, 0.25), (1 / 3, 1 / 3), (0.7, 0.2),
                                      (0.34, 0.33), (0.15, 0.7), (0.8, 0.1), (0.9, 0.05)):
             split_cfg = {"train": train_frac, "val": val_frac,
