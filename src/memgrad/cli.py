@@ -46,8 +46,8 @@ EXIT_RUNTIME = 4
 
 def _dataset_digest(ds: FeatureDataset) -> str:
     h = hashlib.sha256()
-    h.update(ds.features.tobytes())
-    h.update(ds.labels.tobytes())
+    h.update(np.ascontiguousarray(ds.features))
+    h.update(np.ascontiguousarray(ds.labels))
     return h.hexdigest()
 
 
@@ -200,13 +200,6 @@ def cmd_train(args) -> int:
 
 # ---------------------------------------------------------------- characterize
 
-# Trajectories per pearson_coefficient call in characterize: few enough that
-# the call's temporaries (three of rows x width) stay near 2 MiB beside the
-# bank's row block, many enough that per-call overhead is no longer per
-# trajectory.
-_PEARSON_ROWS = 16
-
-
 def cmd_characterize(args) -> int:
     _check_min(args, cycles=0, pulses_per_cycle=0, devices=0)
     flags = {"path": args.bank, "count": args.count, "seed": args.seed}
@@ -230,13 +223,11 @@ def cmd_characterize(args) -> int:
         rows = slice(start, start + len(g))
         g_first[rows] = g[:, 0]
         g_last[rows] = g[np.arange(len(g)), last[rows]]
-        # rows of one length share a call
+        # a block's rows of one length share a call
         block_lengths = lengths[rows]
         for length in np.unique(block_lengths).tolist():
             same = np.flatnonzero(block_lengths == length)
-            for k in range(0, len(same), _PEARSON_ROWS):
-                chunk = same[k:k + _PEARSON_ROWS]
-                rhos[start + chunk] = pearson_coefficient(g[chunk, :length], length)
+            rhos[start + same] = pearson_coefficient(g[same, :length], length)
     write_csv(out / "pearson.csv", ["device_id", "pearson"],
               ([k, f"{rho:.6f}"] for k, rho in enumerate(rhos.tolist())))
     counts, edges = np.histogram(rhos, bins=40, range=(-1.0, 1.0))

@@ -15,7 +15,6 @@ import hashlib
 import itertools
 import json
 import math
-import os
 
 import numpy as np
 
@@ -135,6 +134,7 @@ def effective_config(user_cfg: dict | None = None,
         cfg = _deep_merge(cfg, overrides)
     validate_config(cfg)
     _check_epochs(cfg)
+    _check_drift(cfg)
     return cfg
 
 
@@ -149,6 +149,15 @@ def _check_epochs(cfg: dict):
                           f"{n_layers} for {cfg['algorithm']}")
 
 
+def _check_drift(cfg: dict):
+    """The ``drift`` block builds a DriftModelParams: the schema cannot see
+    two calibration targets on one day."""
+    try:
+        build_drift_params(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"drift.targets: {exc}") from exc
+
+
 def load_config(path: str | None, overrides: dict | None = None) -> dict:
     user_cfg = None
     if path is not None:
@@ -161,18 +170,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
         if not isinstance(user_cfg, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
-    # MEMGRAD_SEED is the global seed fallback: it applies only when neither
-    # the config file nor the CLI pinned a seed.
-    env_seed = os.environ.get("MEMGRAD_SEED")
-    cfg = effective_config(user_cfg, overrides)
-    if env_seed is not None and "seed" not in (user_cfg or {}) \
-            and "seed" not in (overrides or {}):
-        try:
-            cfg["seed"] = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"MEMGRAD_SEED is not an integer: {env_seed!r}") from exc
-        validate_config(cfg)
-    return cfg
+    return effective_config(user_cfg, overrides)
 
 
 def config_hash(cfg: dict) -> str:

@@ -202,8 +202,7 @@ def _largest_remainder(total: int, fractions: list[float]) -> list[int]:
     return counts
 
 
-def split(dataset: FeatureDataset, spec: SplitSpec | dict[str, list[int]]):
-    """(train, val, test) datasets per a split specification or its indices."""
-    idx = split_indices(dataset, spec) if isinstance(spec, SplitSpec) else spec
+def split(dataset: FeatureDataset, idx: dict[str, list[int]]):
+    """(train, val, test) datasets of the indices ``split_indices`` returns."""
     return (dataset.subset(idx["train"]), dataset.subset(idx["val"]),
             dataset.subset(idx["test"]))

@@ -214,6 +214,11 @@ class DriftModelParams:
                 raise ValueError("target days and bounds must be positive")
             if not 0.0 <= frac <= 1.0:
                 raise ValueError("target CDF fractions must be in [0, 1]")
+        target_days = [target[0] for target in self.targets]
+        if len(set(target_days)) != len(target_days):
+            # two anchors on one day contradict each other, and the tail
+            # weight there would be whichever of them sorts last
+            raise ValueError(f"target days must be distinct, got {target_days}")
 
     def _inside_bound(self, sigma: float, bound: float) -> float:
         if sigma == 0:
@@ -237,8 +242,8 @@ class DriftModelParams:
 
     def tail_weight(self, days: float) -> float:
         """Mixture tail weight at a given horizon (0 at day 0)."""
-        if days < 0:
-            raise ValueError("days must be >= 0")
+        if not 0 <= days < math.inf:
+            raise ValueError(f"days must be finite and >= 0, got {days}")
         return float(np.interp(days, *self._tail_anchors))
 
 
@@ -248,8 +253,9 @@ def _check_conductances(block: np.ndarray):
 
 
 # Rows per block of a draw pass: a block of the full 5001-column width is
-# 2.5 MiB, and blocks of 16 to 256 rows draw a bank as fast as one block.
-_BLOCK_ROWS = 64
+# 0.6 MiB, as is each temporary of a Pearson call on it in characterize,
+# and blocks of 16 to 256 rows draw a bank as fast as one block.
+_BLOCK_ROWS = 16
 
 
 def _draw(params: SyntheticTrajectoryParams, seed: int, count: int, keep: int,
@@ -609,25 +615,23 @@ def pearson_coefficient(conductances, p_max: int) -> float | np.ndarray:
 
 def apply_retention_drift(conductance, days: float, params: DriftModelParams,
                           rng: np.random.Generator):
-    """Perturb read conductance(s) by the drift expected after ``days``.
+    """Perturb read conductances by the drift expected after ``days``.
 
-    Accepts a scalar or an array (one independent draw per device).  The
-    result is clamped at zero.  ``days == 0`` is the identity.
+    One independent draw per device; the result is a new array clamped at
+    zero.  ``days`` must be finite and >= 0, and ``days == 0`` is the
+    identity.
     """
-    if days < 0:
-        raise ValueError("days must be >= 0")
+    p_tail = params.tail_weight(days)
     g = np.asarray(conductance, dtype=float)
     if np.any(g < 0):
         raise ValueError("conductance must be non-negative")
     if days == 0:
-        return conductance if np.isscalar(conductance) else g.copy()
-    p_tail = params.tail_weight(days)
+        return g.copy()
     tail = rng.random(g.shape) < p_tail
     dg = np.where(tail,
                   rng.normal(0.0, params.sigma_tail, g.shape),
                   rng.normal(0.0, params.sigma_core, g.shape))
-    out = np.clip(g + dg, 0.0, None)
-    return float(out) if np.isscalar(conductance) else out
+    return np.clip(g + dg, 0.0, None)
 
 
 def pulse_energy(conductance: float, tech: DeviceTechParams) -> float:

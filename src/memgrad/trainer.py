@@ -18,6 +18,7 @@ layer).  Scoring is side-effect free: ``predict``, ``evaluate`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,7 +133,9 @@ class NetworkLayer:
 
 
 def _activate(spec: LayerSpec, pre: np.ndarray) -> np.ndarray:
-    return np.maximum(pre, 0.0) if spec.activation == "relu" else pre
+    """The layer's activation, written over ``pre``: every caller passes a
+    matmul output of its own that nothing else holds."""
+    return np.maximum(pre, 0.0, out=pre) if spec.activation == "relu" else pre
 
 
 @dataclass
@@ -337,7 +340,7 @@ def _predict_labels(specs: list[LayerSpec], weights: list[np.ndarray],
             tokens = np.zeros((len(x), n_classes))
             tokens[:, c] = token_amplitude
             h = _activate(specs[0], np.hstack([x, tokens]) @ weights[0].T)
-            scores[:, c] = (h ** 2).sum(axis=1)
+            scores[:, c] = np.square(h, out=h).sum(axis=1)
         return scores.argmax(axis=1)
     acts = x
     if rule == "sff":
@@ -345,7 +348,7 @@ def _predict_labels(specs: list[LayerSpec], weights: list[np.ndarray],
     for spec, w in zip(specs, weights):
         acts = _activate(spec, acts @ w.T)
     if last.clusters is not None:
-        acts = (acts ** 2).reshape(len(x), n_classes, last.clusters[1]).sum(axis=2)
+        acts = np.square(acts, out=acts).reshape(len(x), n_classes, last.clusters[1]).sum(axis=2)
     return acts.argmax(axis=1)
 
 
@@ -393,10 +396,12 @@ def age_conductances(layers: list, day_checkpoints: list[float],
 
     ``layers`` holds ``(spec, scale_s, (G+, G-))`` per layer.  Every repeat
     and checkpoint draws independent drift for each device (G+ then G- of
-    each layer in turn) and scores the weights s * (G+ - G-).
+    each layer in turn) and scores the weights s * (G+ - G-).  Days that are
+    not finite, >= 0 and ascending raise before the first draw.
     """
-    if list(day_checkpoints) != sorted(day_checkpoints):
-        raise ValueError("day checkpoints must be sorted ascending")
+    days = list(day_checkpoints)
+    if not all(0 <= day < math.inf for day in days) or days != sorted(days):
+        raise ValueError(f"day checkpoints must be finite, >= 0 and ascending, got {days}")
     specs = [spec for spec, _, _ in layers]
     accuracies = np.empty((n_repeats, len(day_checkpoints)))
     for rep in range(n_repeats):

@@ -534,6 +534,17 @@ class TestTrainCommand:
         assert "config error: schedule.epochs = " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_duplicate_drift_target_days_are_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "drift.json"
+        path.write_text(json.dumps({"drift": {"targets": [[8, 3e-6, 0.941],
+                                                          [8, 3e-6, 0.5]]}}))
+        out = tmp_path / "o"
+        rc = cli.main(["train", "--config", str(path), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert "config error: drift.targets: target days must be distinct" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_json_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{oops")
@@ -541,38 +552,13 @@ class TestTrainCommand:
                        str(tmp_path / "o")])
         assert rc == cli.EXIT_CONFIG
 
-    def test_memgrad_seed_fallback(self, tiny_config_path, tmp_path,
-                                   monkeypatch, capsys):
-        monkeypatch.setenv("MEMGRAD_SEED", "9")
-        out = tmp_path / "envseed"
-        rc = cli.main(["train", "--config", tiny_config_path,
-                       "--algo", "float-bp", "--out", str(out)])
-        assert rc == 0
-        manifest = json.loads((out / "run_9" / "manifest.json").read_text())
-        assert manifest["seed"] == 9
-
-    def test_invalid_env_seed_is_config_error(self, tiny_config_path, tmp_path,
-                                               monkeypatch, capsys):
-        monkeypatch.setenv("MEMGRAD_SEED", "not-a-number")
-        rc = cli.main(["train", "--config", tiny_config_path,
-                       "--algo", "float-bp", "--out", str(tmp_path / "o")])
-        assert rc == cli.EXIT_CONFIG
-
-    def test_cli_seed_overrides_env(self, tiny_config_path, tmp_path,
-                                    monkeypatch, capsys):
-        monkeypatch.setenv("MEMGRAD_SEED", "9")
+    def test_cli_seed_picks_run_dir(self, tiny_config_path, tmp_path, capsys):
         out = tmp_path / "cliseed"
         rc = cli.main(["train", "--config", tiny_config_path,
                        "--algo", "float-bp", "--seed", "3", "--out", str(out)])
         assert rc == 0
-        assert (out / "run_3").exists()
-
-    def test_env_seed_leaves_defaults_alone(self, monkeypatch):
-        # restored after the test, so a failure here spoils no later test
-        monkeypatch.setitem(config.DEFAULT_CONFIG, "seed", 0)
-        monkeypatch.setenv("MEMGRAD_SEED", "9")
-        assert config.load_config(None)["seed"] == 9
-        assert config.DEFAULT_CONFIG["seed"] == 0
+        assert [p.name for p in out.glob("run_*")] == ["run_3"]
+        assert json.loads((out / "run_3" / "manifest.json").read_text())["seed"] == 3
 
     @pytest.mark.parametrize("algo, block, layer", [
         ("cf", "cf_first", 0), ("cf", "cf_last", 1),

@@ -57,6 +57,13 @@ def test_typed_blocks_are_their_types_defaults():
     assert config.build_drift_params(cfg) == drift
 
 
+def test_duplicate_drift_target_days_are_a_config_error():
+    with pytest.raises(config.ConfigError,
+                       match=r"drift.targets: target days must be distinct"):
+        config.effective_config(None, {"drift": {"targets": [[8, 3e-6, 0.941],
+                                                             [8, 3e-6, 0.5]]}})
+
+
 # a desk experiment small enough to run twice in about a second
 TINY = {
     "task": {"n_classes": 4, "n_features": 12, "n_per_class": 30, "noise_sigma": 0.3,

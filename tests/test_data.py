@@ -154,7 +154,7 @@ class TestClusterTask:
 class TestSplit:
     def test_exact_paper_fractions(self):
         ds = cluster_task(n_classes=4, n_features=4, n_per_class=1000, seed=0)
-        train, val, test = split(ds, SplitSpec(seed=1))
+        train, val, test = split(ds, split_indices(ds, SplitSpec(seed=1)))
         for part, expected in ((train, 2400), (val, 1200), (test, 400)):
             assert part.n_samples == expected
             for c in range(4):

@@ -683,7 +683,7 @@ class TestBlocks:
         bank = generate_trajectory_bank(params, 130, seed=1)
         bank.fill(40)
         blocks = list(bank.blocks())
-        assert [start for start, _ in blocks] == [0, 64, 128]
+        assert [start for start, _ in blocks] == list(range(0, 130, device._BLOCK_ROWS))
         assert np.vstack([block for _, block in blocks]).tobytes() == \
             one_shot_conductances(params, 130, 1).tobytes()
         assert passes == [40, 301]
@@ -696,7 +696,8 @@ class TestBlocks:
         measured = TrajectoryBank.from_rows([us([9, 8, 7]), us([5, 4])] * 40)
         for bank in (synthetic, measured):
             blocks = list(bank.blocks())
-            assert [start for start, _ in blocks] == list(range(0, len(bank), 64))
+            assert [start for start, _ in blocks] == list(range(0, len(bank),
+                                                                device._BLOCK_ROWS))
             assert all(np.shares_memory(block, bank._matrix) and not block.flags.writeable
                        for _, block in blocks)
             assert np.vstack([block for _, block in blocks]).tobytes() == \
@@ -714,14 +715,28 @@ class TestBlocks:
 
 class TestRetentionDrift:
     def test_zero_days_identity(self):
-        params = DriftModelParams()
-        assert apply_retention_drift(50e-6, 0.0, params,
-                                     np.random.default_rng(0)) == 50e-6
+        g = np.array([50e-6])
+        out = apply_retention_drift(g, 0.0, DriftModelParams(), np.random.default_rng(0))
+        assert np.array_equal(out, g) and out is not g
 
     def test_negative_days_rejected(self):
         with pytest.raises(ValueError):
-            apply_retention_drift(50e-6, -1.0, DriftModelParams(),
+            apply_retention_drift(np.array([50e-6]), -1.0, DriftModelParams(),
                                   np.random.default_rng(0))
+
+    @pytest.mark.parametrize("days", [math.nan, math.inf])
+    def test_non_finite_days_rejected(self, days):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="days must be finite and >= 0"):
+            apply_retention_drift(np.array([50e-6]), days, DriftModelParams(), rng)
+        with pytest.raises(ValueError, match="days must be finite and >= 0"):
+            DriftModelParams().tail_weight(days)
+        assert rng.bit_generator.state == state
+
+    def test_duplicate_target_days_rejected(self):
+        with pytest.raises(ValueError, match=r"target days must be distinct, got \[8, 8.0\]"):
+            DriftModelParams(targets=((8, 3e-6, 0.941), (8.0, 3e-6, 0.5)))
 
     def test_zero_variance_is_identity_for_all_days(self):
         params = DriftModelParams(sigma_core=0.0, sigma_tail=0.0)

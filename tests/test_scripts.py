@@ -66,6 +66,24 @@ def test_only_artifacts_imports_file_format_libraries():
     assert not offenders, f"{offenders} import csv or jsonschema"
 
 
+def test_no_module_reads_the_environment():
+    # a run's settings come from its config file and its flags alone, so no
+    # environment variable can change a run unnoticed
+    env_reads = {"environ", "environb", "getenv", "getenvb"}
+    offenders = []
+    for path in sorted(Path(memgrad.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            if names & env_reads:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"{offenders} read the environment"
+
+
 @pytest.mark.parametrize("algorithm", ["cf", "float_bp"])
 def test_benchmark_outcome_of_a_training_run(monkeypatch, algorithm):
     # the benchmark's gate calls the package as its desk workload does; a

@@ -21,7 +21,7 @@ from memgrad.trainer import (NetworkLayer, Phase, Schedule, evaluate,
 def tiny_task():
     ds = make_cluster_task(n_classes=4, n_features=12, n_per_class=40,
                            center_scale=1.0, noise_sigma=0.3, seed=21)
-    return split(ds, SplitSpec(seed=1))
+    return split(ds, split_indices(ds, SplitSpec(seed=1)))
 
 
 @pytest.fixture(scope="module")
@@ -416,6 +416,17 @@ class TestAging:
         with pytest.raises(ValueError):
             simulate_aging(run, [8.0, 0.0], DriftModelParams(),
                            np.random.default_rng(0), 1, test_ds)
+
+    def test_non_finite_checkpoint_refused_before_any_draw(self, tiny_task, tiny_bank):
+        train_ds, _, test_ds = tiny_task
+        run = tiny_run("cf", tiny_bank, epochs=[1, 1])
+        train(run, train_ds)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for days in ([0.0, math.nan, 90.0], [0.0, math.inf]):
+            with pytest.raises(ValueError, match="finite, >= 0 and ascending"):
+                simulate_aging(run, days, DriftModelParams(), rng, 1, test_ds)
+        assert rng.bit_generator.state == state
 
 
 class TestPulseStatistics:
