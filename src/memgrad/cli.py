@@ -422,13 +422,9 @@ def cmd_stats(args) -> int:
 def cmd_gradcheck(args) -> int:
     _check_min(args, trials=1, seed=0)
     if args.rule == "all":
-        results = gradcheck_mod.run_all(trials=args.trials, seed=args.seed)
-    elif args.rule == "sff":
-        results = [gradcheck_mod.check_sff(args.trials, args.seed)]
-    elif args.rule == "cf":
-        results = [gradcheck_mod.check_cf(args.variant, args.trials, args.seed)]
+        results = gradcheck_mod.run_all(args.trials, args.seed)
     else:
-        results = [gradcheck_mod.check_bp(args.trials, args.seed)]
+        results = [gradcheck_mod.SUITES[args.rule](args.trials, args.seed)]
     ok = True
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -544,9 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--rule", choices=["all", "sff", "cf", "bp"], default="all")
-    p.add_argument("--variant", choices=["temperature", "offset"],
-                   default="temperature")
+    p.add_argument("--rule", choices=["all", *gradcheck_mod.SUITES], default="all")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)

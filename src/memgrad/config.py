@@ -198,7 +198,10 @@ def build_dataset(cfg: dict) -> data_mod.FeatureDataset:
 
 def build_split_indices(cfg: dict, dataset: data_mod.FeatureDataset) -> dict:
     """Sample indices of the config's train/val/test split, none of them empty."""
-    indices = data_mod.split_indices(dataset, data_mod.SplitSpec(**cfg["split"]))
+    try:
+        indices = data_mod.split_indices(dataset, data_mod.SplitSpec(**cfg["split"]))
+    except ValueError as exc:
+        raise ConfigError(f"split: {exc}") from exc
     for name, idx in indices.items():
         if not idx:
             raise ConfigError(f"split.{name} = {cfg['split'][name]} leaves the {name} split "

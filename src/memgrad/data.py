@@ -177,12 +177,14 @@ def split_indices(dataset: FeatureDataset, spec: SplitSpec) -> dict[str, list[in
     fractions = {"train": spec.train, "val": spec.val, "test": spec.test}
     out: dict[str, list[int]] = {name: [] for name in fractions}
     if spec.stratified:
-        groups = [np.where(dataset.labels == c)[0] for c in range(dataset.n_classes)]
+        groups = {f"class {c}": np.where(dataset.labels == c)[0]
+                  for c in range(dataset.n_classes)}
     else:
-        groups = [np.arange(dataset.n_samples)]
-    for idx in groups:
+        groups = {"the dataset": np.arange(dataset.n_samples)}
+    for group, idx in groups.items():
         if len(idx) < 3:
-            raise ValueError(f"group with {len(idx)} samples cannot be 3-way split")
+            raise ValueError(f"{group} has {len(idx)} sample(s); a train/val/test "
+                             f"split needs at least 3")
         idx = idx.copy()
         rng.shuffle(idx)
         counts = _largest_remainder(len(idx), list(fractions.values()))

@@ -110,10 +110,9 @@ class DeviceTechParams:
     """Electrical parameters of one device technology / programming profile.
 
     ``v_reset`` must stay below 1 V: that bound is what defines the regime
-    (small stochastic decrements, low wear, high retention).  The three-level
-    input biasing (source line at ``v_input_mid``, bit lines driven low/mid/
-    high) is bookkeeping only: the MAC contract works with the effective
-    amplitude ``v_read`` = high - mid at the device.
+    (small stochastic decrements, low wear, high retention).  ``v_read`` is
+    the effective read amplitude at the device: under the paper's three-level
+    input biasing (0.5/0.7/0.9 V) it is 0.2 V.
     """
 
     name: str
@@ -122,9 +121,6 @@ class DeviceTechParams:
     v_read: float = 0.2       # V, effective read amplitude at the device
     t_read: float = 15e-6     # s, read integration time (lab-bench default)
     endurance_budget: int = 1_500_000   # lifetime pulses per device
-    v_input_low: float = 0.5   # bit-line level for x = -1
-    v_input_mid: float = 0.7   # source-line bias / x = 0 level
-    v_input_high: float = 0.9  # bit-line level for x = +1
 
     def __post_init__(self):
         if not self.v_reset < 1.0:
@@ -133,8 +129,6 @@ class DeviceTechParams:
             raise ValueError("pulse durations must be positive")
         if self.v_read <= 0:
             raise ValueError("v_read must be positive")
-        if not self.v_input_low <= self.v_input_mid <= self.v_input_high:
-            raise ValueError("input bias levels must be ordered low <= mid <= high")
 
 
 # The two device platforms used throughout: a 0.9 V / 600 ns profile for the

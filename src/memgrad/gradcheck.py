@@ -10,6 +10,7 @@ tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .rules import (CFParams, LayerSpec, SFFParams, bp_gradients, cf_batch_loss,
                     cf_gradient, cluster_labels, cross_entropy_loss,
                     sff_batch_loss, sff_gradient)
 
-__all__ = ["SuiteResult", "check_sff", "check_cf", "check_bp", "run_all"]
+__all__ = ["SuiteResult", "SUITES", "check_sff", "check_cf", "check_bp", "run_all"]
 
 FD_STEP = 1e-5
 RTOL = 1e-5
@@ -66,104 +67,109 @@ def _sample_off_kink(rng, n_b, n_in, w):
     raise RuntimeError("could not sample inputs off the ReLU kink set")
 
 
-def check_sff(trials: int = 100, seed: int = 0) -> SuiteResult:
+def _suite(name: str, trials: int, seed: int, cases) -> SuiteResult:
+    """Compare each ``(analytic grad, loss, weights)`` case that
+    ``cases(rng, trial, n_b, eta)`` yields with central differences."""
     rng = np.random.default_rng(seed)
     failures, worst = 0, 0.0
     for trial in range(trials):
         n_b = 1 if trial % 2 == 0 else 16
-        n_in = int(rng.integers(3, 7))
-        n_h = int(rng.integers(4, 9))
         eta = 1.0 if trial % 4 < 2 else -1.0
-        params = SFFParams(theta_plus=float(rng.normal(0.0, 0.5)),
-                           theta_minus=float(rng.normal(0.0, 0.5)), eta=eta)
-        w = rng.normal(0.0, 0.7, (n_h, n_in))
-        x_pos = _sample_off_kink(rng, n_b, n_in, w)
-        x_neg = _sample_off_kink(rng, n_b, n_in, w)
+        for grad, loss, w in cases(rng, trial, n_b, eta):
+            err = _max_rel_err(grad, _central_diff(loss, w))
+            worst = max(worst, err)
+            failures += err > RTOL
+    return SuiteResult(name, trials, failures, worst)
 
-        def loss():
-            h_pos = np.maximum(x_pos @ w.T, 0.0)
-            h_neg = np.maximum(x_neg @ w.T, 0.0)
-            return sff_batch_loss(h_pos, h_neg, params)
 
-        fd = _central_diff(loss, w)
-        grad = sff_gradient(x_pos, np.maximum(x_pos @ w.T, 0.0),
-                            x_neg, np.maximum(x_neg @ w.T, 0.0), params).grad
-        err = _max_rel_err(grad, fd)
-        worst = max(worst, err)
-        failures += err > RTOL
-    return SuiteResult("sff", trials, failures, worst)
+def _sff_cases(rng, trial, n_b, eta):
+    n_in = int(rng.integers(3, 7))
+    n_h = int(rng.integers(4, 9))
+    params = SFFParams(theta_plus=float(rng.normal(0.0, 0.5)),
+                       theta_minus=float(rng.normal(0.0, 0.5)), eta=eta)
+    w = rng.normal(0.0, 0.7, (n_h, n_in))
+    x_pos = _sample_off_kink(rng, n_b, n_in, w)
+    x_neg = _sample_off_kink(rng, n_b, n_in, w)
+
+    def loss():
+        return sff_batch_loss(np.maximum(x_pos @ w.T, 0.0),
+                              np.maximum(x_neg @ w.T, 0.0), params)
+
+    grad = sff_gradient(x_pos, np.maximum(x_pos @ w.T, 0.0),
+                        x_neg, np.maximum(x_neg @ w.T, 0.0), params).grad
+    yield grad, loss, w
+
+
+def _cf_cases(variant, rng, trial, n_b, eta):
+    n_in = int(rng.integers(3, 7))
+    n_classes = int(rng.integers(2, 5))
+    size = int(rng.integers(2, 5))
+    theta_p = float(rng.uniform(0.05, 1.0)) * (1 if rng.random() < 0.5 else -1)
+    theta_m = float(rng.uniform(0.05, 1.0)) * (1 if rng.random() < 0.5 else -1)
+    params = CFParams(variant=variant, theta_plus=theta_p, theta_minus=theta_m, eta=eta)
+    spec = LayerSpec(n_in, n_classes * size, eta=eta, clusters=(n_classes, size))
+    w = rng.normal(0.0, 0.7, (spec.n_out, n_in))
+    x = _sample_off_kink(rng, n_b, n_in, w)
+    y = rng.integers(0, n_classes, size=n_b)
+    z = (cluster_labels(spec)[None, :] == y[:, None]).astype(float)
+
+    def loss():
+        return cf_batch_loss(np.maximum(x @ w.T, 0.0), z, params)
+
+    yield cf_gradient(x, np.maximum(x @ w.T, 0.0), y, params, spec).grad, loss, w
+
+
+def _bp_cases(rng, trial, n_b, eta):
+    n_in = int(rng.integers(3, 7))
+    n_hidden = int(rng.integers(4, 8))
+    n_classes = int(rng.integers(2, 5))
+    if trial % 3 != 0:
+        weights = [rng.normal(0.0, 0.7, (n_hidden, n_in)),
+                   rng.normal(0.0, 0.7, (n_classes, n_hidden))]
+        x = _sample_off_kink(rng, n_b, n_in, weights[0])
+    else:
+        weights = [rng.normal(0.0, 0.7, (n_classes, n_in))]
+        x = rng.normal(0.0, 1.0, (n_b, n_in))
+    y = rng.integers(0, n_classes, size=n_b)
+
+    def forward():
+        acts = [x]
+        for k, w in enumerate(weights):
+            pre = acts[-1] @ w.T
+            acts.append(np.maximum(pre, 0.0) if k < len(weights) - 1 else pre)
+        return acts
+
+    def loss():
+        return cross_entropy_loss(forward()[-1], y)
+
+    acts = forward()
+    for k, w in enumerate(weights):
+        yield bp_gradients(weights, acts, y, k).grad, loss, w
+
+
+def check_sff(trials: int = 100, seed: int = 0) -> SuiteResult:
+    return _suite("sff", trials, seed, _sff_cases)
 
 
 def check_cf(variant: str = "temperature", trials: int = 100,
              seed: int = 0) -> SuiteResult:
-    rng = np.random.default_rng(seed)
-    failures, worst = 0, 0.0
-    for trial in range(trials):
-        n_b = 1 if trial % 2 == 0 else 16
-        n_in = int(rng.integers(3, 7))
-        n_classes = int(rng.integers(2, 5))
-        size = int(rng.integers(2, 5))
-        n_h = n_classes * size
-        eta = 1.0 if trial % 4 < 2 else -1.0
-        theta_p = float(rng.uniform(0.05, 1.0)) * (1 if rng.random() < 0.5 else -1)
-        theta_m = float(rng.uniform(0.05, 1.0)) * (1 if rng.random() < 0.5 else -1)
-        params = CFParams(variant=variant, theta_plus=theta_p,
-                          theta_minus=theta_m, eta=eta)
-        spec = LayerSpec(n_in, n_h, eta=eta, clusters=(n_classes, size))
-        w = rng.normal(0.0, 0.7, (n_h, n_in))
-        x = _sample_off_kink(rng, n_b, n_in, w)
-        y = rng.integers(0, n_classes, size=n_b)
-        cls = cluster_labels(spec)
-        z = (cls[None, :] == y[:, None]).astype(float)
-
-        def loss():
-            return cf_batch_loss(np.maximum(x @ w.T, 0.0), z, params)
-
-        fd = _central_diff(loss, w)
-        grad = cf_gradient(x, np.maximum(x @ w.T, 0.0), y, params, spec).grad
-        err = _max_rel_err(grad, fd)
-        worst = max(worst, err)
-        failures += err > RTOL
-    return SuiteResult(f"cf_{variant}", trials, failures, worst)
+    return _suite(f"cf_{variant}", trials, seed, partial(_cf_cases, variant))
 
 
 def check_bp(trials: int = 50, seed: int = 0) -> SuiteResult:
-    rng = np.random.default_rng(seed)
-    failures, worst = 0, 0.0
-    for trial in range(trials):
-        n_b = 1 if trial % 2 == 0 else 16
-        n_in = int(rng.integers(3, 7))
-        n_hidden = int(rng.integers(4, 8))
-        n_classes = int(rng.integers(2, 5))
-        two_layer = trial % 3 != 0
-        if two_layer:
-            weights = [rng.normal(0.0, 0.7, (n_hidden, n_in)),
-                       rng.normal(0.0, 0.7, (n_classes, n_hidden))]
-            x = _sample_off_kink(rng, n_b, n_in, weights[0])
-        else:
-            weights = [rng.normal(0.0, 0.7, (n_classes, n_in))]
-            x = rng.normal(0.0, 1.0, (n_b, n_in))
-        y = rng.integers(0, n_classes, size=n_b)
+    return _suite("bp", trials, seed, _bp_cases)
 
-        def loss():
-            acts = x
-            for k, w in enumerate(weights):
-                pre = acts @ w.T
-                acts = np.maximum(pre, 0.0) if k < len(weights) - 1 else pre
-            return cross_entropy_loss(acts, y)
 
-        grads = bp_gradients(weights, x, y)
-        for w, g in zip(weights, grads):
-            err = _max_rel_err(g.grad, _central_diff(loss, w))
-            worst = max(worst, err)
-            failures += err > RTOL
-    return SuiteResult("bp", trials, failures, worst)
+# every suite by the name it reports, in the order `run_all` runs them
+SUITES = {
+    "sff": check_sff,
+    "cf_temperature": partial(check_cf, "temperature"),
+    "cf_offset": partial(check_cf, "offset"),
+    "bp": check_bp,
+}
 
 
 def run_all(trials: int = 100, seed: int = 0) -> list[SuiteResult]:
-    return [
-        check_sff(trials, seed),
-        check_cf("temperature", trials, seed),
-        check_cf("offset", trials, seed),
-        check_bp(max(trials // 2, 10), seed),
-    ]
+    """Every suite; bp runs half the trials, at least 10."""
+    return [check(max(trials // 2, 10) if name == "bp" else trials, seed)
+            for name, check in SUITES.items()]

@@ -2,7 +2,9 @@
 
 Three rules are implemented for bias-free ReLU layers:
 
-* layer-wise backpropagation (softmax + cross-entropy head),
+* layer-wise backpropagation (softmax + cross-entropy head): the backward
+  pass reuses the activations of the step's forward and stops at the one
+  layer being trained,
 * supervised Forward-Forward (SFF): two passes per example, one with the
   true label token appended to the features and one with a wrong token; the
   layer pushes the goodness g = eta * ||h||^2 of positive examples above a
@@ -240,40 +242,27 @@ def cross_entropy_loss(logits, y) -> float:
     return float(np.mean(log_z - shifted[np.arange(len(y)), y]))
 
 
-def bp_gradients(weights: list[np.ndarray], x, y,
-                 trainable: list[bool] | None = None,
-                 acts: list[np.ndarray] | None = None) -> list[GradientBatch]:
-    """Analytic softmax cross-entropy gradients for a 1- or 2-layer bias-free net.
+def bp_gradients(weights: list[np.ndarray], acts: list[np.ndarray], y,
+                 layer: int) -> GradientBatch:
+    """Analytic softmax cross-entropy gradient of one layer of a bias-free net.
 
-    Hidden layers are ReLU, the output layer is linear.  Frozen layers (per
-    the trainable mask) get a zero gradient, and the backward pass stops at
-    the lowest trainable layer.  ``acts`` takes the activations of a forward
-    pass already made (``[x, h, ..., logits]``); without it the forward runs
-    here.
+    ``acts`` are the activations of the step's own forward pass, ``[x, h,
+    ..., logits]``: hidden layers are ReLU, the output layer is linear.  The
+    backward pass runs from the output down to ``layer`` and returns that
+    layer's gradient; the layers below it are not visited.
     """
-    if len(weights) not in (1, 2):
-        raise ValueError("bp_gradients supports 1- or 2-layer networks")
-    if trainable is None:
-        trainable = [True] * len(weights)
-    y = np.atleast_1d(np.asarray(y, dtype=int))
-    if acts is None:
-        acts = [np.atleast_2d(np.asarray(x, dtype=float))]
-        for k, w in enumerate(weights):
-            pre = acts[-1] @ w.T
-            acts.append(np.maximum(pre, 0.0) if k < len(weights) - 1 else pre)
-    elif len(acts) != len(weights) + 1:
+    if len(acts) != len(weights) + 1:
         raise ValueError("need one activation per layer plus the input")
+    if not 0 <= layer < len(weights):
+        raise ValueError(f"layer {layer} out of range for {len(weights)} layer(s)")
+    y = np.atleast_1d(np.asarray(y, dtype=int))
     n_b = len(acts[0])
     delta = softmax(acts[-1])
     delta[np.arange(n_b), y] -= 1.0
     delta /= n_b
-    grads: list[GradientBatch] = [None] * len(weights)  # type: ignore[list-item]
-    for k in range(len(weights) - 1, -1, -1):
-        g = delta.T @ acts[k] if trainable[k] else np.zeros(weights[k].shape)
-        grads[k] = GradientBatch(grad=g)
-        if k > 0 and any(trainable[:k]):
-            delta = (delta @ weights[k]) * (acts[k] > 0)
-    return grads
+    for k in range(len(weights) - 1, layer, -1):
+        delta = (delta @ weights[k]) * (acts[k] > 0)
+    return GradientBatch(grad=delta.T @ acts[layer])
 
 
 def threshold_sign_plan(grad, tau: float, mode: str) -> tuple[np.ndarray, np.ndarray]:

@@ -228,15 +228,14 @@ def _batch_gradient(run: TrainingRun, t: int, x: np.ndarray, y: np.ndarray,
     """Rule gradient for trainable layer t, plus the batch loss.
 
     Each step runs its forward once: the backward pass and the losses reuse
-    its activations and the gradient's goodness.
+    its activations and the gradient's goodness.  BP's backward pass runs
+    from the output down to layer t only.
     """
     rule = run.schedule.rule
     if rule == "bp":
         acts = _forward(run.layers, x)
         weights = [layer.read_weights() for layer in run.layers]
-        grads = bp_gradients(weights, x, y, [k == t for k in range(len(weights))],
-                             acts=acts)
-        return grads[t], cross_entropy_loss(acts[-1], y)
+        return bp_gradients(weights, acts, y, t), cross_entropy_loss(acts[-1], y)
 
     if rule == "sff":
         x_pos, x_neg = _pos_neg_batch(x, y, run.n_classes, run.token_amplitude, rng)

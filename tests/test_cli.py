@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import referencing
 
-from memgrad import cli, config, device
+from memgrad import cli, config, device, gradcheck
 from memgrad.device import (DeviceState, EnduranceExceeded, NeedsReinit,
                             SyntheticTrajectoryParams, TrajectoryBank,
                             apply_reset_pulse, generate_trajectory_bank,
@@ -140,11 +140,27 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 4
 
-    def test_offset_variant_path(self, capsys):
-        rc = cli.main(["gradcheck", "--rule", "cf", "--variant", "offset",
-                       "--trials", "4"])
+    @pytest.mark.parametrize("rule, check", [
+        ("sff", lambda: gradcheck.check_sff(4, 0)),
+        ("cf_temperature", lambda: gradcheck.check_cf("temperature", 4, 0)),
+        ("cf_offset", lambda: gradcheck.check_cf("offset", 4, 0)),
+        ("bp", lambda: gradcheck.check_bp(4, 0))],
+        ids=["sff", "cf_temperature", "cf_offset", "bp"])
+    def test_one_suite_prints_its_line(self, capsys, rule, check):
+        # the error's digits depend on the BLAS kernel's rounding, so they
+        # come from the library call rather than from a literal
+        rc = cli.main(["gradcheck", "--rule", rule, "--trials", "4"])
         assert rc == 0
-        assert "cf_offset" in capsys.readouterr().out
+        err = check().worst_rel_err
+        assert capsys.readouterr().out == f"{rule}: PASS (4 trials, worst rel err {err:.2e})\n"
+
+    @pytest.mark.parametrize("argv", [["--rule", "cf"], ["--variant", "offset"]],
+                             ids=["rule-cf", "variant"])
+    def test_old_selectors_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gradcheck", *argv, "--trials", "4"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_sign_flip_negative_control(self, monkeypatch, capsys):
         # an implementation with the wrong sign must be caught
@@ -534,6 +550,25 @@ class TestTrainCommand:
         assert "config error: schedule.epochs = " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("labels, stratified, message", [
+        ([0] * 10 + [1] * 10 + [2] * 2, True, "class 2 has 2 sample(s)"),
+        ([0, 1], False, "the dataset has 2 sample(s)")], ids=["class", "dataset"])
+    def test_group_too_small_to_split_is_a_config_error(self, tmp_path, capsys,
+                                                         labels, stratified, message):
+        data = tmp_path / "task.csv"
+        data.write_text("label,f0,f1\n" + "".join(f"{c},0.5,{k}\n"
+                                                  for k, c in enumerate(labels)))
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps({"split": {"stratified": stratified}}))
+        out = tmp_path / "o"
+        rc = cli.main(["train", "--config", str(path), "--task", "csv",
+                       "--task-path", str(data), "--algo", "cf", "--epochs", "1,1",
+                       "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert (f"config error: split: {message}; a train/val/test split needs "
+                f"at least 3") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_duplicate_drift_target_days_are_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "drift.json"
         path.write_text(json.dumps({"drift": {"targets": [[8, 3e-6, 0.941],
@@ -760,6 +795,20 @@ class TestRunPipeline:
     def test_unsorted_days_are_a_config_error(self, device_run_dir, capsys):
         rc = cli.main(["age", "--run", str(device_run_dir), "--days", "8,0"])
         assert rc == cli.EXIT_CONFIG
+
+    def test_class_too_small_to_split_is_a_config_error(self, tmp_path, capsys):
+        # the run's task file loses rows of class 2 after training
+        data = tmp_path / "task.csv"
+        rows = [f"{c},0.5,{k}\n" for k, c in enumerate([0] * 10 + [1] * 10 + [2] * 10)]
+        data.write_text("label,f0,f1\n" + "".join(rows))
+        out = tmp_path / "o"
+        assert cli.main(["train", "--task", "csv", "--task-path", str(data),
+                         "--algo", "cf", "--epochs", "1,1", "--out", str(out)]) == 0
+        data.write_text("label,f0,f1\n" + "".join(rows[:22]))
+        rc = cli.main(["age", "--run", str(out / "run_0"), "--days", "0,8"])
+        assert rc == cli.EXIT_CONFIG
+        assert "config error: split: class 2 has 2 sample(s)" in capsys.readouterr().err
+        assert not (out / "run_0" / "aging.csv").exists()
 
     @pytest.mark.parametrize("repeats", ["0", "-1"])
     def test_repeats_below_one_are_a_config_error(self, device_run_dir, capsys,

@@ -93,6 +93,17 @@ class TestReproduce:
             config.reproduce(config.effective_config(TINY), seeds)
         assert built == [] and trained == []
 
+    def test_class_too_small_to_split_refused_before_training(self, tmp_path,
+                                                             monkeypatch):
+        path = tmp_path / "task.csv"
+        path.write_text("label,f0\n" + "".join(
+            f"{c},{k}\n" for k, c in enumerate([0] * 5 + [1] * 2)))
+        trained = spy(monkeypatch, "train")
+        cfg = config.effective_config({"task": {"kind": "csv", "path": str(path)}})
+        with pytest.raises(config.ConfigError, match=r"split: class 1 has 2 sample\(s\)"):
+            config.reproduce(cfg, [0, 1])
+        assert trained == []
+
     def test_measured_bank_parsed_once(self, tmp_path, monkeypatch):
         path = tmp_path / "bank.csv"
         save_bank_csv(generate_trajectory_bank(

@@ -788,14 +788,6 @@ class TestPulseEnergy:
         with pytest.raises(ValueError):
             DeviceTechParams("bad", v_reset=1.2, t_reset=100e-9)
 
-    def test_bias_levels_bracket_read_amplitude(self):
-        # bookkeeping levels: effective read amplitude = high - mid
-        assert MAC_ARRAY.v_input_high - MAC_ARRAY.v_input_mid == pytest.approx(
-            MAC_ARRAY.v_read)
-        with pytest.raises(ValueError):
-            DeviceTechParams("bad", 0.9, 600e-9, v_input_low=0.9,
-                             v_input_high=0.5)
-
 
 class TestBankCsv:
     def test_round_trip(self, tmp_path):

@@ -11,14 +11,33 @@ default config with short schedules, so the file stays well under 10 s; the
 branch digests flip one config switch each on a smaller task.
 """
 
+import ctypes
+import glob
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
 from memgrad import cli, config
 from memgrad.trainer import evaluate, predict, train
+
+
+def _openblas_kernel() -> str:
+    """The kernel numpy's bundled OpenBLAS picked for this CPU, or "unknown"."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
+# Losses and float weights depend on how the BLAS kernel rounds the small
+# matmuls; the digests were taken under OpenBLAS's SkylakeX kernel.
+BLAS_NOTE = f"OpenBLAS kernel {_openblas_kernel()}; the digests were taken under SkylakeX"
 
 GOLDEN_TRAINING = {
     ("bp", 0):
@@ -250,14 +269,14 @@ def loss_digest(run) -> str:
 @pytest.mark.parametrize("algorithm, seed", sorted(GOLDEN_TRAINING))
 def test_training_digest(short_runs, algorithm, seed):
     run, acc = short_runs(algorithm, seed)
-    assert run_digest(run, acc) == GOLDEN_TRAINING[(algorithm, seed)]
+    assert run_digest(run, acc) == GOLDEN_TRAINING[(algorithm, seed)], BLAS_NOTE
 
 
 @pytest.mark.parametrize("algorithm, seed", sorted(GOLDEN_LOSSES))
 def test_loss_digest(short_runs, algorithm, seed):
     run, _ = short_runs(algorithm, seed)
     assert len(run.step_log) == 300
-    assert loss_digest(run) == GOLDEN_LOSSES[(algorithm, seed)]
+    assert loss_digest(run) == GOLDEN_LOSSES[(algorithm, seed)], BLAS_NOTE
 
 
 @pytest.mark.parametrize("policy", sorted(GOLDEN_NARROW))
@@ -275,8 +294,8 @@ def test_exhaustion_digest(task, policy):
 def test_branch_digest(branch_runs, name):
     run, acc = branch_runs(name)
     _, golden_run, golden_loss = GOLDEN_BRANCHES[name]
-    assert run_digest(run, acc) == golden_run
-    assert loss_digest(run) == golden_loss
+    assert run_digest(run, acc) == golden_run, BLAS_NOTE
+    assert loss_digest(run) == golden_loss, BLAS_NOTE
 
 
 def test_branch_per_label_val_accuracies(branch_runs):

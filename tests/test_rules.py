@@ -3,6 +3,7 @@ differences, plan thresholding, float sign descent."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from memgrad.rules import (CFParams, LayerSpec, SFFParams, bp_gradients,
                            cf_batch_loss, cf_goodness_loss, cf_gradient,
@@ -10,7 +11,7 @@ from memgrad.rules import (CFParams, LayerSpec, SFFParams, bp_gradients,
                            sff_goodness_loss, sff_gradient,
                            sign_descent_step_float, softmax,
                            threshold_sign_plan)
-from memgrad.trainer import _pos_neg_batch
+from memgrad.trainer import NetworkLayer, _forward, _pos_neg_batch
 
 
 # ---------------------------------------------------------------- oracles
@@ -414,12 +415,36 @@ class TestLossFromGradientGoodness:
                 == cf_batch_loss(h, z, params))
 
 
+def bp_reference(weights, acts, y):
+    """Transcription of the backward pass over every layer of the net."""
+    logits = acts[-1] - acts[-1].max(axis=1, keepdims=True)
+    delta = np.exp(logits)
+    delta = delta / delta.sum(axis=1, keepdims=True)
+    delta[np.arange(len(y)), y] -= 1.0
+    delta /= len(y)
+    grads = [None] * len(weights)
+    for k in range(len(weights) - 1, -1, -1):
+        grads[k] = delta.T @ acts[k]
+        if k > 0:
+            delta = (delta @ weights[k]) * (acts[k] > 0)
+    return grads
+
+
+def mlp_forward(weights, x):
+    """``[x, h, ..., logits]``: ReLU hidden layers, linear output."""
+    acts = [x]
+    for k, w in enumerate(weights):
+        pre = acts[-1] @ w.T
+        acts.append(np.maximum(pre, 0.0) if k < len(weights) - 1 else pre)
+    return acts
+
+
 class TestBpGradients:
     def test_uniform_softmax_identity(self):
         # all-equal logits: output gradient rows are (1/C - onehot) x / N
         x = np.ones((1, 3))
         w = [np.zeros((4, 3))]
-        g = bp_gradients(w, x, np.array([1]))[0].grad
+        g = bp_gradients(w, mlp_forward(w, x), np.array([1]), 0).grad
         expected = np.outer(np.full(4, 0.25) - np.eye(4)[1], x[0])
         assert np.allclose(g, expected, rtol=1e-12)
 
@@ -434,36 +459,71 @@ class TestBpGradients:
             def loss():
                 return cross_entropy_loss(np.maximum(x @ w1.T, 0) @ w2.T, y)
 
-            grads = bp_gradients([w1, w2], x, y)
-            assert rel_err(grads[0].grad, fd_grad(loss, w1)) < 1e-5
-            assert rel_err(grads[1].grad, fd_grad(loss, w2)) < 1e-5
+            acts = mlp_forward([w1, w2], x)
+            for layer, w in enumerate((w1, w2)):
+                grad = bp_gradients([w1, w2], acts, y, layer).grad
+                assert rel_err(grad, fd_grad(loss, w)) < 1e-5
 
     def test_frozen_layer_masked(self):
+        # training the output layer reads nothing of the frozen layer below
         rng = np.random.default_rng(13)
         w1 = rng.normal(0, 0.5, (6, 4))
         w2 = rng.normal(0, 0.5, (3, 6))
         x = rng.normal(0, 1, (4, 4))
         y = rng.integers(0, 3, 4)
-        grads = bp_gradients([w1, w2], x, y, trainable=[False, True])
-        assert np.array_equal(grads[0].grad, np.zeros_like(w1))
-        assert not np.array_equal(grads[1].grad, np.zeros_like(w2))
+        acts = mlp_forward([w1, w2], x)
+        grad = bp_gradients([w1, w2], acts, y, 1).grad
+        masked = bp_gradients([np.full_like(w1, np.nan), w2], acts, y, 1).grad
+        assert np.array_equal(grad, masked)
+        assert grad.shape == w2.shape and np.isfinite(grad).all()
+
+    @settings(max_examples=100)
+    @given(n_layers=st.integers(1, 2), n_b=st.integers(1, 16), n_in=st.integers(1, 6),
+           n_hidden=st.integers(1, 6), n_classes=st.integers(2, 5),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_any_layer_matches_reference(self, n_layers, n_b, n_in, n_hidden,
+                                         n_classes, seed, data):
+        rng = np.random.default_rng(seed)
+        shapes = ([(n_hidden, n_in), (n_classes, n_hidden)] if n_layers == 2
+                  else [(n_classes, n_in)])
+        weights = [rng.normal(0, 0.7, shape) for shape in shapes]
+        x = rng.normal(0, 1, (n_b, n_in))
+        y = rng.integers(0, n_classes, n_b)
+        acts = mlp_forward(weights, x)
+        layer = data.draw(st.integers(0, n_layers - 1))
+        grad = bp_gradients(weights, acts, y, layer).grad
+        assert np.array_equal(grad, bp_reference(weights, acts, y)[layer])
 
     @pytest.mark.parametrize("trainable", [[True, True], [False, True], [True, False]])
     def test_given_activations_match_own_forward(self, trainable):
-        # the trainer hands over the forward it already ran; every gradient
-        # must equal the one bp_gradients computes from its own forward
+        # the trainer hands over the forward it already ran; the gradient of
+        # every layer it trains must equal the one from a forward made here
         rng = np.random.default_rng(15)
         w1, w2 = rng.normal(0, 0.5, (6, 4)), rng.normal(0, 0.5, (3, 6))
         x = rng.normal(0, 1, (16, 4))
         y = rng.integers(0, 3, 16)
-        h = np.maximum(x @ w1.T, 0.0)
-        given = bp_gradients([w1, w2], x, y, trainable, acts=[x, h, h @ w2.T])
-        own = bp_gradients([w1, w2], x, y, trainable)
-        for k in range(2):
-            assert np.array_equal(given[k].grad, own[k].grad)
-            assert given[k].grad.any() == trainable[k]
+        layers = [NetworkLayer(spec=LayerSpec(4, 6), weights=w1),
+                  NetworkLayer(spec=LayerSpec(6, 3, activation="identity"), weights=w2)]
+        given = _forward(layers, x)
+        own = mlp_forward([w1, w2], x)
+        for k in (k for k in range(2) if trainable[k]):
+            grad = bp_gradients([w1, w2], given, y, k).grad
+            assert np.array_equal(grad, bp_gradients([w1, w2], own, y, k).grad)
+            assert grad.any()
         with pytest.raises(ValueError, match="activation"):
-            bp_gradients([w1, w2], x, y, trainable, acts=[x, h])
+            bp_gradients([w1, w2], given[:2], y, 1)
+
+    def test_refusals(self):
+        rng = np.random.default_rng(15)
+        w1, w2 = rng.normal(0, 0.5, (6, 4)), rng.normal(0, 0.5, (3, 6))
+        x = rng.normal(0, 1, (16, 4))
+        y = rng.integers(0, 3, 16)
+        acts = mlp_forward([w1, w2], x)
+        with pytest.raises(ValueError, match="activation"):
+            bp_gradients([w1, w2], acts[:2], y, 1)
+        for layer in (-1, 2):
+            with pytest.raises(ValueError, match="out of range"):
+                bp_gradients([w1, w2], acts, y, layer)
 
     def test_perceptron_separable_toy(self):
         # two linearly separable points: plain gradient descent must drive
@@ -472,7 +532,7 @@ class TestBpGradients:
         y = np.array([0, 1])
         w = np.zeros((2, 2))
         for _ in range(500):
-            g = bp_gradients([w], x, y)[0].grad
+            g = bp_gradients([w], [x, x @ w.T], y, 0).grad
             w = w - 1.0 * g
         assert cross_entropy_loss(x @ w.T, y) < 1e-2
 
