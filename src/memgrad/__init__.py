@@ -21,7 +21,7 @@ from .data import (FeatureDataset, SplitSpec, load_feature_csv, load_idx,
                    make_cluster_task, save_feature_csv, split)
 from .energy import (EnergyLedger, mac_energy_projection, programming_energy,
                      pv_baseline_energy, read_energy)
-from .stats import (StatReport, holm_bonferroni, regularized_incomplete_beta,
+from .stats import (compare_groups, holm_bonferroni, regularized_incomplete_beta,
                     welch_t_test)
 from .trainer import (Phase, Schedule, TrainingRun, evaluate, pulse_statistics,
                       simulate_aging, train)

@@ -33,7 +33,7 @@ from .energy import (EnergyLedger, mac_energy_projection, programming_energy,
                      pv_baseline_energy, read_energy, PV_UPDATE_ENERGY_J)
 from .crossbar import save_snapshot_csv, load_snapshot_csv
 from .rules import LayerSpec
-from .stats import StatReport
+from .stats import compare_groups
 from .trainer import age_conductances, evaluate, pulse_statistics, train
 from . import gradcheck as gradcheck_mod
 
@@ -292,6 +292,9 @@ def cmd_age(args) -> int:
             raise ParseError(f"{manifest_path}: invalid at layers/{k}: {exc}") from exc
     dataset = build_dataset(cfg)
     _, _, test_ds = build_splits(cfg, dataset)
+    if _dataset_digest(dataset) != manifest["dataset"]["sha256"]:
+        raise ParseError(f"{manifest_path}: the config's dataset is not the one "
+                         f"the run was trained on (sha256 differs)")
     layers = []
     for k, (spec, s) in enumerate(zip(specs, scales)):
         snap_path = run_dir / f"snapshot_layer{k}.csv"
@@ -407,13 +410,13 @@ def cmd_stats(args) -> int:
         if len(values) < 2:
             raise ParseError(f"{path}: need at least 2 values per group")
         groups[name] = values
-    report = StatReport.from_groups(groups, alpha=args.alpha)
-    payload = report.to_json()
+    payload = compare_groups(groups, alpha=args.alpha)
     if args.out:
         write_json(args.out, payload, "stats_report.schema.json")
-    for (a, b), p, rejected in zip(report.pairs, report.p_values, report.rejected):
-        verdict = "reject" if rejected else "retain"
-        print(f"{a} vs {b}: p = {p:.4f} ({verdict} at alpha={args.alpha})")
+    for pair in payload["pairwise"]:
+        verdict = "reject" if pair["reject"] else "retain"
+        print(f"{pair['a']} vs {pair['b']}: p = {pair['p_value']:.4f} "
+              f"({verdict} at alpha={args.alpha})")
     return EXIT_OK
 
 

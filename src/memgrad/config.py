@@ -12,7 +12,6 @@ import copy
 import dataclasses
 import gc
 import hashlib
-import itertools
 import json
 import math
 
@@ -26,7 +25,7 @@ from .device import (DriftModelParams, LARGE_ARRAY, TECH_PROFILES,
 from .crossbar import CrossbarArray, OnExhaustion
 from .energy import EnergyLedger
 from .rules import CFParams, SFFParams
-from .stats import welch_t_test
+from .stats import compare_groups
 from .trainer import (DEFAULT_TAU, FLOAT_INIT_SIGMA, NetworkLayer, Schedule,
                       TrainingRun, _layer_specs, _phases, evaluate,
                       pulse_statistics, simulate_aging, train)
@@ -135,6 +134,7 @@ def effective_config(user_cfg: dict | None = None,
     validate_config(cfg)
     _check_epochs(cfg)
     _check_drift(cfg)
+    _check_rules(cfg)
     return cfg
 
 
@@ -156,6 +156,21 @@ def _check_drift(cfg: dict):
         build_drift_params(cfg)
     except ValueError as exc:
         raise ConfigError(f"drift.targets: {exc}") from exc
+
+
+# each rules block and the params it builds; a forward rule reads two
+_RULE_BLOCKS = {"sff": SFFParams, "sff_head": CFParams,
+                "cf_first": CFParams, "cf_last": CFParams}
+
+
+def _check_rules(cfg: dict):
+    """Every ``rules`` block builds its params, whichever algorithm runs: the
+    schema cannot see a temperature variant with a zero theta."""
+    for name, params in _RULE_BLOCKS.items():
+        try:
+            params(**cfg["rules"][name])
+        except ValueError as exc:
+            raise ConfigError(f"rules.{name}: {exc}") from exc
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> dict:
@@ -242,9 +257,8 @@ def build_drift_params(cfg: dict) -> DriftModelParams:
 def _rule_params(rules: dict, rule: str) -> list | None:
     if rule == "bp":
         return None
-    if rule == "sff":
-        return [SFFParams(**rules["sff"]), CFParams(**rules["sff_head"])]
-    return [CFParams(**rules["cf_first"]), CFParams(**rules["cf_last"])]
+    names = ("sff", "sff_head") if rule == "sff" else ("cf_first", "cf_last")
+    return [_RULE_BLOCKS[name](**rules[name]) for name in names]
 
 
 def build_training_run(cfg: dict, seed: int, dataset: data_mod.FeatureDataset,
@@ -352,5 +366,5 @@ def reproduce(cfg: dict, seeds) -> dict:
         gc.collect()
     return {"a_star": a_star, "seeds": seeds, "test_accuracy": accs,
             "pulse_statistics": pulses, "window": windows, "aging": aging,
-            "p_values": {f"{a}-{b}": welch_t_test(accs[a], accs[b])
-                         for a, b in itertools.combinations(_METHODS, 2)}}
+            "p_values": {f"{pair['a']}-{pair['b']}": pair["p_value"]
+                         for pair in compare_groups(accs)["pairwise"]}}

@@ -97,6 +97,8 @@ def load_feature_csv(path) -> FeatureDataset:
     if labels_arr.min() < 0:
         bad = int(np.argmin(labels_arr))
         raise ParseError(f"{path}:{bad + 2}: negative label {labels_arr[bad]}")
+    if n_classes < 2:
+        raise ParseError(f"{path}: every label is 0; a task needs at least 2 classes")
     return FeatureDataset(features, labels_arr, n_classes, provenance=f"csv:{path}")
 
 
@@ -133,8 +135,10 @@ def load_idx(images_path, labels_path) -> FeatureDataset:
         labels = np.frombuffer(raw, dtype=np.uint8).astype(int)
     if label_count != count:
         raise ParseError(f"image/label count mismatch: {count} vs {label_count}")
-    return FeatureDataset(pixels.astype(float) / 255.0, labels,
-                          int(labels.max()) + 1 if count else 10,
+    n_classes = int(labels.max()) + 1 if count else 10
+    if n_classes < 2:
+        raise ParseError(f"{labels_path}: every label is 0; a task needs at least 2 classes")
+    return FeatureDataset(pixels.astype(float) / 255.0, labels, n_classes,
                           provenance=f"idx:{images_path}")
 
 

@@ -1,15 +1,16 @@
 """Welch's t-test and Holm-Bonferroni correction, self-contained.
 
-The two-tailed p-value goes through the Student-t survival function,
-evaluated via the regularized incomplete beta function.  The incomplete beta
-uses the modified Lentz continued fraction with relative tolerance 1e-12 and
-is oracle-tested against arbitrary-precision evaluation.
+``compare_groups`` is the one report: ``memgrad stats`` writes and prints
+it, and ``config.reproduce`` takes its pairwise p-values from it.  The
+two-tailed p-value goes through the Student-t survival function, evaluated
+via the regularized incomplete beta function.  The incomplete beta uses the
+modified Lentz continued fraction with relative tolerance 1e-12 and is
+oracle-tested against arbitrary-precision evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -18,9 +19,8 @@ __all__ = [
     "regularized_incomplete_beta",
     "student_t_two_tailed_p",
     "welch_t_test",
-    "welch_statistic",
     "holm_bonferroni",
-    "StatReport",
+    "compare_groups",
 ]
 
 _BETA_TOL = 1e-12
@@ -91,32 +91,23 @@ def student_t_two_tailed_p(t: float, df: float) -> float:
     return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
 
 
-def welch_statistic(sample_a, sample_b) -> tuple[float, float]:
-    """Welch t statistic and Welch-Satterthwaite degrees of freedom."""
-    a = np.asarray(sample_a, dtype=float)
-    b = np.asarray(sample_b, dtype=float)
-    if len(a) < 2 or len(b) < 2:
-        raise ValueError("each sample needs at least 2 values")
-    va, vb = a.var(ddof=1), b.var(ddof=1)
-    na, nb = len(a), len(b)
-    pooled = va / na + vb / nb
-    if pooled == 0.0:
-        return (0.0 if a.mean() == b.mean() else math.inf), float(na + nb - 2)
-    t = (a.mean() - b.mean()) / math.sqrt(pooled)
-    df = pooled ** 2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
-    return float(t), float(df)
-
-
 def welch_t_test(sample_a, sample_b) -> float:
-    """Two-tailed Welch's t-test p-value.
+    """Two-tailed Welch's t-test p-value, Welch-Satterthwaite degrees of freedom.
 
     Degenerate zero-variance samples follow the natural convention: equal
     means give p = 1, different means give p = 0.
     """
-    t, df = welch_statistic(sample_a, sample_b)
-    if math.isinf(t):
-        return 0.0
-    return student_t_two_tailed_p(t, df)
+    a = np.asarray(sample_a, dtype=float)
+    b = np.asarray(sample_b, dtype=float)
+    if len(a) < 2 or len(b) < 2:
+        raise ValueError("each sample needs at least 2 values")
+    va, vb = a.var(ddof=1) / len(a), b.var(ddof=1) / len(b)
+    pooled = va + vb
+    if pooled == 0.0:
+        return 1.0 if a.mean() == b.mean() else 0.0
+    t = (a.mean() - b.mean()) / math.sqrt(pooled)
+    df = pooled ** 2 / (va ** 2 / (len(a) - 1) + vb ** 2 / (len(b) - 1))
+    return student_t_two_tailed_p(float(t), float(df))
 
 
 def holm_bonferroni(p_values, alpha: float = 0.05) -> list[bool]:
@@ -137,41 +128,26 @@ def holm_bonferroni(p_values, alpha: float = 0.05) -> list[bool]:
     return decisions
 
 
-@dataclass
-class StatReport:
-    """Group summaries plus pairwise Welch tests with Holm correction."""
+def compare_groups(samples: dict[str, list[float]], alpha: float = 0.05) -> dict:
+    """The ``stats.json`` report of named groups of values.
 
-    groups: list[str]
-    means: dict[str, float]
-    stds: dict[str, float]
-    pairs: list[tuple[str, str]]
-    p_values: list[float]
-    alpha: float
-    rejected: list[bool] = field(default_factory=list)
-
-    @classmethod
-    def from_groups(cls, samples: dict[str, list[float]], alpha: float = 0.05):
-        if len(samples) < 2:
-            raise ValueError("need >= 2 groups")
-        names = list(samples)
-        arrays = {n: np.asarray(v, dtype=float) for n, v in samples.items()}
-        for n, v in arrays.items():
-            if len(v) < 2:
-                raise ValueError(f"group {n!r} needs at least 2 values")
-        pairs = list(combinations(names, 2))
-        p_values = [welch_t_test(arrays[a], arrays[b]) for a, b in pairs]
-        return cls(groups=names,
-                   means={n: float(v.mean()) for n, v in arrays.items()},
-                   stds={n: float(v.std(ddof=1)) for n, v in arrays.items()},
-                   pairs=pairs, p_values=p_values, alpha=alpha,
-                   rejected=holm_bonferroni(p_values, alpha))
-
-    def to_json(self) -> dict:
-        return {
-            "groups": {n: {"mean": self.means[n], "std": self.stds[n]}
-                       for n in self.groups},
-            "pairwise": [{"a": a, "b": b, "p_value": p, "reject": r}
-                         for (a, b), p, r in zip(self.pairs, self.p_values,
-                                                 self.rejected)],
-            "alpha": self.alpha,
-        }
+    Each group's mean and std (ddof 1), then every pair of names in
+    ``combinations`` order with its Welch p-value and Holm decision at
+    ``alpha``, then ``alpha``.
+    """
+    if len(samples) < 2:
+        raise ValueError("need >= 2 groups")
+    arrays = {n: np.asarray(v, dtype=float) for n, v in samples.items()}
+    for n, v in arrays.items():
+        if len(v) < 2:
+            raise ValueError(f"group {n!r} needs at least 2 values")
+    pairs = list(combinations(arrays, 2))
+    p_values = [welch_t_test(arrays[a], arrays[b]) for a, b in pairs]
+    return {
+        "groups": {n: {"mean": float(v.mean()), "std": float(v.std(ddof=1))}
+                   for n, v in arrays.items()},
+        "pairwise": [{"a": a, "b": b, "p_value": p, "reject": r}
+                     for (a, b), p, r in zip(pairs, p_values,
+                                             holm_bonferroni(p_values, alpha))],
+        "alpha": alpha,
+    }

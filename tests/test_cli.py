@@ -569,6 +569,32 @@ class TestTrainCommand:
                 f"at least 3") in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("algo, block, values", [
+        ("cf", "cf_first", {"theta_plus": 0}), ("float-sff", "sff_head", {"theta_minus": 0})])
+    def test_refused_rule_block_is_a_config_error(self, tmp_path, capsys, algo, block,
+                                                  values):
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps({"rules": {block: values}}))
+        out = tmp_path / "o"
+        rc = cli.main(["train", "--config", str(path), "--algo", algo, "--epochs", "1,1",
+                       "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert (f"config error: rules.{block}: temperature variant needs non-zero "
+                f"thetas") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algo", ["bp", "sff", "cf"])
+    def test_single_class_task_is_a_data_error(self, tmp_path, capsys, algo):
+        data = tmp_path / "task.csv"
+        data.write_text("label,f0,f1\n" + "".join(f"0,0.5,{k}\n" for k in range(12)))
+        out = tmp_path / "o"
+        rc = cli.main(["train", "--task", "csv", "--task-path", str(data), "--algo", algo,
+                       "--epochs", "1,1", "--out", str(out)])
+        assert rc == cli.EXIT_DATA
+        assert (f"data error: {data}: every label is 0; a task needs at least 2 "
+                f"classes") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_duplicate_drift_target_days_are_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "drift.json"
         path.write_text(json.dumps({"drift": {"targets": [[8, 3e-6, 0.941],
@@ -809,6 +835,24 @@ class TestRunPipeline:
         assert rc == cli.EXIT_CONFIG
         assert "config error: split: class 2 has 2 sample(s)" in capsys.readouterr().err
         assert not (out / "run_0" / "aging.csv").exists()
+
+    def test_changed_dataset_is_a_data_error(self, tmp_path, capsys):
+        # the run's task file keeps its labels but changes its features
+        data = tmp_path / "task.csv"
+        labels = [0] * 10 + [1] * 10 + [2] * 10
+        data.write_text("label,f0,f1\n" + "".join(f"{c},0.5,{k}\n"
+                                                  for k, c in enumerate(labels)))
+        out = tmp_path / "o"
+        assert cli.main(["train", "--task", "csv", "--task-path", str(data),
+                         "--algo", "cf", "--epochs", "1,1", "--out", str(out)]) == 0
+        data.write_text("label,f0,f1\n" + "".join(f"{c},{k},0.5\n"
+                                                  for k, c in enumerate(labels)))
+        run_dir = out / "run_0"
+        rc = cli.main(["age", "--run", str(run_dir), "--days", "0", "--repeats", "1"])
+        assert rc == cli.EXIT_DATA
+        assert (f"data error: {run_dir / 'manifest.json'}: the config's dataset is not "
+                f"the one the run was trained on") in capsys.readouterr().err
+        assert not (run_dir / "aging.csv").exists()
 
     @pytest.mark.parametrize("repeats", ["0", "-1"])
     def test_repeats_below_one_are_a_config_error(self, device_run_dir, capsys,

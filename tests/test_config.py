@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from memgrad import config, data, energy, rules, trainer
+from memgrad import cli, config, data, energy, rules, trainer
 from memgrad.crossbar import CrossbarArray
 from memgrad.device import (DriftModelParams, SyntheticTrajectoryParams,
                             generate_trajectory_bank, save_bank_csv)
@@ -62,6 +62,15 @@ def test_duplicate_drift_target_days_are_a_config_error():
                        match=r"drift.targets: target days must be distinct"):
         config.effective_config(None, {"drift": {"targets": [[8, 3e-6, 0.941],
                                                              [8, 3e-6, 0.5]]}})
+
+
+@pytest.mark.parametrize("block, values, algorithm", [
+    ("cf_first", {"theta_plus": 0}, "bp"), ("sff_head", {"theta_minus": 0}, "cf")])
+def test_every_rule_block_is_checked_whichever_algorithm_runs(block, values, algorithm):
+    # the schema takes a zero theta; the block's params refuse it
+    with pytest.raises(config.ConfigError, match=f"rules.{block}: temperature "
+                                                 f"variant needs non-zero thetas"):
+        config.effective_config({"algorithm": algorithm, "rules": {block: values}})
 
 
 # a desk experiment small enough to run twice in about a second
@@ -120,3 +129,18 @@ class TestReproduce:
         own = config.reproduce(cfg, [0, 1])
         assert len(parsed) == 1 + 6     # the shared parse, then one per device run
         assert json.dumps(shared) == json.dumps(own)
+
+    def test_stats_command_prints_the_record_p_values(self, tmp_path, capsys):
+        record = config.reproduce(config.effective_config(TINY), [0, 1, 2])
+        paths = []
+        for method, accs in record["test_accuracy"].items():
+            path = tmp_path / f"{method}.txt"
+            path.write_text("".join(f"{acc!r}\n" for acc in accs))
+            paths.append(str(path))
+        out = tmp_path / "stats.json"
+        assert cli.main(["stats", *paths, "--out", str(out)]) == 0
+        printed = [line.split(" (")[0] for line in capsys.readouterr().out.splitlines()]
+        assert printed == [f"{key.replace('-', ' vs ')}: p = {p:.4f}"
+                           for key, p in record["p_values"].items()]
+        pairwise = json.loads(out.read_text())["pairwise"]
+        assert {f"{e['a']}-{e['b']}": e["p_value"] for e in pairwise} == record["p_values"]

@@ -111,6 +111,12 @@ class TestIdx:
         with pytest.raises(ParseError, match="truncated"):
             load_idx(img, lab)
 
+    def test_single_class_refused(self, tmp_path):
+        img, lab = write_idx_pair(tmp_path, np.zeros((4, 4, 4)), np.zeros(4))
+        with pytest.raises(ParseError, match=f"{lab}: every label is 0; a task needs "
+                                             f"at least 2 classes"):
+            load_idx(img, lab)
+
     def test_count_mismatch(self, tmp_path):
         img, _ = write_idx_pair(tmp_path / "a", np.zeros((4, 4, 4)), np.zeros(4))
         _, lab = write_idx_pair(tmp_path / "b", np.zeros((3, 4, 4)), np.zeros(3))

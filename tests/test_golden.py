@@ -266,6 +266,14 @@ def loss_digest(run) -> str:
     return h.hexdigest()
 
 
+def loss_note(run, test_accuracy: float, golden_run: str) -> str:
+    """BLAS_NOTE, and whether the run's pulse counts, conductances, ledger
+    totals and accuracy still match: a loss digest can move under another
+    BLAS kernel while the pulses stay the same."""
+    held = "holds" if run_digest(run, test_accuracy) == golden_run else "differs too"
+    return f"{BLAS_NOTE}; the run digest {held}"
+
+
 @pytest.mark.parametrize("algorithm, seed", sorted(GOLDEN_TRAINING))
 def test_training_digest(short_runs, algorithm, seed):
     run, acc = short_runs(algorithm, seed)
@@ -274,9 +282,10 @@ def test_training_digest(short_runs, algorithm, seed):
 
 @pytest.mark.parametrize("algorithm, seed", sorted(GOLDEN_LOSSES))
 def test_loss_digest(short_runs, algorithm, seed):
-    run, _ = short_runs(algorithm, seed)
+    run, acc = short_runs(algorithm, seed)
     assert len(run.step_log) == 300
-    assert loss_digest(run) == GOLDEN_LOSSES[(algorithm, seed)], BLAS_NOTE
+    assert loss_digest(run) == GOLDEN_LOSSES[(algorithm, seed)], loss_note(
+        run, acc, GOLDEN_TRAINING[(algorithm, seed)])
 
 
 @pytest.mark.parametrize("policy", sorted(GOLDEN_NARROW))
@@ -294,8 +303,9 @@ def test_exhaustion_digest(task, policy):
 def test_branch_digest(branch_runs, name):
     run, acc = branch_runs(name)
     _, golden_run, golden_loss = GOLDEN_BRANCHES[name]
+    # the loss first, so that its message can say whether the run digest held
+    assert loss_digest(run) == golden_loss, loss_note(run, acc, golden_run)
     assert run_digest(run, acc) == golden_run, BLAS_NOTE
-    assert loss_digest(run) == golden_loss, BLAS_NOTE
 
 
 def test_branch_per_label_val_accuracies(branch_runs):

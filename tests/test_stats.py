@@ -4,7 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from memgrad.stats import (StatReport, holm_bonferroni,
+from memgrad.artifacts import invalid_at
+from memgrad.stats import (compare_groups, holm_bonferroni,
                            regularized_incomplete_beta, student_t_two_tailed_p,
                            welch_t_test)
 
@@ -126,16 +127,32 @@ class TestHolm:
             holm_bonferroni([0.5], alpha=0.0)
 
 
-class TestStatReport:
-    def test_from_groups(self):
-        report = StatReport.from_groups(
-            {"bp": BP_ACCS, "sff": SFF_ACCS, "cf": CF_ACCS}, alpha=0.05)
-        assert report.p_values == pytest.approx([0.586, 0.697, 0.951], abs=0.002)
-        assert report.rejected == [False, False, False]
-        payload = report.to_json()
-        assert set(payload["groups"]) == {"bp", "sff", "cf"}
-        assert len(payload["pairwise"]) == 3
+class TestCompareGroups:
+    def test_report_of_paper_groups(self):
+        groups = {"bp": BP_ACCS, "sff": SFF_ACCS, "cf": CF_ACCS}
+        payload = compare_groups(groups, alpha=0.05)
+        assert invalid_at(payload, "stats_report.schema.json") is None
+        assert list(payload) == ["groups", "pairwise", "alpha"]
+        assert payload["groups"] == {
+            name: {"mean": float(np.mean(v)), "std": float(np.std(v, ddof=1))}
+            for name, v in groups.items()}
+        pairs = [("bp", "sff"), ("bp", "cf"), ("sff", "cf")]
+        assert payload["pairwise"] == [
+            {"a": a, "b": b, "p_value": welch_t_test(groups[a], groups[b]),
+             "reject": False} for a, b in pairs]
+        assert [e["p_value"] for e in payload["pairwise"]] == pytest.approx(
+            [0.586, 0.697, 0.951], abs=0.002)
+        assert payload["alpha"] == 0.05
+
+    def test_holm_decisions_in_pair_order(self):
+        groups = {"a": [1.0, 1.1, 0.9], "b": [5.0, 5.2, 4.8], "c": [1.05, 0.95, 1.0],
+                  "d": [5.1, 4.9, 5.0]}
+        payload = compare_groups(groups, alpha=0.05)
+        p_values = [e["p_value"] for e in payload["pairwise"]]
+        decisions = [e["reject"] for e in payload["pairwise"]]
+        assert decisions == holm_bonferroni(p_values, 0.05)
+        assert any(decisions) and not all(decisions)
 
     def test_needs_two_groups(self):
         with pytest.raises(ValueError):
-            StatReport.from_groups({"only": [1.0, 2.0]})
+            compare_groups({"only": [1.0, 2.0]})
